@@ -10,45 +10,22 @@ two-nilpotent variant.
 """
 
 from .analysis import (
-    CSet, InterfaceKind, TauClassification, TauForm, TauOccurrence,
-    build_c_set, check_primeness_bounded, check_regularity_identities,
-    check_separativity_identities, check_tau_forms_families,
-    check_tau_uniqueness, check_tau_uniqueness_families, check_types_lemma,
-    classify_interface, classify_tau_occurrences, closing_argument_margin,
-    find_tau, left_shape_words, right_shape_words, search_unit_regular_witness,
-    tau_form_of, type_i_word, type_ii_word)
-from .elements import Algebra, AlgebraElement, corner, linear_combination, parse_element
-from .fields import GF2, GF3, QQ, PrimeField, RationalField, field_from_name
-from .matrixrep import (
-    DegreeBoundExceeded, MatrixElement, MatrixModel, TMembership,
-    check_determinant_obstruction, det2, free_mul, membership_T,
-    n2_variant_check, parse_matrix, phi, pi_eval, verify_phi_faithful)
-from .reports import VerificationReport
+    check_tau_forms_families, check_tau_uniqueness_families, left_shape_words,
+    right_shape_words, search_unit_regular_witness)
+from .elements import Algebra, AlgebraElement
+from .fields import QQ, PrimeField
+from .matrixrep import MatrixElement, MatrixModel, verify_phi_faithful
 from .rewriting import (
-    IDENTITY_WORD, CriticalPair, ReductionOutcome, Rule, RewriteSystem, Word,
-    WordSyntaxError, ab_system, canonical_words, check_confluence, concat,
-    concat_reduce, critical_pairs, enumerate_basis, is_basis_word, lex_compare,
-    parse_word, reduce, system_from_label, xq_system)
+    IDENTITY_WORD, ReductionOutcome, Word, ab_system, enumerate_basis,
+    parse_word, reduce, xq_system)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Algebra", "AlgebraElement", "CSet", "CriticalPair", "DegreeBoundExceeded",
-    "GF2", "GF3", "IDENTITY_WORD", "InterfaceKind", "MatrixElement",
-    "MatrixModel", "PrimeField", "QQ", "RationalField", "ReductionOutcome",
-    "Rule", "RewriteSystem", "TMembership", "TauClassification", "TauForm",
-    "TauOccurrence", "VerificationReport", "Word", "WordSyntaxError",
-    "ab_system", "build_c_set", "canonical_words", "check_confluence",
-    "check_determinant_obstruction", "check_primeness_bounded",
-    "check_regularity_identities", "check_separativity_identities",
-    "check_tau_forms_families", "check_tau_uniqueness",
-    "check_tau_uniqueness_families", "check_types_lemma", "classify_interface",
-    "classify_tau_occurrences", "closing_argument_margin", "concat",
-    "concat_reduce", "corner", "critical_pairs", "det2", "enumerate_basis",
-    "field_from_name", "find_tau", "free_mul", "is_basis_word",
-    "left_shape_words", "lex_compare", "linear_combination", "membership_T",
-    "n2_variant_check", "parse_element", "parse_matrix", "parse_word", "phi",
-    "pi_eval", "reduce", "right_shape_words", "search_unit_regular_witness",
-    "system_from_label", "tau_form_of", "type_i_word", "type_ii_word",
-    "verify_phi_faithful", "xq_system",
+    "Algebra", "AlgebraElement", "IDENTITY_WORD", "MatrixElement",
+    "MatrixModel", "PrimeField", "QQ", "ReductionOutcome", "Word",
+    "ab_system", "check_tau_forms_families", "check_tau_uniqueness_families",
+    "enumerate_basis", "left_shape_words", "parse_word", "reduce",
+    "right_shape_words", "search_unit_regular_witness", "verify_phi_faithful",
+    "xq_system",
 ]

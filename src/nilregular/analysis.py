@@ -52,7 +52,7 @@ from .rewriting import (
     reduce,
     xq_system,
 )
-from .reports import VerificationReport, finish_report
+from .reports import EXHAUSTED, VerificationReport, checklist_report, finish_report
 
 _QX_WORD = Word((("q", 1), ("x", 1)))
 
@@ -273,8 +273,8 @@ def find_tau(c_set: CSet) -> Word:
         raise ValueError("the C-set is empty; there is no largest word")
     tau = max((occ.word for occ in c_set.occurrences),
               key=Word.lex_key)
-    if c_set.algebra.system.nilpotency_degree == 3:
-        assert tau_form_of(tau) is not None, f"largest C-word {tau} off-form"
+    if c_set.algebra.system.nilpotency_degree == 3 and tau_form_of(tau) is None:
+        raise RuntimeError(f"largest C-word {tau} off-form")
     return tau
 
 
@@ -451,15 +451,14 @@ def check_tau_uniqueness(left_terms, right_terms,
     c_set = build_c_set(lefts, rights, algebra)
     if c_set.is_empty:
         parameters["c_set_size"] = 0
-        return finish_report("tau-unique", parameters, "pass", None, 0, started)
+        return finish_report("tau-unique", parameters, None, 0, started)
     tau = find_tau(c_set)
     classification = classify_tau_occurrences(lefts, rights, tau, algebra)
     parameters["tau"] = str(tau)
     parameters["skipped_identity_pairs"] = len(classification.skipped_identity_pairs)
     examined = len(lefts) * len(rights)
     witness = _uniqueness_witness(classification)
-    status = "fail" if witness is not None else "pass"
-    return finish_report("tau-unique", parameters, status, witness, examined, started)
+    return finish_report("tau-unique", parameters, witness, examined, started)
 
 
 def _uniqueness_witness(classification: TauClassification) -> dict | None:
@@ -531,8 +530,7 @@ def _sweep_tau_families(check: str, exhaustive_len: int, random_len: int,
                 witness["right"] = [str(y) for y in right_words]
         if witness is not None:
             break
-    status = "fail" if witness is not None else "pass"
-    return finish_report(check, parameters, status, witness, examined, started)
+    return finish_report(check, parameters, witness, examined, started)
 
 
 def check_tau_forms_families(exhaustive_len: int = 3, random_len: int = 6,
@@ -645,11 +643,9 @@ def search_unit_regular_witness(max_word_len: int = 3, field=GF2, n: int = 3,
         hits = [index for index in results if index is not None]
         witness_index = min(hits) if hits else None
     if witness_index is None:
-        status = "exhausted"
         witness = None
         examined = total
     else:
-        status = "fail"
         alpha_index, beta_index = divmod(witness_index, beta_count)
         alpha_vec = _vector_from_index(alpha_index, pool, len(lefts))
         beta_vec = _vector_from_index(beta_index, pool, len(rights))
@@ -660,8 +656,8 @@ def search_unit_regular_witness(max_word_len: int = 3, field=GF2, n: int = 3,
                                   for y, c in zip(rights, beta_vec)},
         }
         examined = witness_index + 1
-    return finish_report("unit-regular-search", parameters, status, witness,
-                         examined, started)
+    return finish_report("unit-regular-search", parameters, witness,
+                         examined, started, no_witness_status=EXHAUSTED)
 
 
 def _scan_alpha_block(args) -> int | None:
@@ -682,15 +678,8 @@ def check_regularity_identities(n: int = 3, field=QQ) -> VerificationReport:
         (f"x^{n - 1} != 0", x ** (n - 1) != algebra.zero),
         ("(qxq)x(qxq) = qxq", (q * x * q) * x * (q * x * q) == q * x * q),
     ]
-    parameters = {"n": n, "field": field.name}
-    witness = None
-    for name, ok in checks:
-        if not ok:
-            witness = {"identity": name}
-            break
-    status = "fail" if witness is not None else "pass"
-    return finish_report("regularity", parameters, status, witness,
-                         len(checks), started)
+    return checklist_report("regularity", {"n": n, "field": field.name},
+                            checks, "identity", started)
 
 
 def check_separativity_identities(field=QQ) -> VerificationReport:
@@ -710,15 +699,8 @@ def check_separativity_identities(field=QQ) -> VerificationReport:
         ("(1-qx) + q(1-qx)x + q^2(1-qx)x^2 = 1",
          right_frame + q * right_frame * x + q * q * right_frame * x * x == one),
     ]
-    parameters = {"n": 3, "field": field.name}
-    witness = None
-    for name, ok in checks:
-        if not ok:
-            witness = {"identity": name}
-            break
-    status = "fail" if witness is not None else "pass"
-    return finish_report("separativity", parameters, status, witness,
-                         len(checks), started)
+    return checklist_report("separativity", {"n": 3, "field": field.name},
+                            checks, "identity", started)
 
 
 def check_primeness_bounded(max_len: int = 6, n: int = 3, field=QQ,
@@ -763,9 +745,7 @@ def check_primeness_bounded(max_len: int = 6, n: int = 3, field=QQ,
             if not survives(element):
                 witness = {"element": str(element), "kind": "random"}
                 break
-    status = "fail" if witness is not None else "pass"
-    return finish_report("primeness", parameters, status, witness,
-                         examined, started)
+    return finish_report("primeness", parameters, witness, examined, started)
 
 
 def _ends_with(word: Word, suffix: tuple[str, ...]) -> bool:
@@ -806,9 +786,7 @@ def check_types_lemma(max_len: int = 7) -> VerificationReport:
                 break
         if witness is not None:
             break
-    status = "fail" if witness is not None else "pass"
-    return finish_report("types-lemma", parameters, status, witness,
-                         examined, started)
+    return finish_report("types-lemma", parameters, witness, examined, started)
 
 
 def _types_clause_violation(w: Word, y: Word, system: RewriteSystem) -> str | None:

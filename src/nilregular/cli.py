@@ -26,13 +26,6 @@ from .matrixrep import (
 from .reports import VerificationReport
 from .rewriting import WordSyntaxError, check_confluence, system_from_label
 
-CHECK_NAMES = (
-    "types-lemma", "tau-forms", "tau-unique", "unit-regular-search",
-    "regularity", "separativity", "primeness", "confluence",
-    "phi-faithful", "determinant", "n2-variant",
-)
-
-
 @dataclass
 class RunConfig:
     """Everything a subcommand needs; the seed fully determines any
@@ -69,6 +62,14 @@ def _nonnegative_int(text: str) -> int:
     return value
 
 
+def _field_name(text: str) -> str:
+    try:
+        field_from_name(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return text
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--presentation", choices=("S", "R"), default="S",
@@ -76,9 +77,10 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--n", type=_positive_int, default=3,
                         help="nilpotency degree of the main presentation "
                              "(default 3; R uses degree n-1)")
-    common.add_argument("--field", choices=("gf2", "gf3", "rational"),
-                        default="rational", dest="field_name",
-                        help="coefficient field (default rational)")
+    common.add_argument("--field", type=_field_name, default="rational",
+                        dest="field_name",
+                        help="coefficient field: rational or gf<p> for a "
+                             "prime p < 2^31 (default rational)")
     common.add_argument("--max-len", type=_nonnegative_int, default=6,
                         help="word-length bound for bounded checks (default 6)")
     common.add_argument("--max-word-len", type=_nonnegative_int, default=3,
@@ -113,7 +115,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify_parser = subparsers.add_parser(
         "verify", parents=[common],
         help="run one verification harness and report pass/fail")
-    verify_parser.add_argument("check", choices=CHECK_NAMES,
+    verify_parser.add_argument("check", choices=CHECKS,
                                help="which check to run")
     return parser
 
@@ -167,37 +169,35 @@ def cmd_basis(max_len: int, cfg: RunConfig, out=None) -> int:
     return 0
 
 
+# Entries resolve their check function when called, so replacing a module
+# attribute takes effect.
+CHECKS = {
+    "types-lemma": lambda cfg: check_types_lemma(max_len=cfg.max_len),
+    "tau-forms": lambda cfg: check_tau_forms_families(
+        random_len=cfg.max_len, seed=cfg.seed),
+    "tau-unique": lambda cfg: check_tau_uniqueness_families(
+        random_len=cfg.max_len, seed=cfg.seed),
+    "unit-regular-search": lambda cfg: search_unit_regular_witness(
+        max_word_len=cfg.max_word_len, field=cfg.field, n=cfg.n,
+        workers=cfg.workers),
+    "regularity": lambda cfg: check_regularity_identities(n=cfg.n, field=cfg.field),
+    "separativity": lambda cfg: check_separativity_identities(field=cfg.field),
+    "primeness": lambda cfg: check_primeness_bounded(
+        max_len=cfg.max_len, n=cfg.n, field=cfg.field, seed=cfg.seed),
+    "confluence": lambda cfg: check_confluence(
+        system_from_label(cfg.presentation, cfg.n), max_len=cfg.max_len,
+        seed=cfg.seed),
+    "phi-faithful": lambda cfg: verify_phi_faithful(max_len=cfg.max_len, n=cfg.n),
+    "determinant": lambda cfg: check_determinant_obstruction(seed=cfg.seed),
+    "n2-variant": lambda cfg: n2_variant_check(field=cfg.field),
+}
+
+
 def run_check(name: str, cfg: RunConfig) -> VerificationReport:
-    """Dispatch one named check with the config's bounds, field, and seed."""
-    field = cfg.field
-    if name == "types-lemma":
-        return check_types_lemma(max_len=cfg.max_len)
-    if name == "tau-forms":
-        return check_tau_forms_families(random_len=cfg.max_len, seed=cfg.seed)
-    if name == "tau-unique":
-        return check_tau_uniqueness_families(random_len=cfg.max_len,
-                                             seed=cfg.seed)
-    if name == "unit-regular-search":
-        return search_unit_regular_witness(max_word_len=cfg.max_word_len,
-                                           field=field, n=cfg.n,
-                                           workers=cfg.workers)
-    if name == "regularity":
-        return check_regularity_identities(n=cfg.n, field=field)
-    if name == "separativity":
-        return check_separativity_identities(field=field)
-    if name == "primeness":
-        return check_primeness_bounded(max_len=cfg.max_len, n=cfg.n,
-                                       field=field, seed=cfg.seed)
-    if name == "confluence":
-        system = system_from_label(cfg.presentation, cfg.n)
-        return check_confluence(system, max_len=cfg.max_len, seed=cfg.seed)
-    if name == "phi-faithful":
-        return verify_phi_faithful(max_len=cfg.max_len, n=cfg.n)
-    if name == "determinant":
-        return check_determinant_obstruction(seed=cfg.seed)
-    if name == "n2-variant":
-        return n2_variant_check(field=field)
-    raise ValueError(f"unknown check: {name}")
+    """Run one named check with the config's bounds, field, and seed."""
+    if name not in CHECKS:
+        raise ValueError(f"unknown check: {name}")
+    return CHECKS[name](cfg)
 
 
 def cmd_verify(check: str, cfg: RunConfig, out=None) -> int:

@@ -91,9 +91,6 @@ class Algebra:
     def basis_words(self, max_len: int) -> list[Word]:
         return enumerate_basis(max_len, self.system)
 
-    def element_from_json(self, data: dict) -> "AlgebraElement":
-        return self.from_terms(data)
-
     def random_element(self, rng, max_word_len: int = 4, max_terms: int = 3,
                        allow_zero: bool = False) -> "AlgebraElement":
         """A random element with support drawn from the bounded basis.

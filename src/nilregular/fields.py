@@ -12,11 +12,18 @@ from fractions import Fraction
 
 
 class PrimeField:
-    """Arithmetic in GF(p); elements are ints reduced into range(p)."""
+    """Arithmetic in GF(p); elements are ints reduced into range(p).
+
+    p must be a prime below 2^31; larger values raise ValueError without
+    a primality test, because trial division up to sqrt(p) (about 46k
+    divisions at the cap) would stall the constructor beyond it.
+    """
 
     __slots__ = ("p",)
 
     def __init__(self, p: int):
+        if p >= 2**31:
+            raise ValueError(f"{p} is not below the prime-field cap 2^31")
         if p < 2 or any(p % d == 0 for d in range(2, int(p**0.5) + 1)):
             raise ValueError(f"{p} is not prime")
         self.p = p
@@ -143,7 +150,7 @@ _GF_NAME = re.compile(r"gf(\d+)$")
 
 
 def field_from_name(name: str):
-    """gf2, gf3 (any gf<prime>) or rational."""
+    """gf2, gf3 (any gf<p> for a prime p < 2^31) or rational."""
     if name == "rational":
         return QQ
     match = _GF_NAME.match(name)

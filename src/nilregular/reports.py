@@ -56,9 +56,24 @@ class VerificationReport:
         return line
 
 
-def finish_report(check: str, parameters: dict, status: str, witness: dict | None,
-                  candidates_examined: int, started: float) -> VerificationReport:
-    """Stamp a report with the elapsed wall time since ``started``."""
+def finish_report(check: str, parameters: dict, witness: dict | None,
+                  candidates_examined: int, started: float,
+                  no_witness_status: str = PASS) -> VerificationReport:
+    """Stamp a report with the elapsed wall time since ``started``.
+
+    A witness always means "fail"; without one the status is
+    ``no_witness_status`` ("pass", or "exhausted" for a search).
+    """
     elapsed_ms = (time.perf_counter() - started) * 1000.0
+    status = FAIL if witness is not None else no_witness_status
     return VerificationReport(check, parameters, status, witness,
                               candidates_examined, elapsed_ms)
+
+
+def checklist_report(check: str, parameters: dict, checks: list,
+                     witness_key: str, started: float) -> VerificationReport:
+    """Report on a list of (name, ok) pairs; the first failing name
+    becomes the witness under ``witness_key``."""
+    failed = next((name for name, ok in checks if not ok), None)
+    witness = None if failed is None else {witness_key: failed}
+    return finish_report(check, parameters, witness, len(checks), started)

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -111,6 +112,26 @@ def test_bad_flag_value_is_usage(capsys):
     assert code == 2
 
 
+def test_field_flag_accepts_any_library_prime(capsys):
+    code, out, _ = run_cli(capsys, "verify", "regularity", "--field", "gf5")
+    assert code == 0
+    assert out.startswith("[pass] regularity")
+
+
+def test_field_flag_rejects_a_composite(capsys):
+    code = cli.main(["verify", "regularity", "--field", "gf4"])
+    assert code == 2
+    assert "4 is not prime" in capsys.readouterr().err
+
+
+def test_field_flag_rejects_a_huge_prime_quickly(capsys):
+    started = time.perf_counter()
+    code = cli.main(["verify", "regularity", "--field", "gf2305843009213693951"])
+    assert code == 2
+    assert time.perf_counter() - started < 1.0
+    assert "cap" in capsys.readouterr().err
+
+
 def test_verify_failure_exit_code(capsys, monkeypatch):
     failing = VerificationReport(
         check="separativity", parameters={}, status="fail",
@@ -134,7 +155,7 @@ def test_json_reports_are_reproducible():
 def test_every_named_check_dispatches():
     fast = cli.RunConfig(field_name="gf2", max_len=3, max_word_len=1, seed=0)
     slow_names = {"tau-forms", "tau-unique"}  # these sweep 10^4 families
-    for name in cli.CHECK_NAMES:
+    for name in cli.CHECKS:
         if name in slow_names:
             continue
         report = cli.run_check(name, fast)

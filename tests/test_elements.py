@@ -83,7 +83,7 @@ def test_json_round_trip():
     element = ALG.parse("1/2 - q x + 3 q^2 x^2")
     data = element.to_json_dict()
     assert data == {"1": "1/2", "q x": "-1", "q^2 x^2": "3"}
-    assert ALG.element_from_json(data) == element
+    assert ALG.from_terms(data) == element
 
 
 def test_gf_coefficients_wrap():
