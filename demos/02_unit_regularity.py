@@ -49,7 +49,7 @@ print(f"largest word: {tau}   (q-exponents {form.q_exponents},"
 
 print()
 print("== classifying every occurrence of the largest word ==")
-classification = classify_tau_occurrences(lefts, rights, tau, algebra)
+classification = classify_tau_occurrences(c_set)
 for occurrence in classification.occurrences:
     print(" ", occurrence.describe())
 reduced = classification.reduced_occurrences

@@ -11,8 +11,9 @@ begin and end in q ("left shape"), and the support of v of words that are
 
 Expanding alpha * beta without collecting terms contributes eight signed
 monomials per support pair (w, y).  The C-set records those whose normal
-forms are nonzero, begin in q and end in x.  Two combinatorial facts about
-its lex-largest member tau drive the impossibility searches:
+forms are nonzero, begin in q and end in x; only the type I word w y and
+the type II word w qx y can.  Two combinatorial facts about its
+lex-largest member tau drive the impossibility searches:
 
 * tau can only arise from a pair (w, y) in one of three restricted ways
   (type I product with or without an interface reduction, or type II), and
@@ -117,8 +118,9 @@ class COccurrence:
     word: Word
     left: Word
     right: Word
-    kind: str  # "type-I", "type-II" or "boundary"
+    kind: str  # "type-I" or "type-II"
     coefficient: object
+    steps: int = 0  # rule applications that reduced the monomial
 
 
 @dataclass(frozen=True)
@@ -159,32 +161,20 @@ class CSet:
 
 @lru_cache(maxsize=None)
 def _pair_contributions(system: RewriteSystem, w: Word, y: Word):
-    """The C-members among the eight monomials (xq)^e1 w (qx)^e2 y (xq)^e3.
+    """The C-members among the monomials (xq)^e1 w (qx)^e2 y (xq)^e3.
 
-    Returns (kind, sign, word) triples; sign is (-1)^(e1+e2+e3).  Only the
-    e1 = e3 = 0 terms can reach C at all (reduction never changes the
-    first or last letter of a nonzero word), but all eight are expanded so
-    the bookkeeping mirrors the uncollected product.
+    Returns (kind, sign, word, steps) tuples; sign is (-1)^e2.  Reduction
+    keeps the first and last letter of a nonzero word, so the six terms
+    with e1 = 1 (first letter x) or e3 = 1 (last letter q) never reach C;
+    only the type I word (e2 = 0) and the type II word (e2 = 1) are
+    expanded.
     """
-    xq = ("x", "q")
-    qx = ("q", "x")
     out = []
-    for e1, e2, e3 in itertools.product((0, 1), repeat=3):
-        letters = ((xq if e1 else ()) + w.letters() + (qx if e2 else ())
-                   + y.letters() + (xq if e3 else ()))
-        outcome = reduce(Word.from_letters(letters), system)
-        if outcome.is_zero:
-            continue
+    for kind, sign, outcome in (("type-I", 1, type_i_word(w, y, system)),
+                                ("type-II", -1, type_ii_word(w, y, system))):
         word = outcome.result
-        if word.first_letter != "q" or word.last_letter != "x":
-            continue
-        if (e1, e2, e3) == (0, 0, 0):
-            kind = "type-I"
-        elif (e1, e2, e3) == (0, 1, 0):
-            kind = "type-II"
-        else:
-            kind = "boundary"
-        out.append((kind, -1 if (e1 + e2 + e3) % 2 else 1, word))
+        if word is not None and word.first_letter == "q" and word.last_letter == "x":
+            out.append((kind, sign, word, outcome.steps))
     return tuple(out)
 
 
@@ -226,9 +216,9 @@ def build_c_set(left_terms, right_terms, algebra: Algebra) -> CSet:
     for left_coeff, w in lefts:
         for right_coeff, y in rights:
             pair_coeff = field.mul(left_coeff, right_coeff)
-            for kind, sign, word in _pair_contributions(algebra.system, w, y):
+            for kind, sign, word, steps in _pair_contributions(algebra.system, w, y):
                 coefficient = (pair_coeff if sign > 0 else field.neg(pair_coeff))
-                occurrences.append(COccurrence(word, w, y, kind, coefficient))
+                occurrences.append(COccurrence(word, w, y, kind, coefficient, steps))
     return CSet(tuple(occurrences), algebra)
 
 
@@ -377,61 +367,40 @@ def _match_form3(w: Word, y: Word, tau: Word, form: TauForm) -> TauOccurrence | 
     return TauOccurrence(w, y, form=3, r=r, variant="interior")
 
 
-def classify_tau_occurrences(left_terms, right_terms, tau,
-                             algebra: Algebra) -> TauClassification:
-    """Classify every way tau arises from the support pairs.
+def classify_tau_occurrences(c_set: CSet) -> TauClassification:
+    """Classify every occurrence of the largest word tau of a C-set.
 
-    ``tau`` must be the largest word of build_c_set(left_terms,
-    right_terms); anything else raises.  Pairs involving the identity word
-    are recorded as skipped rather than classified: the three-form
-    statement concerns pairs with w != 1 and y != 1 (in the cancellation
-    context the identity pairs are ruled out separately), so for
-    standalone inputs the classifier states its restriction instead of
-    guessing.
+    Pairs involving the identity word are recorded as skipped rather than
+    classified: the three-form statement concerns pairs with w != 1 and
+    y != 1 (in the cancellation context the identity pairs are ruled out
+    separately), so for standalone inputs the classifier states its
+    restriction instead of guessing.  Such a pair reaches tau at most
+    once, since its type I word is a shape word and never a C-word.
     """
-    if algebra.system.nilpotency_degree != 3:
+    if c_set.algebra.system.nilpotency_degree != 3:
         raise ValueError("the tau classification is specific to n = 3")
-    tau = _as_word(tau)
-    c_set = build_c_set(left_terms, right_terms, algebra)
-    if c_set.is_empty or find_tau(c_set) != tau:
-        raise ValueError(f"{tau} is not the largest word of this C-set")
+    tau = find_tau(c_set)
     form = tau_form_of(tau)
-    system = algebra.system
     occurrences: list[TauOccurrence] = []
     violations: list[dict] = []
     skipped: list[tuple[Word, Word]] = []
-    lefts = _normalize_side(left_terms, "left", algebra)
-    rights = _normalize_side(right_terms, "right", algebra)
-    for _, w in lefts:
-        for _, y in rights:
-            if w.is_identity or y.is_identity:
-                if _pair_reaches(w, y, tau, system):
-                    skipped.append((w, y))
-                continue
-            first = type_i_word(w, y, system)
-            if first.result == tau:
-                matched = (_match_form1(w, y) if first.steps == 0
-                           else _match_form2(w, y, tau, form))
-                if matched is None:
-                    violations.append({"left": str(w), "right": str(y),
-                                       "kind": "type-I", "steps": first.steps})
-                else:
-                    occurrences.append(matched)
-            second = type_ii_word(w, y, system)
-            if not second.is_zero and second.result == tau:
-                matched = _match_form3(w, y, tau, form)
-                if matched is None:
-                    violations.append({"left": str(w), "right": str(y),
-                                       "kind": "type-II", "steps": second.steps})
-                else:
-                    occurrences.append(matched)
+    for occ in c_set.occurrences_of(tau):
+        w, y = occ.left, occ.right
+        if w.is_identity or y.is_identity:
+            skipped.append((w, y))
+            continue
+        if occ.kind == "type-II":
+            matched = _match_form3(w, y, tau, form)
+        elif occ.steps == 0:
+            matched = _match_form1(w, y)
+        else:
+            matched = _match_form2(w, y, tau, form)
+        if matched is None:
+            violations.append({"left": str(w), "right": str(y),
+                               "kind": occ.kind, "steps": occ.steps})
+        else:
+            occurrences.append(matched)
     return TauClassification(tau, occurrences, violations, skipped)
-
-
-def _pair_reaches(w: Word, y: Word, tau: Word, system: RewriteSystem) -> bool:
-    if type_i_word(w, y, system).result == tau:
-        return True
-    return type_ii_word(w, y, system).result == tau
 
 
 def check_tau_uniqueness(left_terms, right_terms,
@@ -452,22 +421,24 @@ def check_tau_uniqueness(left_terms, right_terms,
     if c_set.is_empty:
         parameters["c_set_size"] = 0
         return finish_report("tau-unique", parameters, None, 0, started)
-    tau = find_tau(c_set)
-    classification = classify_tau_occurrences(lefts, rights, tau, algebra)
-    parameters["tau"] = str(tau)
+    classification = classify_tau_occurrences(c_set)
+    parameters["tau"] = str(classification.tau)
     parameters["skipped_identity_pairs"] = len(classification.skipped_identity_pairs)
     examined = len(lefts) * len(rights)
-    witness = _uniqueness_witness(classification)
+    witness = _tau_witness(classification, count_reduced=True)
     return finish_report("tau-unique", parameters, witness, examined, started)
 
 
-def _uniqueness_witness(classification: TauClassification) -> dict | None:
+def _tau_witness(classification: TauClassification,
+                 count_reduced: bool) -> dict | None:
+    """An unclassifiable occurrence, or (with ``count_reduced``) more than
+    one occurrence of the reduced kinds; None if neither."""
     if classification.violations:
         return {"kind": "unclassifiable-occurrence",
                 "tau": str(classification.tau),
                 "violations": classification.violations}
     reduced = classification.reduced_occurrences
-    if len(reduced) > 1:
+    if count_reduced and len(reduced) > 1:
         return {"kind": "reduced-occurrence-multiplicity",
                 "tau": str(classification.tau),
                 "occurrences": [occ.describe() for occ in reduced]}
@@ -513,22 +484,11 @@ def _sweep_tau_families(check: str, exhaustive_len: int, random_len: int,
         c_set = build_c_set(left_words, right_words, algebra)
         if c_set.is_empty:
             continue
-        tau = find_tau(c_set)
-        classification = classify_tau_occurrences(
-            left_words, right_words, tau, algebra)
-        if check == "tau-forms":
-            if classification.violations:
-                witness = {"kind": "unclassifiable-occurrence",
-                           "left": [str(w) for w in left_words],
-                           "right": [str(y) for y in right_words],
-                           "tau": str(tau),
-                           "violations": classification.violations}
-        else:
-            witness = _uniqueness_witness(classification)
-            if witness is not None:
-                witness["left"] = [str(w) for w in left_words]
-                witness["right"] = [str(y) for y in right_words]
+        witness = _tau_witness(classify_tau_occurrences(c_set),
+                               count_reduced=check == "tau-unique")
         if witness is not None:
+            witness["left"] = [str(w) for w in left_words]
+            witness["right"] = [str(y) for y in right_words]
             break
     return finish_report(check, parameters, witness, examined, started)
 

@@ -4,7 +4,8 @@ verification harnesses, with text or machine-readable JSON output.
 Exit codes distinguish three outcomes so the tool is CI-friendly:
 0 means pass (or an exhaustive search that found no witness), 1 means a
 check failed and the report carries a witness, 2 means a usage error
-(bad flags, unparseable input, unknown check).
+(bad flags, unparseable input, unknown check, or a config the command,
+check or presentation rejects).
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .fields import field_from_name
 from .matrixrep import (
     check_determinant_obstruction, n2_variant_check, verify_phi_faithful)
 from .reports import VerificationReport
-from .rewriting import WordSyntaxError, check_confluence, system_from_label
+from .rewriting import check_confluence, system_from_label
 
 @dataclass
 class RunConfig:
@@ -137,11 +138,7 @@ def cmd_reduce(expression: str, cfg: RunConfig, out=None) -> int:
     """Parse an element literal and print its normal form in canonical
     term order."""
     out = out if out is not None else sys.stdout
-    try:
-        element = parse_element(expression, cfg.algebra())
-    except WordSyntaxError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    element = parse_element(expression, cfg.algebra())
     if cfg.output == "json":
         payload = {"input": expression, "normal_form": str(element),
                    "terms": element.to_json_dict()}
@@ -192,11 +189,17 @@ CHECKS = {
     "n2-variant": lambda cfg: n2_variant_check(field=cfg.field),
 }
 
+# Checks whose statement fixes n = 3; run_check refuses any other n.
+FIXED_N3 = frozenset({"types-lemma", "tau-forms", "tau-unique", "separativity",
+                      "determinant"})
+
 
 def run_check(name: str, cfg: RunConfig) -> VerificationReport:
     """Run one named check with the config's bounds, field, and seed."""
     if name not in CHECKS:
         raise ValueError(f"unknown check: {name}")
+    if name in FIXED_N3 and cfg.n != 3:
+        raise ValueError(f"{name} is stated for n = 3 only, not n = {cfg.n}")
     return CHECKS[name](cfg)
 
 
@@ -218,11 +221,16 @@ def main(argv=None) -> int:
         # argparse exits 2 on usage errors; normalize other exits too
         return int(exc.code or 0)
     cfg = _config_from_args(args)
-    if args.command == "reduce":
-        return cmd_reduce(args.expression, cfg)
-    if args.command == "basis":
-        return cmd_basis(args.max_len_arg, cfg)
-    return cmd_verify(args.check, cfg)
+    try:
+        if args.command == "reduce":
+            return cmd_reduce(args.expression, cfg)
+        if args.command == "basis":
+            return cmd_basis(args.max_len_arg, cfg)
+        return cmd_verify(args.check, cfg)
+    except ValueError as exc:
+        # a rejected config or unparseable input (WordSyntaxError included)
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -1,9 +1,13 @@
 """Interface types, the C-set, the largest-word forms, and the searches."""
 
+import itertools
+import random
+
 import pytest
 
 from nilregular.analysis import (
-    InterfaceKind, build_c_set, check_primeness_bounded,
+    InterfaceKind, _iter_families, _match_form1, _match_form2, _match_form3,
+    _pair_contributions, build_c_set, check_primeness_bounded,
     check_regularity_identities, check_separativity_identities,
     check_tau_forms_families, check_tau_uniqueness,
     check_tau_uniqueness_families, check_types_lemma, classify_interface,
@@ -12,7 +16,7 @@ from nilregular.analysis import (
     tau_form_of, type_i_word, type_ii_word)
 from nilregular.elements import Algebra
 from nilregular.fields import GF2, GF3, QQ
-from nilregular.rewriting import parse_word, xq_system
+from nilregular.rewriting import Word, parse_word, reduce, xq_system
 
 S = xq_system(3)
 ALG = Algebra(S, QQ)
@@ -86,8 +90,8 @@ def test_find_tau_and_form_parse():
 
 
 def test_form1_occurrence():
-    tau = find_tau(build_c_set(["q"], ["x^2"], ALG))
-    classification = classify_tau_occurrences(["q"], ["x^2"], tau, ALG)
+    classification = classify_tau_occurrences(build_c_set(["q"], ["x^2"], ALG))
+    assert str(classification.tau) == "q x^2"
     assert not classification.violations
     [occurrence] = classification.occurrences
     assert occurrence.form == 1
@@ -97,25 +101,22 @@ def test_form1_occurrence():
 
 def test_form2_occurrence():
     # the smallest pair whose type I word reduces onto the largest word
-    tau = find_tau(build_c_set(["q"], ["x q^3 x"], ALG))
-    assert str(tau) == "q^3 x"
-    classification = classify_tau_occurrences(["q"], ["x q^3 x"], tau, ALG)
+    classification = classify_tau_occurrences(build_c_set(["q"], ["x q^3 x"], ALG))
+    assert str(classification.tau) == "q^3 x"
     assert not classification.violations
     [occurrence] = classification.reduced_occurrences
     assert (occurrence.form, occurrence.r, occurrence.a, occurrence.b) == (2, 1, 1, 3)
 
-    deeper = find_tau(build_c_set(["q^2 x^2 q"], ["x q^3 x"], ALG))
-    assert str(deeper) == "q^2 x^2 q^3 x"
     classification = classify_tau_occurrences(
-        ["q^2 x^2 q"], ["x q^3 x"], deeper, ALG)
+        build_c_set(["q^2 x^2 q"], ["x q^3 x"], ALG))
+    assert str(classification.tau) == "q^2 x^2 q^3 x"
     [occurrence] = classification.reduced_occurrences
     assert (occurrence.form, occurrence.r, occurrence.a, occurrence.b) == (2, 2, 1, 3)
 
 
 def test_form3_interior_occurrence():
-    tau = find_tau(build_c_set(["q"], ["x q^2 x"], ALG))
-    assert str(tau) == "q^2 x^2 q^2 x"
-    classification = classify_tau_occurrences(["q"], ["x q^2 x"], tau, ALG)
+    classification = classify_tau_occurrences(build_c_set(["q"], ["x q^2 x"], ALG))
+    assert str(classification.tau) == "q^2 x^2 q^2 x"
     assert not classification.violations
     reduced = classification.reduced_occurrences
     assert len(reduced) == 1
@@ -124,19 +125,17 @@ def test_form3_interior_occurrence():
 
 
 def test_form3_terminal_occurrence():
-    tau = find_tau(build_c_set(["q^2"], ["x"], ALG))
-    assert str(tau) == "q^3 x^2"
-    classification = classify_tau_occurrences(["q^2"], ["x"], tau, ALG)
+    classification = classify_tau_occurrences(build_c_set(["q^2"], ["x"], ALG))
+    assert str(classification.tau) == "q^3 x^2"
     [occurrence] = classification.reduced_occurrences
     assert occurrence.form == 3
     assert occurrence.variant == "terminal"
 
 
 def test_mixed_family_with_identity_words():
-    c = build_c_set(["1", "q"], ["1", "x"], ALG)
-    tau = find_tau(c)
-    assert str(tau) == "q^2 x^2"
-    classification = classify_tau_occurrences(["1", "q"], ["1", "x"], tau, ALG)
+    classification = classify_tau_occurrences(
+        build_c_set(["1", "q"], ["1", "x"], ALG))
+    assert str(classification.tau) == "q^2 x^2"
     assert not classification.violations
     # no identity pair reaches this tau, so nothing needed skipping
     assert classification.skipped_identity_pairs == []
@@ -148,10 +147,8 @@ def test_mixed_family_with_identity_words():
 def test_identity_pairs_reaching_tau_are_skipped_not_classified():
     # here tau = qx^2 arises only from the pair (1, x); the three-form
     # statement is about nonidentity pairs, so the pair is recorded instead
-    c = build_c_set(["1"], ["x"], ALG)
-    tau = find_tau(c)
-    assert str(tau) == "q x^2"
-    classification = classify_tau_occurrences(["1"], ["x"], tau, ALG)
+    classification = classify_tau_occurrences(build_c_set(["1"], ["x"], ALG))
+    assert str(classification.tau) == "q x^2"
     assert classification.occurrences == []
     assert not classification.violations
     assert [(str(w), str(y)) for w, y in classification.skipped_identity_pairs] \
@@ -161,9 +158,100 @@ def test_identity_pairs_reaching_tau_are_skipped_not_classified():
     assert report.parameters["skipped_identity_pairs"] == 1
 
 
-def test_classify_rejects_a_wrong_tau():
+def _eight_monomial_members(w, y):
+    """Every monomial (xq)^e1 w (qx)^e2 y (xq)^e3, reduced; the C-members
+    as (word, kind, sign, steps)."""
+    members = []
+    for e1, e2, e3 in itertools.product((0, 1), repeat=3):
+        letters = (("x", "q") * e1 + w.letters() + ("q", "x") * e2
+                   + y.letters() + ("x", "q") * e3)
+        outcome = reduce(Word.from_letters(letters), S)
+        word = outcome.result
+        if word is None or word.first_letter != "q" or word.last_letter != "x":
+            continue
+        kind = {(0, 0, 0): "type-I", (0, 1, 0): "type-II"}.get((e1, e2, e3),
+                                                                "other")
+        members.append((word, kind, (-1) ** (e1 + e2 + e3), outcome.steps))
+    return members
+
+
+def test_pair_contributions_match_the_eight_monomial_expansion():
+    lefts, rights = left_shape_words(5, S), right_shape_words(5, S)
+    for w in lefts:
+        for y in rights:
+            expected = _eight_monomial_members(w, y)
+            got = [(word, kind, sign, steps)
+                   for kind, sign, word, steps in _pair_contributions(S, w, y)]
+            assert got == expected, (w, y)
+    assert len(lefts) * len(rights) == 63
+
+
+def _pairwise_classification(lefts, rights, tau):
+    """The pair-by-pair classifier: reduce the type I and type II word of
+    every support pair and match the ones equal to tau."""
+    form = tau_form_of(tau)
+    occurrences, violations, skipped = [], [], []
+    for w in lefts:
+        for y in rights:
+            first, second = type_i_word(w, y, S), type_ii_word(w, y, S)
+            if w.is_identity or y.is_identity:
+                if tau in (first.result, second.result):
+                    skipped.append((w, y))
+                continue
+            if first.result == tau:
+                matched = (_match_form1(w, y) if first.steps == 0
+                           else _match_form2(w, y, tau, form))
+                if matched is None:
+                    violations.append({"left": str(w), "right": str(y),
+                                       "kind": "type-I", "steps": first.steps})
+                else:
+                    occurrences.append(matched)
+            if second.result == tau:
+                matched = _match_form3(w, y, tau, form)
+                if matched is None:
+                    violations.append({"left": str(w), "right": str(y),
+                                       "kind": "type-II", "steps": second.steps})
+                else:
+                    occurrences.append(matched)
+    return occurrences, violations, skipped
+
+
+def _oracle_families():
+    yield from _iter_families(2, 0, 0, 0, S)
+    rng = random.Random(11)
+    for length in (6, 7, 8):
+        left_pool, right_pool = left_shape_words(length, S), right_shape_words(length, S)
+        for _ in range(350):
+            yield (rng.sample(left_pool, rng.randint(1, 5)),
+                   rng.sample(right_pool, rng.randint(1, 5)))
+
+
+def test_classification_from_the_c_set_matches_the_pairwise_oracle():
+    families = classified = 0
+    for lefts, rights in _oracle_families():
+        families += 1
+        c_set = build_c_set(lefts, rights, ALG)
+        if c_set.is_empty:
+            continue
+        classified += 1
+        classification = classify_tau_occurrences(c_set)
+        tau = max((word for w in lefts for y in rights
+                   for word in (type_i_word(w, y, S).result,
+                                type_ii_word(w, y, S).result)
+                   if word is not None and word.first_letter == "q"
+                   and word.last_letter == "x"), key=Word.lex_key)
+        assert classification.tau == tau
+        assert (classification.occurrences, classification.violations,
+                classification.skipped_identity_pairs) \
+            == _pairwise_classification(lefts, rights, tau), (lefts, rights)
+    assert families == 64 + 1050
+    assert classified > 1000
+
+
+def test_classification_needs_n3():
     with pytest.raises(ValueError):
-        classify_tau_occurrences(["q"], ["x^2"], parse_word("q x"), ALG)
+        classify_tau_occurrences(
+            build_c_set(["q"], ["x^2"], Algebra(xq_system(4), QQ)))
 
 
 def test_uniqueness_report_for_single_families():

@@ -112,6 +112,46 @@ def test_bad_flag_value_is_usage(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ("verify", "phi-faithful", "--n", "2"),
+    ("verify", "primeness", "--n", "2"),
+    ("verify", "unit-regular-search", "--n", "1"),
+    ("reduce", "x", "--n", "1"),
+    ("basis", "2", "--n", "1"),
+], ids=" ".join)
+def test_rejected_config_is_usage(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    [line] = err.splitlines()
+    assert line.startswith("error: ")
+
+
+@pytest.mark.parametrize("check", ["types-lemma", "tau-forms", "tau-unique",
+                                   "separativity", "determinant"])
+def test_checks_fixed_at_n3_refuse_other_n(capsys, check):
+    code, out, err = run_cli(capsys, "verify", check, "--n", "4")
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {check} is stated for n = 3 only, not n = 4\n"
+
+
+def test_n2_variant_ignores_n(capsys):
+    for n in ("2", "4"):
+        code, out, _ = run_cli(capsys, "verify", "n2-variant", "--n", n)
+        assert code == 0
+        assert out.startswith("[pass] n2-variant")
+
+
+def test_invariant_failures_still_raise(monkeypatch):
+    def broken(field):
+        raise RuntimeError("invariant broken")
+
+    monkeypatch.setattr(cli, "check_separativity_identities", broken)
+    with pytest.raises(RuntimeError):
+        cli.main(["verify", "separativity"])
+
+
 def test_field_flag_accepts_any_library_prime(capsys):
     code, out, _ = run_cli(capsys, "verify", "regularity", "--field", "gf5")
     assert code == 0
