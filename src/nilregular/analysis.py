@@ -30,11 +30,12 @@ from __future__ import annotations
 
 import enum
 import itertools
+import os
 import random
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from .elements import Algebra, AlgebraElement, linear_combination
 from .fields import GF2, QQ
@@ -520,28 +521,23 @@ def _vector_from_index(index: int, pool, length: int) -> tuple:
     return tuple(reversed(digits))
 
 
-def _unit_regular_tables(n: int, field, max_word_len: int):
-    system = xq_system(n)
-    algebra = Algebra(system, field)
+def _scan_alpha_range(n: int, field, lefts, rights, start: int,
+                      stop: int) -> int | None:
+    """Scan alpha-coefficient vectors with indices in [start, stop); return
+    the global candidate index of the first witness, or None.
+
+    The table of products (1-xq) w (1-qx) * (1-qx) y (1-xq) is built once
+    per call, so each block of the search builds it once.
+    """
+    algebra = Algebra(xq_system(n), field)
     x = algebra.gen("x")
     q = algebra.gen("q")
     left_frame = algebra.one - x * q
     right_frame = algebra.one - q * x
-    lefts = left_shape_words(max_word_len, system)
-    rights = right_shape_words(max_word_len, system)
     alpha_units = [left_frame * algebra.word(w) * right_frame for w in lefts]
     beta_units = [right_frame * algebra.word(y) * left_frame for y in rights]
     products = [[a_unit * b_unit for b_unit in beta_units]
                 for a_unit in alpha_units]
-    return algebra, left_frame, lefts, rights, products
-
-
-def _scan_alpha_range(n: int, field, max_word_len: int, start: int,
-                      stop: int) -> int | None:
-    """Scan alpha-coefficient vectors with indices in [start, stop); return
-    the global candidate index of the first witness, or None."""
-    algebra, target, lefts, rights, products = _unit_regular_tables(
-        n, field, max_word_len)
     pool, _ = field.coefficient_pool()
     beta_count = len(pool) ** len(rights)
     for alpha_index in range(start, stop):
@@ -553,7 +549,7 @@ def _scan_alpha_range(n: int, field, max_word_len: int, start: int,
         for beta_index, beta_vec in enumerate(
                 itertools.product(pool, repeat=len(rights))):
             candidate = linear_combination(algebra, zip(beta_vec, rows))
-            if candidate == target:
+            if candidate == left_frame:
                 return alpha_index * beta_count + beta_index
     return None
 
@@ -572,8 +568,9 @@ def search_unit_regular_witness(max_word_len: int = 3, field=GF2, n: int = 3,
     if max_word_len < 0:
         raise ValueError("max_word_len must be nonnegative")
     started = time.perf_counter()
-    algebra, target, lefts, rights, products = _unit_regular_tables(
-        n, field, max_word_len)
+    system = xq_system(n)
+    lefts = left_shape_words(max_word_len, system)
+    rights = right_shape_words(max_word_len, system)
     pool, pool_exhaustive = field.coefficient_pool()
     alpha_count = len(pool) ** len(lefts)
     beta_count = len(pool) ** len(rights)
@@ -589,19 +586,20 @@ def search_unit_regular_witness(max_word_len: int = 3, field=GF2, n: int = 3,
         "analytic_candidate_count": total,
         "workers": workers,
     }
-    witness_index = None
-    if workers <= 1 or alpha_count < 2 * workers:
-        witness_index = _scan_alpha_range(n, field, max_word_len, 0, alpha_count)
+    # The alphas split into `workers` blocks; the first hit in block order
+    # has the smallest index, so the result does not depend on the split.
+    blocks = 1 if workers <= 1 or alpha_count < 2 * workers else workers
+    step = -(-alpha_count // blocks)
+    starts = range(0, alpha_count, step)
+    stops = [min(start + step, alpha_count) for start in starts]
+    scan = partial(_scan_alpha_range, n, field, lefts, rights)
+    if len(starts) == 1:
+        hits = list(map(scan, starts, stops))
     else:
-        step = -(-alpha_count // workers)
-        blocks = [(start, min(start + step, alpha_count))
-                  for start in range(0, alpha_count, step)]
-        with ProcessPoolExecutor(max_workers=workers) as pool_executor:
-            results = list(pool_executor.map(
-                _scan_alpha_block,
-                [(n, field, max_word_len, start, stop) for start, stop in blocks]))
-        hits = [index for index in results if index is not None]
-        witness_index = min(hits) if hits else None
+        with ProcessPoolExecutor(
+                max_workers=min(len(starts), os.cpu_count() or 1)) as executor:
+            hits = list(executor.map(scan, starts, stops))
+    witness_index = next((hit for hit in hits if hit is not None), None)
     if witness_index is None:
         witness = None
         examined = total
@@ -618,10 +616,6 @@ def search_unit_regular_witness(max_word_len: int = 3, field=GF2, n: int = 3,
         examined = witness_index + 1
     return finish_report("unit-regular-search", parameters, witness,
                          examined, started, no_witness_status=EXHAUSTED)
-
-
-def _scan_alpha_block(args) -> int | None:
-    return _scan_alpha_range(*args)
 
 
 def check_regularity_identities(n: int = 3, field=QQ) -> VerificationReport:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .analysis import (
     check_primeness_bounded, check_regularity_identities,
@@ -25,7 +25,7 @@ from .fields import field_from_name
 from .matrixrep import (
     check_determinant_obstruction, n2_variant_check, verify_phi_faithful)
 from .reports import VerificationReport
-from .rewriting import check_confluence, system_from_label
+from .rewriting import check_confluence, enumerate_basis, system_from_label
 
 @dataclass
 class RunConfig:
@@ -72,26 +72,30 @@ def _field_name(text: str) -> str:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--presentation", choices=("S", "R"), default="S",
-                        help="which presentation to work in (default S)")
-    common.add_argument("--n", type=_positive_int, default=3,
-                        help="nilpotency degree of the main presentation "
-                             "(default 3; R uses degree n-1)")
-    common.add_argument("--field", type=_field_name, default="rational",
-                        dest="field_name",
-                        help="coefficient field: rational or gf<p> for a "
-                             "prime p < 2^31 (default rational)")
-    common.add_argument("--max-len", type=_nonnegative_int, default=6,
+    # Flag groups, so that each subcommand accepts only flags it reads.
+    shape = argparse.ArgumentParser(add_help=False)
+    shape.add_argument("--presentation", choices=("S", "R"), default="S",
+                       help="which presentation to work in (default S)")
+    shape.add_argument("--n", type=_positive_int, default=3,
+                       help="nilpotency degree of the main presentation "
+                            "(default 3; R uses degree n-1)")
+    shape.add_argument("--json", action="store_true",
+                       help="emit a JSON report instead of text")
+    field = argparse.ArgumentParser(add_help=False)
+    field.add_argument("--field", type=_field_name, default="rational",
+                       dest="field_name",
+                       help="coefficient field: rational or gf<p> for a "
+                            "prime p < 2^31 (default rational)")
+    bounds = argparse.ArgumentParser(add_help=False)
+    bounds.add_argument("--max-len", type=_nonnegative_int, default=6,
                         help="word-length bound for bounded checks (default 6)")
-    common.add_argument("--max-word-len", type=_nonnegative_int, default=3,
+    bounds.add_argument("--max-word-len", type=_nonnegative_int, default=3,
                         help="word-length bound for search pools (default 3)")
-    common.add_argument("--seed", type=int, default=0,
+    bounds.add_argument("--seed", type=int, default=0,
                         help="seed for randomized checks (default 0)")
-    common.add_argument("--workers", type=_positive_int, default=1,
-                        help="worker processes for the search (default 1)")
-    common.add_argument("--json", action="store_true",
-                        help="emit a JSON report instead of text")
+    bounds.add_argument("--workers", type=_positive_int, default=1,
+                        help="blocks the search splits into, run by at most "
+                             "one process per CPU (default 1)")
 
     parser = argparse.ArgumentParser(
         prog="nilregular",
@@ -100,21 +104,21 @@ def build_parser() -> argparse.ArgumentParser:
     subparsers = parser.add_subparsers(dest="command", required=True)
 
     reduce_parser = subparsers.add_parser(
-        "reduce", parents=[common],
+        "reduce", parents=[shape, field],
         help="print the normal form of an element expression")
     reduce_parser.add_argument("expression",
                                help="element literal, e.g. 'q^2 x q x q^3 x^2 q' "
                                     "or '1 - x q + 2 q^2 x'")
 
     basis_parser = subparsers.add_parser(
-        "basis", parents=[common],
+        "basis", parents=[shape],
         help="list the basis words up to a length bound")
     basis_parser.add_argument("max_len_arg", type=_nonnegative_int,
                               metavar="max_len",
                               help="maximum word length to enumerate")
 
     verify_parser = subparsers.add_parser(
-        "verify", parents=[common],
+        "verify", parents=[shape, field, bounds],
         help="run one verification harness and report pass/fail")
     verify_parser.add_argument("check", choices=CHECKS,
                                help="which check to run")
@@ -122,16 +126,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        presentation=args.presentation,
-        n=args.n,
-        field_name=args.field_name,
-        max_len=args.max_len,
-        max_word_len=args.max_word_len,
-        seed=args.seed,
-        output="json" if args.json else "text",
-        workers=args.workers,
-    )
+    """The subcommand's flags over the RunConfig defaults."""
+    settings = {f.name: getattr(args, f.name) for f in fields(RunConfig)
+                if hasattr(args, f.name)}
+    return RunConfig(**settings, output="json" if args.json else "text")
 
 
 def cmd_reduce(expression: str, cfg: RunConfig, out=None) -> int:
@@ -152,8 +150,7 @@ def cmd_basis(max_len: int, cfg: RunConfig, out=None) -> int:
     """List the basis words of length at most max_len, sorted, with a
     count line."""
     out = out if out is not None else sys.stdout
-    algebra = cfg.algebra()
-    words = algebra.basis_words(max_len)
+    words = enumerate_basis(max_len, system_from_label(cfg.presentation, cfg.n))
     if cfg.output == "json":
         payload = {"presentation": cfg.presentation, "n": cfg.n,
                    "max_len": max_len, "count": len(words),
@@ -189,17 +186,22 @@ CHECKS = {
     "n2-variant": lambda cfg: n2_variant_check(field=cfg.field),
 }
 
-# Checks whose statement fixes n = 3; run_check refuses any other n.
-FIXED_N3 = frozenset({"types-lemma", "tau-forms", "tau-unique", "separativity",
-                      "determinant"})
+# What each check's statement fixes; run_check refuses any other value.
+# Only confluence is stated for both presentations.
+FIXED = {name: {"presentation": "S"} for name in CHECKS if name != "confluence"}
+FIXED.update({name: {"presentation": "S", "n": 3} for name in (
+    "types-lemma", "tau-forms", "tau-unique", "separativity", "determinant")})
 
 
 def run_check(name: str, cfg: RunConfig) -> VerificationReport:
     """Run one named check with the config's bounds, field, and seed."""
     if name not in CHECKS:
         raise ValueError(f"unknown check: {name}")
-    if name in FIXED_N3 and cfg.n != 3:
-        raise ValueError(f"{name} is stated for n = 3 only, not n = {cfg.n}")
+    for flag, value in FIXED.get(name, {}).items():
+        actual = getattr(cfg, flag)
+        if actual != value:
+            raise ValueError(f"{name} is stated for {flag} = {value} only, "
+                             f"not {flag} = {actual}")
     return CHECKS[name](cfg)
 
 

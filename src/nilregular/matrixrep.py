@@ -187,20 +187,20 @@ class MatrixModel:
         self.x_image = MatrixElement(self.target, ((a, zero), (one, zero)))
         self.q_image = MatrixElement(self.target, ((b, one - b * a), (zero, zero)))
         self._one_minus_ba = one - b * a
-        self._images: dict[tuple[str, ...], MatrixElement] = {
-            (): MatrixElement.identity(self.target)}
+        # Trie of word prefixes seen so far: letter -> (image of the
+        # prefix, longer prefixes), so words sharing a prefix share its
+        # products.
+        self._prefixes = (MatrixElement.identity(self.target), {})
 
     def word_image(self, word) -> MatrixElement:
         word = parse_word(word) if isinstance(word, str) else word
-        return self._letters_image(word.letters())
-
-    def _letters_image(self, letters: tuple[str, ...]) -> MatrixElement:
-        cached = self._images.get(letters)
-        if cached is None:
-            generator = self.x_image if letters[-1] == "x" else self.q_image
-            cached = self._letters_image(letters[:-1]) * generator
-            self._images[letters] = cached
-        return cached
+        image, longer = self._prefixes
+        for letter in word.letters():
+            if letter not in longer:
+                generator = self.x_image if letter == "x" else self.q_image
+                longer[letter] = (image * generator, {})
+            image, longer = longer[letter]
+        return image
 
     def phi(self, value) -> MatrixElement:
         """Image of an element (or word) of the xq algebra."""

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from nilregular import analysis
 from nilregular.analysis import (
     InterfaceKind, _iter_families, _match_form1, _match_form2, _match_form3,
     _pair_contributions, build_c_set, check_primeness_bounded,
@@ -301,6 +302,60 @@ def test_unit_regular_search_workers_agree():
     fanned = search_unit_regular_witness(max_word_len=2, field=GF3, workers=2)
     assert single.status == fanned.status == "exhausted"
     assert single.candidates_examined == fanned.candidates_examined == 3 ** 6
+
+
+@pytest.fixture
+def in_process_pool(monkeypatch):
+    """Replace the search's process pool with one that maps in this
+    process, so no process starts; return the max_workers it was given."""
+    started = []
+
+    class InProcessExecutor:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(analysis, "ProcessPoolExecutor", InProcessExecutor)
+    monkeypatch.setattr(analysis.os, "cpu_count", lambda: 4)
+    return started
+
+
+def _without_timing(report) -> dict:
+    data = report.to_dict()
+    data.pop("elapsed_ms")
+    data["parameters"] = dict(data["parameters"], workers=None)
+    return data
+
+
+def test_unit_regular_search_runs_at_most_one_process_per_cpu(in_process_pool):
+    # 3^3 = 27 alphas: 3 workers make 3 blocks, 13 make 9 blocks of 3;
+    # the fixture reports 4 CPUs
+    single = search_unit_regular_witness(max_word_len=2, field=GF3)
+    for workers in (3, 13):
+        fanned = search_unit_regular_witness(max_word_len=2, field=GF3,
+                                             workers=workers)
+        assert fanned.parameters["workers"] == workers
+        assert _without_timing(fanned) == _without_timing(single)
+    assert in_process_pool == [3, 4]
+
+
+def test_unit_regular_search_reports_the_first_hit_in_block_order(
+        in_process_pool, monkeypatch):
+    def scan(n, field, lefts, rights, start, stop):
+        return None if start == 0 else start * 3 ** 3
+
+    monkeypatch.setattr(analysis, "_scan_alpha_range", scan)
+    report = search_unit_regular_witness(max_word_len=2, field=GF3, workers=3)
+    assert report.status == "fail"
+    assert report.candidates_examined == 9 * 3 ** 3 + 1
 
 
 def test_unit_regular_search_rational_grid_is_flagged():

@@ -136,6 +136,35 @@ def test_checks_fixed_at_n3_refuse_other_n(capsys, check):
     assert err == f"error: {check} is stated for n = 3 only, not n = 4\n"
 
 
+@pytest.mark.parametrize("check", sorted(set(cli.CHECKS) - {"confluence"}))
+def test_checks_stated_for_s_refuse_presentation_r(capsys, check):
+    code, out, err = run_cli(capsys, "verify", check, "--presentation", "R")
+    assert code == 2
+    assert out == ""
+    assert err == (f"error: {check} is stated for presentation = S only, "
+                   "not presentation = R\n")
+
+
+def test_confluence_runs_in_presentation_r(capsys):
+    code, out, _ = run_cli(capsys, "verify", "confluence",
+                           "--presentation", "R", "--max-len", "4")
+    assert code == 0
+    assert out.startswith("[pass] confluence")
+
+
+@pytest.mark.parametrize("argv", [
+    ("reduce", "x", "--seed", "1"),
+    ("reduce", "x", "--max-len", "3"),
+    ("basis", "2", "--max-len", "3"),
+    ("basis", "2", "--field", "gf2"),
+], ids=" ".join)
+def test_flags_a_command_does_not_read_are_usage(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "unrecognized arguments" in err
+
+
 def test_n2_variant_ignores_n(capsys):
     for n in ("2", "4"):
         code, out, _ = run_cli(capsys, "verify", "n2-variant", "--n", n)

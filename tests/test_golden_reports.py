@@ -27,6 +27,7 @@ CONFIGS = {
                  "seed": 3},
     "R-n4-gf3": {"presentation": "R", "n": 4, "field_name": "gf3",
                  "max_len": 5, "seed": 1},
+    "n4-gf3": {"n": 4, "field_name": "gf3", "max_len": 5, "seed": 1},
     "n2-gf5": {"n": 2, "field_name": "gf5", "max_len": 4, "max_word_len": 1,
                "seed": 2},
 }
@@ -41,8 +42,9 @@ _BOUNDED = ("types-lemma", "unit-regular-search", "regularity", "separativity",
 CASES = (
     [(name, "gf2") for name in _BOUNDED]
     + [(name, "rational") for name in _BOUNDED]
-    + [(name, "R-n4-gf3") for name in
-       ("confluence", "regularity", "primeness", "phi-faithful", "n2-variant")]
+    + [("confluence", "R-n4-gf3")]
+    + [(name, "n4-gf3") for name in
+       ("regularity", "primeness", "phi-faithful", "n2-variant")]
     + [(name, "n2-gf5") for name in
        ("confluence", "regularity", "unit-regular-search", "n2-variant")]
     + [(name, "library") for name in SWEEPS]

@@ -8,7 +8,7 @@ from nilregular.matrixrep import (
     DegreeBoundExceeded, MatrixElement, MatrixModel, check_determinant_obstruction,
     det2, membership_T, n2_variant_check, parse_matrix, phi, pi_eval,
     verify_phi_faithful)
-from nilregular.rewriting import ab_system, parse_word, xq_system
+from nilregular.rewriting import Word, ab_system, parse_word, xq_system
 
 MODEL = MatrixModel(3, QQ)
 R = MODEL.target
@@ -156,3 +156,8 @@ def test_n2_standard_model_kills_e():
 def test_model_requires_sane_degree():
     with pytest.raises(ValueError):
         MatrixModel(1)
+
+
+def test_long_word_image_needs_no_recursion():
+    word = Word.from_letters(list("xq" * 1000))
+    assert MatrixModel(3, QQ).phi(word) == MODEL.phi("x q")

@@ -1,0 +1,51 @@
+"""Randomized algebraic laws: the product is associative, phi is
+multiplicative, and phi does not see the rewriting that produces normal
+forms."""
+
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st
+
+from nilregular.elements import Algebra
+from nilregular.fields import GF3, QQ
+from nilregular.matrixrep import MatrixElement, MatrixModel
+from nilregular.rewriting import Word, reduce, xq_system
+
+LAWS = settings(max_examples=60, deadline=None, database=None)
+
+SYSTEM = xq_system(3)
+GF3_ALG = Algebra(SYSTEM, GF3)
+MODEL = MatrixModel(3, QQ)
+WORDS = GF3_ALG.basis_words(4)
+
+
+def elements(algebra, coefficients):
+    terms = st.dictionaries(st.sampled_from(WORDS), coefficients, max_size=4)
+    return terms.map(algebra.from_terms)
+
+
+gf3_elements = elements(GF3_ALG, st.integers(1, 2))
+rational_elements = elements(MODEL.source, st.integers(-3, 3))
+
+
+@LAWS
+@given(gf3_elements, gf3_elements, gf3_elements)
+def test_product_is_associative_over_gf3(a, b, c):
+    assert (a * b) * c == a * (b * c)
+
+
+@LAWS
+@given(rational_elements, rational_elements)
+def test_phi_is_multiplicative_over_qq(u, v):
+    assert MODEL.phi(u * v) == MODEL.phi(u) * MODEL.phi(v)
+
+
+@LAWS
+@given(st.lists(st.sampled_from("xq"), min_size=1, max_size=14))
+def test_phi_of_a_word_is_phi_of_its_normal_form(letters):
+    word = Word.from_letters(letters)
+    outcome = reduce(word, SYSTEM)
+    expected = (MatrixElement.zero(MODEL.target) if outcome.is_zero
+                else MODEL.phi(outcome.result))
+    assert MODEL.phi(word) == expected
