@@ -22,8 +22,10 @@ lex-largest member tau drive the impossibility searches:
 so tau cannot cancel out of the expansion, while 1 - xq contains no word
 beginning in q.  The checkers below verify the three-form classification
 and the uniqueness bound exhaustively at small size and on randomized
-families, and the search enumerates every coefficient assignment over a
-finite field to witness exhaustion directly.
+families, and the search covers every coefficient assignment over a
+finite field to witness exhaustion directly.  With alpha fixed, alpha *
+beta = 1 - xq is linear in beta, so one exact solve per alpha settles its
+whole beta pool.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ from functools import lru_cache, partial
 
 from .elements import Algebra, AlgebraElement, linear_combination
 from .fields import GF2, QQ
+from .linalg import solve
 from .rewriting import (
     GREATER,
     IDENTITY_WORD,
@@ -526,8 +529,14 @@ def _scan_alpha_range(n: int, field, lefts, rights, start: int,
     """Scan alpha-coefficient vectors with indices in [start, stop); return
     the global candidate index of the first witness, or None.
 
-    The table of products (1-xq) w (1-qx) * (1-qx) y (1-xq) is built once
-    per call, so each block of the search builds it once.
+    The products (1-xq) w (1-qx) * (1-qx) y (1-xq) are built once per call,
+    and with them one coefficient table per left word w: a row per word in
+    the supports, a column per right word y.  With alpha fixed, alpha * beta
+    = 1 - xq is linear in beta, so one solve against the summed table
+    decides whether any beta works.  Only an alpha whose system is
+    consistent has its betas walked in index order, which finds the first
+    hit; over the rationals the solution may miss the coefficient grid, and
+    the walk then comes up empty.
     """
     algebra = Algebra(xq_system(n), field)
     x = algebra.gen("x")
@@ -538,10 +547,31 @@ def _scan_alpha_range(n: int, field, lefts, rights, start: int,
     beta_units = [right_frame * algebra.word(y) * left_frame for y in rights]
     products = [[a_unit * b_unit for b_unit in beta_units]
                 for a_unit in alpha_units]
+    zero = field.zero
+    # rows are the support words, numbered by first appearance
+    row_of: dict[Word, int] = {}
+    for element in itertools.chain([left_frame], *products):
+        for word in element.terms():
+            row_of.setdefault(word, len(row_of))
+    target = [left_frame.coeff(word) for word in row_of]
+    # each left word's table, kept as its nonzero (row, column, value)
+    tables = [[(row_of[word], j, coefficient)
+               for j, product in enumerate(row_products)
+               for word, coefficient in product.terms().items()]
+              for row_products in products]
     pool, _ = field.coefficient_pool()
     beta_count = len(pool) ** len(rights)
     for alpha_index in range(start, stop):
         alpha_vec = _vector_from_index(alpha_index, pool, len(lefts))
+        system = [[zero] * len(rights) for _ in row_of]
+        for a, table in zip(alpha_vec, tables):
+            if a == zero:
+                continue
+            for r, j, c in table:
+                row = system[r]
+                row[j] = field.add(row[j], field.mul(a, c))
+        if solve(system, target, field) is None:
+            continue
         rows = [linear_combination(
                     algebra,
                     ((alpha_vec[i], products[i][j]) for i in range(len(lefts))))

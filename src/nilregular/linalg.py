@@ -22,12 +22,13 @@ def row_reduce(rows, field):
     if not matrix:
         return matrix, []
     ncols = len(matrix[0])
+    zero = field.zero
     pivots = []
     pivot_row = 0
     for col in range(ncols):
         target = None
         for r in range(pivot_row, len(matrix)):
-            if matrix[r][col] != field.zero:
+            if matrix[r][col] != zero:
                 target = r
                 break
         if target is None:
@@ -35,14 +36,14 @@ def row_reduce(rows, field):
         matrix[pivot_row], matrix[target] = matrix[target], matrix[pivot_row]
         scale = field.inv(matrix[pivot_row][col])
         matrix[pivot_row] = [field.mul(scale, v) for v in matrix[pivot_row]]
-        for r in range(len(matrix)):
-            if r == pivot_row or matrix[r][col] == field.zero:
+        # the pivot row is zero left of col, so only columns col.. change
+        tail = matrix[pivot_row][col:]
+        for r, row in enumerate(matrix):
+            factor = row[col]
+            if r == pivot_row or factor == zero:
                 continue
-            factor = matrix[r][col]
-            matrix[r] = [
-                field.sub(v, field.mul(factor, p))
-                for v, p in zip(matrix[r], matrix[pivot_row])
-            ]
+            row[col:] = [field.sub(v, field.mul(factor, p))
+                         for v, p in zip(row[col:], tail)]
         pivots.append(col)
         pivot_row += 1
         if pivot_row == len(matrix):

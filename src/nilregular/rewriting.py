@@ -357,6 +357,9 @@ def canonical_words(max_len: int, system: RewriteSystem) -> list[Word]:
                 extend(grown, used + exponent, letter)
 
     extend((), 0, None)
+    # extend reaches itself through its closure cell; drop the name so the
+    # function, and with it no cycle, outlives the call
+    del extend
     out.sort(key=Word.sort_key)
     return out
 

@@ -15,8 +15,8 @@ from nilregular.analysis import (
     classify_tau_occurrences, closing_argument_margin, find_tau,
     left_shape_words, right_shape_words, search_unit_regular_witness,
     tau_form_of, type_i_word, type_ii_word)
-from nilregular.elements import Algebra
-from nilregular.fields import GF2, GF3, QQ
+from nilregular.elements import Algebra, linear_combination
+from nilregular.fields import GF2, GF3, QQ, PrimeField
 from nilregular.rewriting import Word, parse_word, reduce, xq_system
 
 S = xq_system(3)
@@ -362,6 +362,105 @@ def test_unit_regular_search_rational_grid_is_flagged():
     report = search_unit_regular_witness(max_word_len=1, field=QQ)
     assert report.parameters["pool_exhaustive"] is False
     assert report.status == "exhausted"
+
+
+def test_unit_regular_search_exhausts_gf2_at_length_5():
+    # 2^9 alphas against 2^7 betas: each alpha's system is inconsistent, so
+    # no beta is walked
+    report = search_unit_regular_witness(max_word_len=5, field=GF2)
+    assert report.status == "exhausted"
+    assert report.candidates_examined == 65_536
+    assert report.parameters["analytic_candidate_count"] == 65_536
+
+
+def _brute_force_scan(n, field, lefts, rights, start, stop):
+    """The oracle: multiply out every beta of every alpha in [start, stop)
+    and return the global index of the first product equal to 1 - xq."""
+    algebra = Algebra(xq_system(n), field)
+    x = algebra.gen("x")
+    q = algebra.gen("q")
+    left_frame = algebra.one - x * q
+    right_frame = algebra.one - q * x
+    alpha_units = [left_frame * algebra.word(w) * right_frame for w in lefts]
+    beta_units = [right_frame * algebra.word(y) * left_frame for y in rights]
+    products = [[a_unit * b_unit for b_unit in beta_units]
+                for a_unit in alpha_units]
+    pool, _ = field.coefficient_pool()
+    beta_count = len(pool) ** len(rights)
+    for alpha_index in range(start, stop):
+        alpha_vec = analysis._vector_from_index(alpha_index, pool, len(lefts))
+        rows = [linear_combination(
+                    algebra,
+                    ((alpha_vec[i], products[i][j]) for i in range(len(lefts))))
+                for j in range(len(rights))]
+        for beta_index, beta_vec in enumerate(
+                itertools.product(pool, repeat=len(rights))):
+            candidate = linear_combination(algebra, zip(beta_vec, rows))
+            if candidate == left_frame:
+                return alpha_index * beta_count + beta_index
+    return None
+
+
+def _brute_force_search(monkeypatch, **kwargs):
+    with monkeypatch.context() as patched:
+        patched.setattr(analysis, "_scan_alpha_range", _brute_force_scan)
+        return search_unit_regular_witness(**kwargs)
+
+
+def _without_elapsed(report) -> dict:
+    data = report.to_dict()
+    data.pop("elapsed_ms")
+    return data
+
+
+GF5 = PrimeField(5)
+# small exhaustive searches, at most 5,000 candidates each
+SMALL_SEARCHES = (
+    [(GF2, length, n) for n in (3, 4) for length in range(4)]
+    + [(GF3, length, n) for n in (3, 4) for length in range(3)]
+    + [(field, 1, n) for field in (GF5, QQ) for n in (3, 4)])
+
+
+@pytest.mark.parametrize(
+    "field,max_word_len,n", SMALL_SEARCHES,
+    ids=[f"{f.name}-L{length}-n{n}" for f, length, n in SMALL_SEARCHES])
+def test_unit_regular_search_matches_the_brute_force_scan(
+        monkeypatch, field, max_word_len, n):
+    expected = _brute_force_search(monkeypatch, max_word_len=max_word_len,
+                                   field=field, n=n)
+    report = search_unit_regular_witness(max_word_len=max_word_len,
+                                         field=field, n=n)
+    assert report.status == "exhausted"
+    assert _without_elapsed(report) == _without_elapsed(expected)
+
+
+# at n = 2 every power of x is regular, and alpha = 1 + q,
+# beta = 1 + x + x q^2 x is a witness from length 4 on
+N2_HITS = ((GF2, 4, 200), (GF3, 4, 2_930), (GF2, 5, 783))
+
+
+@pytest.mark.parametrize(
+    "field,max_word_len,examined", N2_HITS,
+    ids=[f"{f.name}-L{length}" for f, length, _ in N2_HITS])
+def test_n2_search_finds_the_brute_force_witness(
+        monkeypatch, field, max_word_len, examined):
+    expected = _brute_force_search(monkeypatch, max_word_len=max_word_len,
+                                   field=field, n=2)
+    report = search_unit_regular_witness(max_word_len=max_word_len,
+                                         field=field, n=2)
+    assert report.status == "fail"
+    assert report.candidates_examined == examined
+    assert _without_elapsed(report) == _without_elapsed(expected)
+
+
+@pytest.mark.parametrize("workers", (1, 3, 13))
+def test_n2_witness_is_the_same_across_worker_counts(
+        in_process_pool, monkeypatch, workers):
+    expected = _brute_force_search(monkeypatch, max_word_len=4, field=GF3, n=2)
+    report = search_unit_regular_witness(max_word_len=4, field=GF3, n=2,
+                                         workers=workers)
+    assert report.parameters["workers"] == workers
+    assert _without_timing(report) == _without_timing(expected)
 
 
 def test_regularity_and_separativity_identities():

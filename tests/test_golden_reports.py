@@ -30,6 +30,7 @@ CONFIGS = {
     "n4-gf3": {"n": 4, "field_name": "gf3", "max_len": 5, "seed": 1},
     "n2-gf5": {"n": 2, "field_name": "gf5", "max_len": 4, "max_word_len": 1,
                "seed": 2},
+    "n2-gf3-L4": {"n": 2, "field_name": "gf3", "max_word_len": 4},
 }
 
 SWEEPS = {"tau-forms": check_tau_forms_families,
@@ -47,6 +48,7 @@ CASES = (
        ("regularity", "primeness", "phi-faithful", "n2-variant")]
     + [(name, "n2-gf5") for name in
        ("confluence", "regularity", "unit-regular-search", "n2-variant")]
+    + [("unit-regular-search", "n2-gf3-L4")]
     + [(name, "library") for name in SWEEPS]
 )
 IDS = [f"{name}/{config}" for name, config in CASES]

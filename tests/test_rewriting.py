@@ -1,5 +1,6 @@
 """Word mechanics, reduction goldens, the basis closed form, confluence."""
 
+import gc
 import itertools
 import random
 
@@ -116,6 +117,16 @@ def test_random_strategy_agrees_with_leftmost():
 def test_basis_matches_brute_force_small():
     for system in (S, R):
         assert set(enumerate_basis(4, system)) == brute_force_basis(4, system)
+
+
+def test_basis_enumeration_leaves_no_cyclic_garbage():
+    gc.collect()
+    gc.disable()
+    try:
+        enumerate_basis(6, S)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_basis_counts():
