@@ -24,14 +24,19 @@ beginning in q.  The checkers below verify the three-form classification
 and the uniqueness bound exhaustively at small size and on randomized
 families, and the search covers every coefficient assignment over a
 finite field to witness exhaustion directly.  With alpha fixed, alpha *
-beta = 1 - xq is linear in beta, so one exact solve per alpha settles its
-whole beta pool.
+beta = 1 - xq is linear in beta, so one exact consistency test per alpha
+settles its whole beta pool.  The search steps alpha as a base-p counter
+and updates the summed coefficient table only where a digit changed;
+over GF(2) the table is a list of packed column masks, tested by the XOR
+basis of ``linalg``, so support length 6 (2^13 alphas) takes about 0.06 s
+and length 7 (2^18 alphas, 2^33 candidates) about 1.3 s on a 2-core host.
 """
 
 from __future__ import annotations
 
 import enum
 import itertools
+import operator
 import os
 import random
 import time
@@ -41,7 +46,7 @@ from functools import lru_cache, partial
 
 from .elements import Algebra, AlgebraElement, linear_combination
 from .fields import GF2, QQ
-from .linalg import solve
+from .linalg import gf2_basis, gf2_reduce, solve
 from .rewriting import (
     GREATER,
     IDENTITY_WORD,
@@ -532,11 +537,17 @@ def _scan_alpha_range(n: int, field, lefts, rights, start: int,
     The products (1-xq) w (1-qx) * (1-qx) y (1-xq) are built once per call,
     and with them one coefficient table per left word w: a row per word in
     the supports, a column per right word y.  With alpha fixed, alpha * beta
-    = 1 - xq is linear in beta, so one solve against the summed table
-    decides whether any beta works.  Only an alpha whose system is
-    consistent has its betas walked in index order, which finds the first
-    hit; over the rationals the solution may miss the coefficient grid, and
-    the walk then comes up empty.
+    = 1 - xq is linear in beta, so one consistency test against the summed
+    table decides whether any beta works.  The alphas are stepped as a
+    base-p counter in index order (the last left word is the least
+    significant digit), and each step adds to the summed table only
+    delta * table for the digits that changed.  Over GF(2) each column is
+    kept as a bit mask over the rows, a step XORs masks, and consistency
+    comes from the packed kernel of ``linalg``; other fields keep a dense
+    table and call ``solve``.  Only an alpha whose system is consistent has
+    its betas walked in index order, which finds the first hit; over the
+    rationals the solution may miss the coefficient grid, and the walk then
+    comes up empty.
     """
     algebra = Algebra(xq_system(n), field)
     x = algebra.gen("x")
@@ -559,19 +570,50 @@ def _scan_alpha_range(n: int, field, lefts, rights, start: int,
                for j, product in enumerate(row_products)
                for word, coefficient in product.terms().items()]
               for row_products in products]
-    pool, _ = field.coefficient_pool()
-    beta_count = len(pool) ** len(rights)
-    for alpha_index in range(start, stop):
-        alpha_vec = _vector_from_index(alpha_index, pool, len(lefts))
+    if field == GF2:
+        masks = [[0] * len(rights) for _ in tables]
+        for table_masks, table in zip(masks, tables):
+            for r, j, _ in table:
+                table_masks[j] |= 1 << r
+        columns = [0] * len(rights)
+        target_mask = sum(1 << r for r, value in enumerate(target) if value)
+
+        def add(i, delta):
+            columns[:] = map(operator.xor, columns, masks[i])
+
+        def consistent():
+            return gf2_reduce(gf2_basis(columns), target_mask) == 0
+    else:
         system = [[zero] * len(rights) for _ in row_of]
-        for a, table in zip(alpha_vec, tables):
-            if a == zero:
-                continue
-            for r, j, c in table:
+
+        def add(i, delta):
+            for r, j, c in tables[i]:
                 row = system[r]
-                row[j] = field.add(row[j], field.mul(a, c))
-        if solve(system, target, field) is None:
+                row[j] = field.add(row[j], field.mul(delta, c))
+
+        def consistent():
+            return solve(system, target, field) is not None
+    pool, _ = field.coefficient_pool()
+    top = len(pool) - 1
+    rise = [None] + [field.sub(pool[d], pool[d - 1]) for d in range(1, len(pool))]
+    wrap = field.sub(pool[0], pool[top])
+    beta_count = len(pool) ** len(rights)
+    digits = list(_vector_from_index(start, range(len(pool)), len(lefts)))
+    for i, digit in enumerate(digits):
+        if pool[digit] != zero:
+            add(i, pool[digit])
+    for alpha_index in range(start, stop):
+        if alpha_index > start:
+            i = len(digits) - 1
+            while digits[i] == top:
+                digits[i] = 0
+                add(i, wrap)
+                i -= 1
+            digits[i] += 1
+            add(i, rise[digits[i]])
+        if not consistent():
             continue
+        alpha_vec = [pool[digit] for digit in digits]
         rows = [linear_combination(
                     algebra,
                     ((alpha_vec[i], products[i][j]) for i in range(len(lefts))))
@@ -616,9 +658,13 @@ def search_unit_regular_witness(max_word_len: int = 3, field=GF2, n: int = 3,
         "analytic_candidate_count": total,
         "workers": workers,
     }
-    # The alphas split into `workers` blocks; the first hit in block order
-    # has the smallest index, so the result does not depend on the split.
-    blocks = 1 if workers <= 1 or alpha_count < 2 * workers else workers
+    # The alphas split into one block per worker, at most one per CPU,
+    # since each block builds its own products table; the first hit in
+    # block order has the smallest index, so the result does not depend on
+    # the split.
+    blocks = min(workers, os.cpu_count() or 1)
+    if blocks <= 1 or alpha_count < 2 * blocks:
+        blocks = 1
     step = -(-alpha_count // blocks)
     starts = range(0, alpha_count, step)
     stops = [min(start + step, alpha_count) for start in starts]
@@ -626,8 +672,7 @@ def search_unit_regular_witness(max_word_len: int = 3, field=GF2, n: int = 3,
     if len(starts) == 1:
         hits = list(map(scan, starts, stops))
     else:
-        with ProcessPoolExecutor(
-                max_workers=min(len(starts), os.cpu_count() or 1)) as executor:
+        with ProcessPoolExecutor(max_workers=len(starts)) as executor:
             hits = list(executor.map(scan, starts, stops))
     witness_index = next((hit for hit in hits if hit is not None), None)
     if witness_index is None:

@@ -336,8 +336,8 @@ def _without_timing(report) -> dict:
 
 
 def test_unit_regular_search_runs_at_most_one_process_per_cpu(in_process_pool):
-    # 3^3 = 27 alphas: 3 workers make 3 blocks, 13 make 9 blocks of 3;
-    # the fixture reports 4 CPUs
+    # 3^3 = 27 alphas and the fixture reports 4 CPUs: 3 workers make 3
+    # blocks of 9, 13 make 4 blocks of at most 7
     single = search_unit_regular_witness(max_word_len=2, field=GF3)
     for workers in (3, 13):
         fanned = search_unit_regular_witness(max_word_len=2, field=GF3,
@@ -371,6 +371,14 @@ def test_unit_regular_search_exhausts_gf2_at_length_5():
     assert report.status == "exhausted"
     assert report.candidates_examined == 65_536
     assert report.parameters["analytic_candidate_count"] == 65_536
+
+
+def test_unit_regular_search_exhausts_gf2_at_length_7():
+    # 2^18 alphas against 2^15 betas, one packed consistency test per alpha
+    report = search_unit_regular_witness(max_word_len=7, field=GF2)
+    assert report.status == "exhausted"
+    assert report.candidates_examined == 2 ** 33
+    assert report.parameters["analytic_candidate_count"] == 2 ** 33
 
 
 def _brute_force_scan(n, field, lefts, rights, start, stop):
@@ -461,6 +469,60 @@ def test_n2_witness_is_the_same_across_worker_counts(
                                          workers=workers)
     assert report.parameters["workers"] == workers
     assert _without_timing(report) == _without_timing(expected)
+
+
+# blocks that start mid-counter, through the in-process pool of 4 CPUs:
+# QQ L=1 has 5^2 alphas and GF(3) L=2 has 3^3, and 3 or 7 workers split
+# them into 3 or 4 blocks whose first alpha has nonzero digits
+MID_COUNTER = ((QQ, 1), (GF3, 2))
+
+
+@pytest.mark.parametrize("workers", (3, 7))
+@pytest.mark.parametrize(
+    "field,max_word_len", MID_COUNTER,
+    ids=[f"{f.name}-L{length}" for f, length in MID_COUNTER])
+def test_blocks_starting_mid_counter_match_the_brute_force_scan(
+        in_process_pool, monkeypatch, field, max_word_len, workers):
+    expected = _brute_force_search(monkeypatch, max_word_len=max_word_len,
+                                   field=field)
+    report = search_unit_regular_witness(max_word_len=max_word_len,
+                                         field=field, workers=workers)
+    assert in_process_pool[-1] == min(workers, 4)
+    assert _without_timing(report) == _without_timing(expected)
+
+
+def test_n2_gf2_hit_in_a_later_block_matches_the_brute_force_scan(
+        in_process_pool, monkeypatch):
+    # 2^6 alphas in blocks starting at 0, 22 and 44; the hit is alpha 48
+    expected = _brute_force_search(monkeypatch, max_word_len=5, field=GF2, n=2)
+    report = search_unit_regular_witness(max_word_len=5, field=GF2, n=2,
+                                         workers=3)
+    assert in_process_pool == [3]
+    assert report.candidates_examined == 783
+    assert _without_timing(report) == _without_timing(expected)
+
+
+# n = 2 ranges whose first alpha sits anywhere on the counter, including
+# just before a carry through several digits and right after a hit: GF(3)
+# L=4 hits at alphas 108, 135, 189 and 216 (of 3^5), the rational grid at
+# L=4 at 750, 875, 1375 and 1500 (of 5^5)
+COUNTER_RANGES = (
+    [(GF3, 4, start, start + 30)
+     for start in (0, 80, 107, 108, 109, 134, 160, 188, 213)]
+    + [(GF3, 4, 217, 243)]
+    + [(QQ, 4, start, start + 8) for start in (742, 749, 751, 874, 1370, 1499)])
+
+
+@pytest.mark.parametrize(
+    "field,max_word_len,start,stop", COUNTER_RANGES,
+    ids=[f"{f.name}-L{length}-{start}" for f, length, start, _ in COUNTER_RANGES])
+def test_scan_from_any_counter_position_matches_the_brute_force_scan(
+        field, max_word_len, start, stop):
+    system = xq_system(2)
+    lefts = left_shape_words(max_word_len, system)
+    rights = right_shape_words(max_word_len, system)
+    args = (2, field, lefts, rights, start, stop)
+    assert analysis._scan_alpha_range(*args) == _brute_force_scan(*args)
 
 
 def test_regularity_and_separativity_identities():

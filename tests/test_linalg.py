@@ -1,39 +1,79 @@
-"""Dense elimination against brute force over a small prime field."""
+"""Elimination against brute force over small prime fields, and the packed
+GF(2) kernel against dense elimination."""
 
 import itertools
 import random
 
-from nilregular.fields import GF3
+from nilregular.fields import GF2, GF3
 from nilregular.linalg import rank, row_reduce, solve
 
 
-def _span(rows) -> set:
-    return {tuple(sum(c * v for c, v in zip(coefficients, column)) % 3
+def _span(rows, p) -> set:
+    return {tuple(sum(c * v for c, v in zip(coefficients, column)) % p
                   for column in zip(*rows))
-            for coefficients in itertools.product(range(3), repeat=len(rows))}
+            for coefficients in itertools.product(range(p), repeat=len(rows))}
 
 
-def _solutions(rows, rhs) -> list:
-    return [x for x in itertools.product(range(3), repeat=len(rows[0]))
-            if all(sum(a * b for a, b in zip(row, x)) % 3 == value
+def _solutions(rows, rhs, p) -> list:
+    return [x for x in itertools.product(range(p), repeat=len(rows[0]))
+            if all(sum(a * b for a, b in zip(row, x)) % p == value
                    for row, value in zip(rows, rhs))]
 
 
-def test_elimination_matches_brute_force_over_gf3():
-    rng = random.Random(5)
+def _check_against_brute_force(field, rng):
+    p = field.p
     for _ in range(300):
         height, width = rng.randint(1, 4), rng.randint(1, 4)
-        rows = [[rng.randrange(3) for _ in range(width)] for _ in range(height)]
-        rhs = [rng.randrange(3) for _ in range(height)]
-        echelon, pivots = row_reduce(rows, GF3)
+        rows = [[rng.randrange(p) for _ in range(width)] for _ in range(height)]
+        rhs = [rng.randrange(p) for _ in range(height)]
+        echelon, pivots = row_reduce(rows, field)
         for index, col in enumerate(pivots):
             assert [row[col] for row in echelon] == [
                 int(r == index) for r in range(height)]
-        assert _span(echelon) == _span(rows)
-        assert 3 ** rank(rows, GF3) == len(_span(rows))
-        solutions = _solutions(rows, rhs)
-        found = solve(rows, rhs, GF3)
+        assert _span(echelon, p) == _span(rows, p)
+        assert p ** rank(rows, field) == len(_span(rows, p))
+        solutions = _solutions(rows, rhs, p)
+        found = solve(rows, rhs, field)
         if solutions:
             assert tuple(found) in solutions
         else:
             assert found is None
+
+
+def test_elimination_matches_brute_force_over_gf3():
+    _check_against_brute_force(GF3, random.Random(5))
+
+
+def test_packed_gf2_rank_and_solve_match_brute_force():
+    _check_against_brute_force(GF2, random.Random(6))
+
+
+def _check_against_dense(rows, rhs):
+    """Packed rank and solve agree with dense elimination over GF(2)."""
+    assert rank(rows, GF2) == len(row_reduce(rows, GF2)[1])
+    width = len(rows[0])
+    augmented = [row + [value] for row, value in zip(rows, rhs)]
+    consistent = width not in row_reduce(augmented, GF2)[1]
+    found = solve(rows, rhs, GF2)
+    if not consistent:
+        assert found is None
+        return
+    assert found is not None and len(found) == width
+    assert [sum(a * b for a, b in zip(row, found)) % 2 for row in rows] == rhs
+
+
+def test_packed_gf2_matches_dense_elimination_up_to_60x16():
+    rng = random.Random(11)
+    for _ in range(200):
+        height, width = rng.randint(1, 60), rng.randint(1, 16)
+        density = rng.choice((0.05, 0.2, 0.5))
+        rows = [[int(rng.random() < density) for _ in range(width)]
+                for _ in range(height)]
+        if rng.random() < 0.5:
+            # a right-hand side in the column span, so consistent systems
+            # show up at every shape
+            picks = [rng.randrange(2) for _ in range(width)]
+            rhs = [sum(a * b for a, b in zip(row, picks)) % 2 for row in rows]
+        else:
+            rhs = [rng.randrange(2) for _ in range(height)]
+        _check_against_dense(rows, rhs)

@@ -1,6 +1,6 @@
 """Randomized algebraic laws: the product is associative, phi is
-multiplicative, and phi does not see the rewriting that produces normal
-forms."""
+multiplicative, phi does not see the rewriting that produces normal
+forms, and packed GF(2) rank and solve agree with dense elimination."""
 
 import pytest
 
@@ -8,7 +8,8 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
 from nilregular.elements import Algebra
-from nilregular.fields import GF3, QQ
+from nilregular.fields import GF2, GF3, QQ
+from nilregular.linalg import rank, row_reduce, solve
 from nilregular.matrixrep import MatrixElement, MatrixModel
 from nilregular.rewriting import Word, reduce, xq_system
 
@@ -49,3 +50,28 @@ def test_phi_of_a_word_is_phi_of_its_normal_form(letters):
     expected = (MatrixElement.zero(MODEL.target) if outcome.is_zero
                 else MODEL.phi(outcome.result))
     assert MODEL.phi(word) == expected
+
+
+@st.composite
+def gf2_systems(draw):
+    height = draw(st.integers(1, 12))
+    width = draw(st.integers(1, 8))
+    bits = st.integers(0, 1)
+    rows = draw(st.lists(st.lists(bits, min_size=width, max_size=width),
+                         min_size=height, max_size=height))
+    rhs = draw(st.lists(bits, min_size=height, max_size=height))
+    return rows, rhs
+
+
+@LAWS
+@given(gf2_systems())
+def test_packed_gf2_rank_and_solve_agree_with_dense_elimination(system):
+    rows, rhs = system
+    assert rank(rows, GF2) == len(row_reduce(rows, GF2)[1])
+    augmented = [row + [value] for row, value in zip(rows, rhs)]
+    found = solve(rows, rhs, GF2)
+    if len(rows[0]) in row_reduce(augmented, GF2)[1]:
+        assert found is None
+    else:
+        assert [sum(a * b for a, b in zip(row, found)) % 2
+                for row in rows] == rhs
