@@ -34,7 +34,6 @@ and length 7 (2^18 alphas, 2^33 candidates) about 1.3 s on a 2-core host.
 
 from __future__ import annotations
 
-import enum
 import itertools
 import operator
 import os
@@ -48,7 +47,6 @@ from .elements import Algebra, AlgebraElement, linear_combination
 from .fields import GF2, QQ
 from .linalg import gf2_basis, gf2_reduce, solve
 from .rewriting import (
-    GREATER,
     IDENTITY_WORD,
     ReductionOutcome,
     RewriteSystem,
@@ -57,7 +55,6 @@ from .rewriting import (
     concat_reduce,
     enumerate_basis,
     is_basis_word,
-    lex_compare,
     parse_word,
     reduce,
     xq_system,
@@ -71,34 +68,19 @@ def _as_word(value) -> Word:
     return parse_word(value) if isinstance(value, str) else value
 
 
-def is_left_shape(word, system: RewriteSystem) -> bool:
-    """1, q, q^2 or q z q: a basis word beginning and ending in q."""
-    word = _as_word(word)
-    if not is_basis_word(word, system):
-        return False
-    return word.is_identity or (word.first_letter == "q" and word.last_letter == "q")
-
-
-def is_right_shape(word, system: RewriteSystem) -> bool:
-    """1, x, x^2 or x z x: a basis word beginning and ending in x."""
-    word = _as_word(word)
-    if not is_basis_word(word, system):
-        return False
-    return word.is_identity or (word.first_letter == "x" and word.last_letter == "x")
+def _is_shape(word: Word, end: str, system: RewriteSystem) -> bool:
+    """1, or a basis word beginning and ending in ``end``: q for the left
+    shape (1, q, q^2, q z q), x for the right shape (1, x, x^2, x z x)."""
+    return is_basis_word(word, system) and (
+        word.is_identity or word.first_letter == word.last_letter == end)
 
 
 def left_shape_words(max_len: int, system: RewriteSystem) -> list[Word]:
-    return [w for w in enumerate_basis(max_len, system) if is_left_shape(w, system)]
+    return [w for w in enumerate_basis(max_len, system) if _is_shape(w, "q", system)]
 
 
 def right_shape_words(max_len: int, system: RewriteSystem) -> list[Word]:
-    return [w for w in enumerate_basis(max_len, system) if is_right_shape(w, system)]
-
-
-class InterfaceKind(enum.Enum):
-    ZERO = "zero"
-    REDUCED = "reduced"
-    NO_REDUCTION = "no-reduction"
+    return [w for w in enumerate_basis(max_len, system) if _is_shape(w, "x", system)]
 
 
 def type_i_word(w, y, system: RewriteSystem) -> ReductionOutcome:
@@ -110,14 +92,6 @@ def type_ii_word(w, y, system: RewriteSystem) -> ReductionOutcome:
     """The reduced product w*qx*y; when nonzero it never needs reduction."""
     word = concat(concat(_as_word(w), _QX_WORD), _as_word(y))
     return reduce(word, system)
-
-
-def classify_interface(w, y, system: RewriteSystem) -> InterfaceKind:
-    """How the seam of the product w*y behaves, for basis words w, y."""
-    outcome = type_i_word(w, y, system)
-    if outcome.is_zero:
-        return InterfaceKind.ZERO
-    return InterfaceKind.REDUCED if outcome.steps else InterfaceKind.NO_REDUCTION
 
 
 @dataclass(frozen=True)
@@ -149,9 +123,6 @@ class CSet:
     @property
     def is_empty(self) -> bool:
         return not self.occurrences
-
-    def words(self) -> list[Word]:
-        return sorted({occ.word for occ in self.occurrences}, key=Word.sort_key)
 
     def occurrences_of(self, word) -> tuple[COccurrence, ...]:
         word = _as_word(word)
@@ -190,7 +161,7 @@ def _pair_contributions(system: RewriteSystem, w: Word, y: Word):
 def _normalize_side(terms, side: str, algebra: Algebra) -> list[tuple[object, Word]]:
     """Accepts words, word text, or (coefficient, word) pairs; validates
     shapes, distinctness and nonzero coefficients."""
-    shape_ok = is_left_shape if side == "left" else is_right_shape
+    end = "q" if side == "left" else "x"
     field = algebra.field
     normalized = []
     seen = set()
@@ -203,7 +174,7 @@ def _normalize_side(terms, side: str, algebra: Algebra) -> list[tuple[object, Wo
         coefficient = field.coerce(coefficient)
         if coefficient == field.zero:
             raise ValueError(f"zero coefficient on {side} word {word}")
-        if not shape_ok(word, algebra.system):
+        if not _is_shape(word, end, algebra.system):
             raise ValueError(f"{word} is not a {side}-shape word")
         if word in seen:
             raise ValueError(f"duplicate {side} word {word}")
@@ -239,14 +210,6 @@ class TauForm:
 
     q_exponents: tuple[int, ...]
     tail_exponent: int
-
-    def word(self) -> Word:
-        blocks = []
-        exponents = self.q_exponents
-        for index, exponent in enumerate(exponents):
-            blocks.append(("q", exponent))
-            blocks.append(("x", 2 if index < len(exponents) - 1 else self.tail_exponent))
-        return Word(tuple(blocks))
 
 
 def tau_form_of(word) -> TauForm | None:
@@ -410,32 +373,6 @@ def classify_tau_occurrences(c_set: CSet) -> TauClassification:
         else:
             occurrences.append(matched)
     return TauClassification(tau, occurrences, violations, skipped)
-
-
-def check_tau_uniqueness(left_terms, right_terms,
-                         algebra: Algebra | None = None) -> VerificationReport:
-    """For one (L, R) family: classify all tau-occurrences and verify at
-    most one of them is of the reduced kinds (form 2 or form 3)."""
-    started = time.perf_counter()
-    algebra = algebra or Algebra(xq_system(3), QQ)
-    lefts = _normalize_side(left_terms, "left", algebra)
-    rights = _normalize_side(right_terms, "right", algebra)
-    parameters = {
-        "left": [str(w) for _, w in lefts],
-        "right": [str(y) for _, y in rights],
-        "n": algebra.system.nilpotency_degree,
-        "nonidentity_pairs_only": True,
-    }
-    c_set = build_c_set(lefts, rights, algebra)
-    if c_set.is_empty:
-        parameters["c_set_size"] = 0
-        return finish_report("tau-unique", parameters, None, 0, started)
-    classification = classify_tau_occurrences(c_set)
-    parameters["tau"] = str(classification.tau)
-    parameters["skipped_identity_pairs"] = len(classification.skipped_identity_pairs)
-    examined = len(lefts) * len(rights)
-    witness = _tau_witness(classification, count_reduced=True)
-    return finish_report("tau-unique", parameters, witness, examined, started)
 
 
 def _tau_witness(classification: TauClassification,
@@ -847,4 +784,4 @@ def closing_argument_margin(w: Word, tau: Word,
     strictly larger; this is what stops tau from cancelling."""
     competitor = type_ii_word(w, IDENTITY_WORD, system)
     return (not competitor.is_zero
-            and lex_compare(competitor.result, tau) == GREATER)
+            and competitor.result.lex_key() > tau.lex_key())

@@ -91,17 +91,15 @@ class Algebra:
     def basis_words(self, max_len: int) -> list[Word]:
         return enumerate_basis(max_len, self.system)
 
-    def random_element(self, rng, max_word_len: int = 4, max_terms: int = 3,
-                       allow_zero: bool = False) -> "AlgebraElement":
-        """A random element with support drawn from the bounded basis.
-
-        Coefficients come from the field's coefficient pool (all of GF(p);
-        a small grid for the rationals), nonzero unless allow_zero.
-        """
+    def random_element(self, rng, max_word_len: int = 4,
+                       max_terms: int = 3) -> "AlgebraElement":
+        """A nonzero random element with support drawn from the bounded
+        basis and coefficients from the field's coefficient pool (all of
+        GF(p); a small grid for the rationals)."""
         pool, _ = self.field.coefficient_pool()
         nonzero = [c for c in pool if c != self.field.zero]
         words = self.basis_words(max_word_len)
-        size = rng.randint(0 if allow_zero else 1, max_terms)
+        size = rng.randint(1, max_terms)
         support = rng.sample(words, min(size, len(words)))
         return AlgebraElement(
             self, {word: rng.choice(nonzero) for word in support})
@@ -286,16 +284,6 @@ def linear_combination(algebra: Algebra, pairs) -> AlgebraElement:
         for word, c in element._terms.items():
             _accumulate(total, word, field.mul(coeff, c), field)
     return AlgebraElement(algebra, total)
-
-
-def corner(element: AlgebraElement, left_idempotent: AlgebraElement,
-           right_idempotent: AlgebraElement) -> AlgebraElement:
-    """The corner compression left * element * right; both frames must be
-    idempotent."""
-    for frame in (left_idempotent, right_idempotent):
-        if frame * frame != frame:
-            raise ValueError(f"corner frame {frame} is not idempotent")
-    return left_idempotent * element * right_idempotent
 
 
 _NUMBER = re.compile(r"\d+(?:\s*/\s*\d+)?")

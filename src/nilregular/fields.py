@@ -69,9 +69,6 @@ class PrimeField:
             raise ZeroDivisionError(f"0 has no inverse in {self.name}")
         return pow(a, self.p - 2, self.p)
 
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
-
     def coefficient_pool(self) -> tuple[list[int], bool]:
         """All field elements, flagged as exhaustive."""
         return list(range(self.p)), True
@@ -119,9 +116,6 @@ class RationalField:
         if a == 0:
             raise ZeroDivisionError("0 has no inverse")
         return 1 / Fraction(a)
-
-    def div(self, a, b):
-        return Fraction(a) / b
 
     def coefficient_pool(self) -> tuple[list[Fraction], bool]:
         """A small grid around 0; the rationals cannot be exhausted, so the

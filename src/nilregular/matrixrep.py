@@ -8,8 +8,9 @@ R on a, b with a^(n-1) = 0, via
 and the image is the subalgebra of matrices whose (1,2) entry lies in the
 right ideal I = R(1 - ba) and whose (2,2) entry lies in F + I.  Membership
 in those corners is decidable by a small exact linear solve: multiplying
-any word by ba raises its degree by exactly two and never kills it, so a
-factor s with entry = s(1 - ba) has degree bounded by the entry's degree.
+distinct words by ba gives distinct words two letters longer, so
+s -> s(1 - ba) is injective and a factor s with entry = s(1 - ba) has
+deg(s) = deg(entry) - 2; the solve runs over the words up to that degree.
 
 The module also carries the determinant obstruction (the evaluation
 a -> e21, b -> e12 into scalar matrices sends 1 - ba to a singular matrix,
@@ -22,7 +23,6 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .elements import Algebra, AlgebraElement, linear_combination, parse_element
 from .fields import GF2, QQ
@@ -118,9 +118,6 @@ class MatrixElement:
 
     def __repr__(self) -> str:
         return f"MatrixElement({self})"
-
-    def to_json(self) -> list:
-        return [[str(entry) for entry in row] for row in self.rows]
 
 
 def parse_matrix(text: str, algebra: Algebra) -> MatrixElement:
@@ -221,9 +218,11 @@ class MatrixModel:
         in R(1 - ba) and entry (2,2) in F + R(1 - ba); both are decided by
         an exact linear solve for the factor s.  Any s with
         entry = s(1 - ba) satisfies deg(s) = deg(entry) - 2 (multiplying a
-        word by ba adds two letters and never cancels), so solving up to
-        deg(entry) + 2 is already conclusive; an explicit degree_bound
-        below that is an error rather than a silent weaker answer.
+        word by ba adds two letters and never cancels), so the factor is
+        unique and solving over the words up to that degree is conclusive;
+        for n = 2, a = 0 and 1 - ba = 1, so deg(s) = deg(entry).  A larger
+        degree_bound gives the same certificate; a smaller one is an error
+        rather than a silent weaker answer.
         """
         if matrix.algebra != self.target:
             raise ValueError("matrix must live over this model's a,b algebra")
@@ -243,7 +242,7 @@ class MatrixModel:
     def _right_ideal_factor(self, entry: AlgebraElement,
                             degree_bound: int | None, with_constant: bool):
         field = self.target.field
-        needed = (entry.degree() or 0) + 2
+        needed = max((entry.degree() or 0) - self._one_minus_ba.degree(), 0)
         if degree_bound is not None and degree_bound < needed:
             raise DegreeBoundExceeded(
                 f"membership solve needs degree {needed}, bound is {degree_bound}")
@@ -269,30 +268,6 @@ class MatrixModel:
             zip(solution[:len(unknowns)], (self.target.word(w) for w in unknowns)))
         constant = solution[-1] if with_constant else None
         return factor, constant
-
-
-@lru_cache(maxsize=None)
-def _model_for(n: int, field) -> MatrixModel:
-    return MatrixModel(n, field)
-
-
-def phi(element: AlgebraElement) -> MatrixElement:
-    """Image of an xq-algebra element under the standard matrix model."""
-    algebra = element.algebra
-    if algebra.system.letters != ("x", "q"):
-        raise ValueError("phi expects an element of the xq algebra")
-    return _model_for(algebra.system.nilpotency_degree, algebra.field).phi(element)
-
-
-def membership_T(matrix: MatrixElement,
-                 degree_bound: int | None = None) -> TMembership:
-    """Membership in the image subalgebra, for matrices over the a,b
-    algebra."""
-    algebra = matrix.algebra
-    if algebra.system.letters != ("a", "b"):
-        raise ValueError("membership expects a matrix over the a,b algebra")
-    model = _model_for(algebra.system.nilpotency_degree + 1, algebra.field)
-    return model.membership(matrix, degree_bound)
 
 
 def verify_phi_faithful(max_len: int = 6, n: int = 3) -> VerificationReport:
@@ -322,7 +297,8 @@ def verify_phi_faithful(max_len: int = 6, n: int = 3) -> VerificationReport:
                        "words": len(words), "rank": matrix_rank}
             break
     if witness is None:
-        witness = _corner_spot_check(MatrixModel(n, QQ), min(max_len, 4))
+        # the loop ended on the rational model, whose images are cached
+        witness = _corner_spot_check(model, min(max_len, 4))
         examined += 1
     return finish_report("phi-faithful", parameters, witness, examined, started)
 

@@ -29,8 +29,6 @@ from functools import lru_cache
 
 from .reports import VerificationReport, finish_report
 
-LESS, EQUAL, GREATER = -1, 0, 1
-
 _LETTER_RANK = {"x": 0, "q": 1, "a": 0, "b": 1}
 
 # guards parse_word against pathological input like q^999999999999
@@ -368,17 +366,6 @@ def enumerate_basis(max_len: int, system: RewriteSystem) -> list[Word]:
     """All irreducible words of length <= max_len, sorted by
     (length, word order)."""
     return [w for w in canonical_words(max_len, system) if is_basis_word(w, system)]
-
-
-def lex_compare(u: Word, v: Word) -> int:
-    """-1, 0 or 1 comparing in the word order (q > x, prefix below
-    extension)."""
-    left, right = u.lex_key(), v.lex_key()
-    if left < right:
-        return LESS
-    if left > right:
-        return GREATER
-    return EQUAL
 
 
 @dataclass(frozen=True)

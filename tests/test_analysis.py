@@ -7,11 +7,10 @@ import pytest
 
 from nilregular import analysis
 from nilregular.analysis import (
-    InterfaceKind, _iter_families, _match_form1, _match_form2, _match_form3,
-    _pair_contributions, build_c_set, check_primeness_bounded,
+    _iter_families, _match_form1, _match_form2, _match_form3,
+    _pair_contributions, _tau_witness, build_c_set, check_primeness_bounded,
     check_regularity_identities, check_separativity_identities,
-    check_tau_forms_families, check_tau_uniqueness,
-    check_tau_uniqueness_families, check_types_lemma, classify_interface,
+    check_tau_forms_families, check_tau_uniqueness_families, check_types_lemma,
     classify_tau_occurrences, closing_argument_margin, find_tau,
     left_shape_words, right_shape_words, search_unit_regular_witness,
     tau_form_of, type_i_word, type_ii_word)
@@ -39,12 +38,11 @@ def test_shape_word_pools():
 
 
 def test_interface_classification():
-    w, y = parse_word("q x^2 q"), parse_word("x^2 q")
-    assert classify_interface(w, y, S) is InterfaceKind.ZERO
-    assert classify_interface(parse_word("q x^2 q"), parse_word("x q^2 x"), S) \
-        is InterfaceKind.REDUCED
-    assert classify_interface(parse_word("q"), parse_word("x^2"), S) \
-        is InterfaceKind.NO_REDUCTION
+    # the seam of w*y dies, reduces once, or needs no reduction
+    assert type_i_word("q x^2 q", "x^2 q", S).is_zero
+    reduced = type_i_word("q x^2 q", "x q^2 x", S)
+    assert not reduced.is_zero and reduced.steps == 1
+    assert type_i_word("q", "x^2", S).steps == 0
 
 
 def test_type_words():
@@ -83,7 +81,6 @@ def test_find_tau_and_form_parse():
     form = tau_form_of(tau)
     assert form.q_exponents == (1,)
     assert form.tail_exponent == 2
-    assert form.word() == tau
     assert tau_form_of(parse_word("x q")) is None
     assert tau_form_of(parse_word("q x^2 q")) is None
     with pytest.raises(ValueError):
@@ -154,9 +151,7 @@ def test_identity_pairs_reaching_tau_are_skipped_not_classified():
     assert not classification.violations
     assert [(str(w), str(y)) for w, y in classification.skipped_identity_pairs] \
         == [("1", "x")]
-    report = check_tau_uniqueness(["1"], ["x"], ALG)
-    assert report.passed
-    assert report.parameters["skipped_identity_pairs"] == 1
+    assert _tau_witness(classification, count_reduced=True) is None
 
 
 def _eight_monomial_members(w, y):
@@ -256,12 +251,11 @@ def test_classification_needs_n3():
 
 
 def test_uniqueness_report_for_single_families():
-    report = check_tau_uniqueness(["q"], ["x q^2 x"], ALG)
-    assert report.passed
-    assert report.parameters["tau"] == "q^2 x^2 q^2 x"
-    empty = check_tau_uniqueness([], [], ALG)
-    assert empty.passed
-    assert empty.parameters["c_set_size"] == 0
+    classification = classify_tau_occurrences(
+        build_c_set(["q"], ["x q^2 x"], ALG))
+    assert str(classification.tau) == "q^2 x^2 q^2 x"
+    assert _tau_witness(classification, count_reduced=True) is None
+    assert build_c_set([], [], ALG).is_empty
 
 
 def test_closing_argument_margin():

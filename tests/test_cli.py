@@ -1,9 +1,11 @@
 """Command-line behavior: outputs, exit codes, JSON reports."""
 
 import json
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -233,9 +235,12 @@ def test_every_named_check_dispatches():
 
 
 def test_module_entry_point_runs():
+    # the child interpreter does not inherit pytest's pythonpath setting
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(cli.__file__).resolve().parent.parent))
     completed = subprocess.run(
         [sys.executable, "-m", "nilregular", "reduce", "q x q x"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert completed.returncode == 0
     assert completed.stdout.strip() == "q x"
 

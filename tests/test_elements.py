@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from nilregular.elements import Algebra, corner, linear_combination, parse_element
+from nilregular.elements import Algebra, linear_combination, parse_element
 from nilregular.fields import GF2, GF3, QQ
 from nilregular.rewriting import WordSyntaxError, ab_system, parse_word, xq_system
 
@@ -101,13 +101,6 @@ def test_linear_combination_matches_sums():
     other = Algebra(ab_system(2), QQ)
     with pytest.raises(ValueError):
         linear_combination(ALG, [(1, other.gen("a"))])
-
-
-def test_corner_requires_idempotent_frames():
-    e = ALG.one - Q * X
-    assert corner(ALG.one, e, e) == e
-    with pytest.raises(ValueError):
-        corner(ALG.one, X, e)
 
 
 def test_algebras_do_not_mix():

@@ -25,7 +25,7 @@ def test_gf2_arithmetic():
 
 def test_gf3_inverse_and_division():
     assert GF3.inv(2) == 2
-    assert GF3.div(1, 2) == 2
+    assert GF3.mul(1, GF3.inv(2)) == 2
     with pytest.raises(ZeroDivisionError):
         GF3.inv(0)
     five = PrimeField(5)

@@ -1,13 +1,14 @@
 """The 2x2 matrix realization: images, membership, obstructions."""
 
+import random
+
 import pytest
 
 from nilregular.elements import Algebra
 from nilregular.fields import GF2, GF3, QQ
 from nilregular.matrixrep import (
     DegreeBoundExceeded, MatrixElement, MatrixModel, check_determinant_obstruction,
-    det2, membership_T, n2_variant_check, parse_matrix, phi, pi_eval,
-    verify_phi_faithful)
+    det2, n2_variant_check, parse_matrix, pi_eval, verify_phi_faithful)
 from nilregular.rewriting import Word, ab_system, parse_word, xq_system
 
 MODEL = MatrixModel(3, QQ)
@@ -40,7 +41,7 @@ def test_phi_rejects_foreign_elements():
     with pytest.raises(ValueError):
         MODEL.phi(other.gen("x"))
     with pytest.raises(ValueError):
-        phi(R.gen("a"))
+        MODEL.phi(R.gen("a"))
 
 
 def test_matrix_parse_round_trip():
@@ -48,7 +49,6 @@ def test_matrix_parse_round_trip():
     matrix = parse_matrix(text, R)
     assert str(matrix) == text
     assert matrix == MODEL.phi("x q")
-    assert matrix.to_json() == [["a b", "a - a b a"], ["b", "1 - b a"]]
     with pytest.raises(ValueError):
         parse_matrix("[[a, b]]", R)
     with pytest.raises(ValueError):
@@ -63,7 +63,7 @@ def test_membership_certificates():
     assert str(result.bottom_right_factor) == "1"
 
     identity = MatrixElement.identity(R)
-    result = membership_T(identity)
+    result = MODEL.membership(identity)
     assert result.in_t
     assert result.constant_part == QQ.one
     assert result.bottom_right_factor.is_zero
@@ -71,7 +71,7 @@ def test_membership_certificates():
 
 def test_membership_rejects_an_outside_matrix():
     outside = parse_matrix("[[0, 1], [0, 0]]", R)
-    result = membership_T(outside, degree_bound=6)
+    result = MODEL.membership(outside, degree_bound=6)
     assert not result.in_t
     assert result.failed_entries == ("(1,2)",)
 
@@ -79,7 +79,7 @@ def test_membership_rejects_an_outside_matrix():
 def test_membership_degree_bound_is_reported_not_silent():
     image = MODEL.phi("x q")
     with pytest.raises(DegreeBoundExceeded):
-        MODEL.membership(image, degree_bound=2)
+        MODEL.membership(image, degree_bound=0)
     generous = MODEL.membership(image, degree_bound=9)
     assert generous.in_t
     assert generous.top_right_factor == MODEL.membership(image).top_right_factor
@@ -88,6 +88,60 @@ def test_membership_degree_bound_is_reported_not_silent():
 def test_every_phi_image_is_in_t():
     for word in S_ALG.basis_words(4):
         assert MODEL.membership(MODEL.phi(word)).in_t
+
+
+def _oracle_matrices(model, rng):
+    """The zero matrix, phi of every basis word up to length 6, and planted
+    non-members: phi of a word up to length 4 plus a word of R one letter
+    longer than the (1,2) or (2,2) entry and not ending in ba.  Every
+    nonzero element of R(1 - ba) has only words ending in ba at its top
+    degree, so the planted entry cannot lie in the ideal.  Yields
+    (matrix, planted entry or None)."""
+    target = model.target
+    yield MatrixElement.zero(target), None
+    for word in model.source.basis_words(6):
+        yield model.phi(word), None
+    for word in model.source.basis_words(4):
+        rows = [list(row) for row in model.phi(word).rows]
+        i = rng.choice((0, 1))
+        length = (rows[i][1].degree() or 0) + 1
+        planted = rng.choice([m for m in target.basis_words(length)
+                              if len(m) == length
+                              and m.letters()[-2:] != ("b", "a")])
+        rows[i][1] = rows[i][1] + target.word(planted) * rng.choice((1, 2))
+        yield MatrixElement(target, rows), ("(1,2)", "(2,2)")[i]
+
+
+@pytest.mark.parametrize("field", [QQ, GF3], ids=["rational", "gf3"])
+def test_membership_matches_the_wide_solve_oracle(field):
+    # the default solve runs over the factor's degree, deg(entry) - 2; the
+    # oracle solves over every word up to the largest entry degree + 2
+    model = MatrixModel(3, field)
+    target = model.target
+    one_minus_ba = target.one - target.gen("b") * target.gen("a")
+    members = 0
+    for matrix, planted in _oracle_matrices(model, random.Random(7)):
+        result = model.membership(matrix)
+        degree = max(matrix.entry(i, 1).degree() or 0 for i in (0, 1))
+        assert result == model.membership(matrix, degree + 2), str(matrix)
+        if planted is not None:
+            assert result.failed_entries == (planted,), str(matrix)
+            continue
+        members += 1
+        assert result.in_t, str(matrix)
+        assert result.top_right_factor * one_minus_ba == matrix.entry(0, 1)
+        assert (target.scalar(result.constant_part)
+                + result.bottom_right_factor * one_minus_ba == matrix.entry(1, 1))
+    assert members == 1 + len(model.source.basis_words(6))
+
+
+def test_n2_membership_factor_is_the_entry():
+    # for n = 2, a = 0 and 1 - ba = 1, so the factor keeps the entry's degree
+    model = MatrixModel(2, QQ)
+    for word in model.source.basis_words(6):
+        image = model.phi(word)
+        result = model.membership(image)
+        assert result.in_t and result.top_right_factor == image.entry(0, 1)
 
 
 def test_free_mul_seam():
