@@ -364,8 +364,38 @@ def canonical_words(max_len: int, system: RewriteSystem) -> list[Word]:
 
 def enumerate_basis(max_len: int, system: RewriteSystem) -> list[Word]:
     """All irreducible words of length <= max_len, sorted by
-    (length, word order)."""
-    return [w for w in canonical_words(max_len, system) if is_basis_word(w, system)]
+    (length, word order).
+
+    Grows only block sequences that stay irreducible, using the closed
+    form of :func:`is_basis_word`: a nilpotent block stops below the
+    nilpotency degree, and a block gets a successor only if it is the
+    first block or reaches ``interior_min_exponent``.  Every grown
+    sequence is an output word, so the cost is linear in the output (plus
+    the final sort), not in the 2^(max_len + 1) words over the alphabet.
+    """
+    if max_len < 0:
+        raise ValueError("max_len must be nonnegative")
+    cap = system.nilpotency_degree - 1
+    out = [IDENTITY_WORD]
+    # explicit stack of (blocks, length, last letter), so no recursive
+    # closure is left behind in a reference cycle
+    stack = [((), 0, None)]
+    while stack:
+        blocks, used, last = stack.pop()
+        for letter in system.letters:
+            if letter == last:
+                continue
+            top = max_len - used
+            if letter == system.nilpotent_letter:
+                top = min(top, cap)
+            for exponent in range(1, top + 1):
+                grown = blocks + ((letter, exponent),)
+                out.append(Word(grown))
+                if used + exponent < max_len and (
+                        not blocks or exponent >= system.interior_min_exponent):
+                    stack.append((grown, used + exponent, letter))
+    out.sort(key=Word.sort_key)
+    return out
 
 
 @dataclass(frozen=True)

@@ -7,8 +7,9 @@ import pytest
 from nilregular.elements import Algebra
 from nilregular.fields import GF2, GF3, QQ
 from nilregular.matrixrep import (
-    DegreeBoundExceeded, MatrixElement, MatrixModel, check_determinant_obstruction,
-    det2, n2_variant_check, parse_matrix, pi_eval, verify_phi_faithful)
+    DegreeBoundExceeded, MatrixElement, MatrixModel, _rank,
+    check_determinant_obstruction, det2, n2_variant_check, parse_matrix, pi_eval,
+    verify_phi_faithful)
 from nilregular.rewriting import Word, ab_system, parse_word, xq_system
 
 MODEL = MatrixModel(3, QQ)
@@ -171,6 +172,40 @@ def test_phi_faithful_report():
     assert report.parameters["fields"] == ["gf2", "rational"]
     with pytest.raises(ValueError):
         verify_phi_faithful(n=2)
+    stretched = verify_phi_faithful(max_len=14)
+    assert stretched.status == "pass"
+    assert stretched.candidates_examined == 1301
+
+
+@pytest.mark.parametrize("n, max_len", [(3, 7), (4, 6)])
+def test_gf2_rank_of_the_images_matches_the_rational_rank(n, max_len):
+    # verify_phi_faithful derives the rational verdict from the GF(2)
+    # rank; the dense rational elimination is the oracle
+    models = (MatrixModel(n, QQ), MatrixModel(n, GF2))
+    for length in range(max_len + 1):
+        words = models[0].source.basis_words(length)
+        ranks = [_rank([[entry for row in model.phi(word).rows for entry in row]
+                        for word in words], model.target.field)
+                 for model in models]
+        assert ranks == [len(words), len(words)], (n, length)
+
+
+def test_phi_faithful_reports_a_dependent_gf2_image(monkeypatch):
+    # over GF(2) only, q x^2 takes the image of x, so two images coincide
+    word_image = MatrixModel.word_image
+
+    def patched(self, word):
+        if self.target.field == GF2 and word == parse_word("q x^2"):
+            word = parse_word("x")
+        return word_image(self, word)
+
+    monkeypatch.setattr(MatrixModel, "word_image", patched)
+    words = len(S_ALG.basis_words(4))
+    report = verify_phi_faithful(max_len=4)
+    assert report.status == "fail"
+    assert report.witness == {"kind": "dependent-images", "field": "gf2",
+                              "words": words, "rank": words - 1}
+    assert report.candidates_examined == words
 
 
 def test_pi_goldens():

@@ -117,6 +117,15 @@ def test_random_strategy_agrees_with_leftmost():
 def test_basis_matches_brute_force_small():
     for system in (S, R):
         assert set(enumerate_basis(4, system)) == brute_force_basis(4, system)
+    # the grown enumeration equals filtering every word, order included
+    systems = [xq_system(n) for n in range(2, 6)] + [ab_system(m) for m in range(1, 4)]
+    for system in systems:
+        for max_len in range(11):
+            filtered = [w for w in canonical_words(max_len, system)
+                        if is_basis_word(w, system)]
+            assert enumerate_basis(max_len, system) == filtered, (system, max_len)
+        with pytest.raises(ValueError):
+            enumerate_basis(-1, system)
 
 
 def test_basis_enumeration_leaves_no_cyclic_garbage():
@@ -135,6 +144,7 @@ def test_basis_counts():
     assert len(enumerate_basis(3, S)) == 12
     assert len(enumerate_basis(8, S)) == 88
     assert len(enumerate_basis(6, R)) == 53
+    assert len(enumerate_basis(14, S)) == 650
 
 
 def test_canonical_words_count():
