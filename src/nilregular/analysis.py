@@ -34,12 +34,15 @@ and length 7 (2^18 alphas, 2^33 candidates) about 1.3 s on a 2-core host.
 
 from __future__ import annotations
 
+# the package, not ProcessPoolExecutor: concurrent.futures loads its
+# process submodule, and with it multiprocessing, only on first use, so
+# importing nilregular, a single-block search, reduce and basis never do
+import concurrent.futures
 import itertools
 import operator
 import os
 import random
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache, partial
 
@@ -609,7 +612,8 @@ def search_unit_regular_witness(max_word_len: int = 3, field=GF2, n: int = 3,
     if len(starts) == 1:
         hits = list(map(scan, starts, stops))
     else:
-        with ProcessPoolExecutor(max_workers=len(starts)) as executor:
+        with concurrent.futures.ProcessPoolExecutor(
+                max_workers=len(starts)) as executor:
             hits = list(executor.map(scan, starts, stops))
     witness_index = next((hit for hit in hits if hit is not None), None)
     if witness_index is None:

@@ -10,8 +10,13 @@ The package works with two kinds of finitely presented algebras:
 
 Every rule rewrites a word to a strictly shorter word or to zero, so
 rewriting terminates, and all critical pairs resolve (see
-:func:`check_confluence`), so by the diamond lemma every word has a unique
-normal form and the irreducible words form a linear basis.
+:func:`check_confluence`), so by the diamond lemma (Bergman, Adv. Math.
+29, 1978) every word has a unique normal form and the irreducible words
+form a linear basis.  The normal form is therefore reached by any
+strategy, and :func:`reduce` uses a stack: letters move one at a time onto
+an output that is always irreducible, so a new redex can only be a suffix
+of it, and each pushed letter costs at most one suffix test per rule.
+Reduction is linear in the length of the word.
 
 Words are stored run-length encoded as blocks ``(letter, exponent)``; the
 empty block tuple is the identity word.  The letter precedence is q > x
@@ -283,23 +288,68 @@ def _redexes(letters: list[str], rules) -> list[tuple[int, Rule]]:
     return found
 
 
+@lru_cache(maxsize=None)
+def _rules_by_last_letter(system: RewriteSystem) -> dict[str, tuple]:
+    """(length, lhs as a list, rhs reversed for pushing) of each rule,
+    grouped by the last letter of its left-hand side."""
+    table: dict[str, list] = {letter: [] for letter in system.letters}
+    for rule in system.rules:
+        rhs = None if rule.rhs is None else rule.rhs[::-1]
+        table[rule.lhs[-1]].append((len(rule.lhs), list(rule.lhs), rhs))
+    return {letter: tuple(rules) for letter, rules in table.items()}
+
+
+def _stack_reduce(output: list[str], pending: list[str], system: RewriteSystem,
+                  unchanged: Word) -> ReductionOutcome:
+    """Move the letters of ``pending``, a stack whose top is the next
+    letter, onto ``output``, which must be irreducible; ``unchanged`` is
+    the word output + pending, returned as is if no rule applies.
+
+    After each push, only a suffix of ``output`` can be a redex, and at
+    most one rule matches there since no left-hand side contains another.
+    A match is deleted and its right-hand side goes back onto ``pending``.
+    Every step shortens the word, so there are at most len(word) steps,
+    and the pushes are the word's letters plus the re-pushed right-hand
+    sides.  The redex found is always the leftmost one of output +
+    pending, so the steps are those of leftmost rewriting.
+    """
+    rules = _rules_by_last_letter(system)
+    steps = 0
+    while pending:
+        letter = pending.pop()
+        output.append(letter)
+        for size, lhs, rhs in rules[letter]:
+            if output[-size:] == lhs:
+                del output[-size:]
+                steps += 1
+                if rhs is None:
+                    return ReductionOutcome(None, steps)
+                pending.extend(rhs)
+                break
+    if not steps:
+        return ReductionOutcome(unchanged, 0)
+    return ReductionOutcome(Word.from_letters(output), steps)
+
+
 def reduce(word: Word, system: RewriteSystem, rng: random.Random | None = None) -> ReductionOutcome:
     """Rewrite ``word`` to its normal form.
 
-    Applies the leftmost redex by default; pass ``rng`` to pick redexes at
-    random instead (used to exercise strategy independence).
+    By default a stack reducer does it in time linear in the length of the
+    word (see the module docstring).  Pass ``rng`` to apply redexes chosen
+    at random instead; that strategy rescans the word after every step and
+    serves :func:`check_confluence` and the tests as an independent oracle.
     """
     _check_alphabet(word, system)
     letters = list(word.letters())
+    if rng is None:
+        letters.reverse()
+        return _stack_reduce([], letters, system, word)
     steps = 0
     while True:
         found = _redexes(letters, system.rules)
         if not found:
             return ReductionOutcome(Word.from_letters(letters), steps)
-        if rng is None:
-            start, rule = found[0]
-        else:
-            start, rule = found[rng.randrange(len(found))]
+        start, rule = found[rng.randrange(len(found))]
         steps += 1
         if rule.rhs is None:
             return ReductionOutcome(None, steps)
@@ -310,11 +360,17 @@ def reduce(word: Word, system: RewriteSystem, rng: random.Random | None = None) 
 def concat_reduce(u: Word, v: Word, system: RewriteSystem) -> ReductionOutcome:
     """Normal form of the product of two words already in normal form.
 
-    For the xq family a nonzero product needs at most one rule
-    application, always at the seam (it deletes the last letter of ``u``
-    and the first letter of ``v``); products that die may take more steps.
+    The letters of ``v`` go onto the stack reducer's output ``u``, which is
+    irreducible and so never rescanned.  For the xq family a nonzero
+    product needs at most one rule application, always at the seam (it
+    deletes the last letter of ``u`` and the first letter of ``v``);
+    products that die may take more steps.
     """
-    outcome = reduce(concat(u, v), system)
+    joined = concat(u, v)
+    _check_alphabet(joined, system)
+    pending = list(v.letters())
+    pending.reverse()
+    outcome = _stack_reduce(list(u.letters()), pending, system, joined)
     if system.label == "S" and not outcome.is_zero and outcome.steps > 1:
         raise RuntimeError(f"interface reduction not unique for {u} * {v}")
     return outcome
@@ -444,7 +500,8 @@ def check_confluence(system: RewriteSystem, max_len: int = 8,
                      orders_per_word: int = 5, seed: int = 0) -> VerificationReport:
     """Resolve every critical pair, then rewrite every word of length
     <= max_len under several randomized strategies and compare against the
-    leftmost result."""
+    stack reducer's result, which is the leftmost-first one (a witness
+    reports it under ``leftmost``)."""
     started = time.perf_counter()
     parameters = {
         "presentation": system.label,

@@ -1,5 +1,6 @@
 """Interface types, the C-set, the largest-word forms, and the searches."""
 
+import concurrent.futures
 import itertools
 import random
 
@@ -317,7 +318,7 @@ def in_process_pool(monkeypatch):
         def map(self, fn, *iterables):
             return map(fn, *iterables)
 
-    monkeypatch.setattr(analysis, "ProcessPoolExecutor", InProcessExecutor)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessExecutor)
     monkeypatch.setattr(analysis.os, "cpu_count", lambda: 4)
     return started
 

@@ -234,15 +234,35 @@ def test_every_named_check_dispatches():
         assert report.passed, name
 
 
-def test_module_entry_point_runs():
+def _child_env():
     # the child interpreter does not inherit pytest's pythonpath setting
-    env = dict(os.environ,
-               PYTHONPATH=str(Path(cli.__file__).resolve().parent.parent))
+    return dict(os.environ,
+                PYTHONPATH=str(Path(cli.__file__).resolve().parent.parent))
+
+
+def test_module_entry_point_runs():
     completed = subprocess.run(
         [sys.executable, "-m", "nilregular", "reduce", "q x q x"],
-        capture_output=True, text=True, env=env)
+        capture_output=True, text=True, env=_child_env())
     assert completed.returncode == 0
     assert completed.stdout.strip() == "q x"
+
+
+def test_import_does_not_load_the_process_pool():
+    code = ("import sys, nilregular, nilregular.cli; "
+            "print(sorted({'multiprocessing', 'concurrent.futures.process'}"
+            " & set(sys.modules)))")
+    completed = subprocess.run([sys.executable, "-c", code],
+                               capture_output=True, text=True, env=_child_env())
+    assert completed.returncode == 0, completed.stderr
+    assert completed.stdout.strip() == "[]"
+
+
+def test_reduce_of_a_long_literal(capsys):
+    literal = " ".join(["x", "q"] * 10000 + ["x"])
+    code, out, _ = run_cli(capsys, "reduce", "--json", literal)
+    assert code == 0
+    assert json.loads(out)["terms"] == {"x": "1"}
 
 
 def test_workers_flag_reaches_the_search(capsys):

@@ -1,6 +1,10 @@
 """Randomized algebraic laws: the product is associative, phi is
 multiplicative, phi does not see the rewriting that produces normal
-forms, and packed GF(2) rank and solve agree with dense elimination."""
+forms, stack reduction agrees with random strategies and with products of
+normal forms, and packed GF(2) rank and solve agree with dense
+elimination."""
+
+import random
 
 import pytest
 
@@ -11,7 +15,7 @@ from nilregular.elements import Algebra
 from nilregular.fields import GF2, GF3, QQ
 from nilregular.linalg import rank, row_reduce, solve
 from nilregular.matrixrep import MatrixElement, MatrixModel
-from nilregular.rewriting import Word, reduce, xq_system
+from nilregular.rewriting import Word, ab_system, concat_reduce, reduce, xq_system
 
 LAWS = settings(max_examples=60, deadline=None, database=None)
 
@@ -50,6 +54,28 @@ def test_phi_of_a_word_is_phi_of_its_normal_form(letters):
     expected = (MatrixElement.zero(MODEL.target) if outcome.is_zero
                 else MODEL.phi(outcome.result))
     assert MODEL.phi(word) == expected
+
+
+@st.composite
+def split_words(draw):
+    system = draw(st.sampled_from(
+        [xq_system(n) for n in range(2, 6)] + [ab_system(m) for m in range(1, 4)]))
+    letters = draw(st.lists(st.sampled_from(system.letters), max_size=60))
+    return system, letters, draw(st.integers(0, len(letters)))
+
+
+@LAWS
+@given(split_words(), st.integers(0, 2**32 - 1))
+def test_stack_reduction_agrees_with_random_strategies_and_products(case, seed):
+    system, letters, cut = case
+    word = Word.from_letters(letters)
+    outcome = reduce(word, system)
+    assert reduce(word, system, rng=random.Random(seed)).result == outcome.result
+    left = reduce(Word.from_letters(letters[:cut]), system)
+    right = reduce(Word.from_letters(letters[cut:]), system)
+    if not (left.is_zero or right.is_zero):
+        product = concat_reduce(left.result, right.result, system)
+        assert product.result == outcome.result
 
 
 @st.composite

@@ -7,13 +7,42 @@ import random
 import pytest
 
 from nilregular.rewriting import (
-    IDENTITY_WORD, MAX_EXPONENT, Word, WordSyntaxError, ab_system,
-    canonical_words, check_confluence, concat, concat_reduce, critical_pairs,
-    enumerate_basis, is_basis_word, parse_word, reduce,
-    system_from_label, xq_system)
+    IDENTITY_WORD, MAX_EXPONENT, ReductionOutcome, RewriteSystem, Rule, Word,
+    WordSyntaxError, ab_system, canonical_words, check_confluence, concat,
+    concat_reduce, critical_pairs, enumerate_basis, is_basis_word, parse_word,
+    reduce, system_from_label, xq_system)
 
 S = xq_system(3)
 R = ab_system(2)
+FAMILIES = [xq_system(n) for n in range(2, 6)] + [ab_system(m) for m in range(1, 4)]
+# x^3 = 0 and q^2 x = x: a right-hand side x can complete x^3 with letters
+# to its left (x^2 q^2 x), which never happens in the two families, so only
+# here does a re-pushed right-hand side have to be tested again
+PROBE = RewriteSystem(
+    label="T", letters=("x", "q"), nilpotent_letter="x", nilpotency_degree=3,
+    rules=(Rule(("x",) * 3, None), Rule(("q", "q", "x"), ("x",))),
+    interior_min_exponent=1)
+
+
+def _leftmost_reduce(word, system):
+    """The reducer before the stack one: rescan the whole word after every
+    step and rewrite its leftmost redex (quadratic)."""
+    letters = list(word.letters())
+    steps = 0
+    while True:
+        found = []
+        for start in range(len(letters)):
+            for rule in system.rules:
+                end = start + len(rule.lhs)
+                if end <= len(letters) and tuple(letters[start:end]) == rule.lhs:
+                    found.append((start, rule))
+        if not found:
+            return ReductionOutcome(Word.from_letters(letters), steps)
+        start, rule = found[0]
+        steps += 1
+        if rule.rhs is None:
+            return ReductionOutcome(None, steps)
+        letters[start : start + len(rule.lhs)] = rule.rhs
 
 
 def brute_force_basis(max_len, system):
@@ -104,6 +133,35 @@ def test_defining_relations():
     assert reduce(parse_word("a^2"), R).is_zero
     assert str(reduce(parse_word("b a b a^2"), R).result) == "0" or \
         reduce(parse_word("b a b a^2"), R).is_zero
+
+
+def test_reduce_matches_the_leftmost_oracle():
+    for system in FAMILIES + [PROBE]:
+        for word in canonical_words(10, system):
+            assert reduce(word, system) == _leftmost_reduce(word, system), word
+    assert reduce(parse_word("x^2 q^2 x"), PROBE) == ReductionOutcome(None, 2)
+
+
+def test_concat_reduce_matches_reduce_of_the_concatenation():
+    for system in FAMILIES:
+        basis = enumerate_basis(6, system)
+        for u in basis:
+            for v in basis:
+                joined = concat(u, v)
+                expected = reduce(joined, system)
+                assert concat_reduce(u, v, system) == expected, (u, v)
+                assert expected == _leftmost_reduce(joined, system), (u, v)
+
+
+def test_long_words_reduce():
+    # a rescan after every step is quadratic (5.6 s at 4,001 letters, so
+    # minutes here); the stack reducer is linear
+    letters = ["x", "q"] * 20000 + ["x"]
+    outcome = reduce(Word.from_letters(letters), S)
+    assert outcome.result == parse_word("x")
+    assert outcome.steps == 20000
+    letters[-8:-8] = ["x"] * 3
+    assert reduce(Word.from_letters(letters), S).is_zero
 
 
 def test_random_strategy_agrees_with_leftmost():
