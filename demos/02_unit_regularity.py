@@ -15,8 +15,7 @@ from nilregular.analysis import (
     build_c_set, classify_tau_occurrences, closing_argument_margin, find_tau,
     left_shape_words, right_shape_words, search_unit_regular_witness,
     tau_form_of)
-from nilregular.elements import Algebra
-from nilregular.fields import GF2, QQ
+from nilregular.fields import GF2
 from nilregular.rewriting import parse_word, xq_system
 
 parser = argparse.ArgumentParser(description=__doc__)
@@ -25,7 +24,6 @@ parser.add_argument("--workers", type=int, default=1)
 args = parser.parse_args()
 
 system = xq_system(3)
-algebra = Algebra(system, QQ)
 
 print("== shape-word pools ==")
 print("left  (begin and end in q):",
@@ -36,11 +34,11 @@ print("right (begin and end in x):",
 print()
 print("== the C-set of one family ==")
 lefts, rights = ["q", "q^2 x^2 q"], ["x", "x q^3 x"]
-c_set = build_c_set(lefts, rights, algebra)
+c_set = build_c_set(lefts, rights, system)
 print(f"families L = {lefts}, R = {rights}: {len(c_set)} occurrences")
 for occurrence in c_set.occurrences:
     print(f"  ({occurrence.left}, {occurrence.right}) {occurrence.kind:8s}"
-          f" {'+' if occurrence.coefficient > 0 else '-'}{occurrence.word}")
+          f" {'+' if occurrence.sign > 0 else '-'}{occurrence.word}")
 
 tau = find_tau(c_set)
 form = tau_form_of(tau)
@@ -58,7 +56,7 @@ print(f"occurrences of the cancelling kinds (form 2 or 3): {len(reduced)}")
 print()
 print("== the closing step for a plain form-1 occurrence ==")
 w = parse_word("q")
-tau1 = find_tau(build_c_set(["q"], ["x^2"], algebra))
+tau1 = find_tau(build_c_set(["q"], ["x^2"], system))
 print(f"pair (q, x^2) gives {tau1}; its type II companion is larger:",
       closing_argument_margin(w, tau1, system))
 

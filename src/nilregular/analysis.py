@@ -71,19 +71,22 @@ def _as_word(value) -> Word:
     return parse_word(value) if isinstance(value, str) else value
 
 
+def _has_ends(word: Word, end: str) -> bool:
+    return word.is_identity or word.first_letter == word.last_letter == end
+
+
 def _is_shape(word: Word, end: str, system: RewriteSystem) -> bool:
     """1, or a basis word beginning and ending in ``end``: q for the left
     shape (1, q, q^2, q z q), x for the right shape (1, x, x^2, x z x)."""
-    return is_basis_word(word, system) and (
-        word.is_identity or word.first_letter == word.last_letter == end)
+    return is_basis_word(word, system) and _has_ends(word, end)
 
 
 def left_shape_words(max_len: int, system: RewriteSystem) -> list[Word]:
-    return [w for w in enumerate_basis(max_len, system) if _is_shape(w, "q", system)]
+    return [w for w in enumerate_basis(max_len, system) if _has_ends(w, "q")]
 
 
 def right_shape_words(max_len: int, system: RewriteSystem) -> list[Word]:
-    return [w for w in enumerate_basis(max_len, system) if _is_shape(w, "x", system)]
+    return [w for w in enumerate_basis(max_len, system) if _has_ends(w, "x")]
 
 
 def type_i_word(w, y, system: RewriteSystem) -> ReductionOutcome:
@@ -97,7 +100,7 @@ def type_ii_word(w, y, system: RewriteSystem) -> ReductionOutcome:
     return reduce(word, system)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class COccurrence:
     """One expansion monomial that landed in the C-set."""
 
@@ -105,7 +108,7 @@ class COccurrence:
     left: Word
     right: Word
     kind: str  # "type-I" or "type-II"
-    coefficient: object
+    sign: int  # +1 for type I, -1 for type II
     steps: int = 0  # rule applications that reduced the monomial
 
 
@@ -118,7 +121,7 @@ class CSet:
     """
 
     occurrences: tuple[COccurrence, ...]
-    algebra: Algebra
+    system: RewriteSystem
 
     def __len__(self) -> int:
         return len(self.occurrences)
@@ -131,78 +134,53 @@ class CSet:
         word = _as_word(word)
         return tuple(occ for occ in self.occurrences if occ.word == word)
 
-    def coefficient_of(self, word):
-        """The collected coefficient of a word (sum over occurrences)."""
-        word = _as_word(word)
-        field = self.algebra.field
-        total = field.zero
-        for occ in self.occurrences:
-            if occ.word == word:
-                total = field.add(total, occ.coefficient)
-        return total
-
 
 @lru_cache(maxsize=None)
-def _pair_contributions(system: RewriteSystem, w: Word, y: Word):
+def _pair_contributions(system: RewriteSystem, w: Word,
+                        y: Word) -> tuple[COccurrence, ...]:
     """The C-members among the monomials (xq)^e1 w (qx)^e2 y (xq)^e3.
 
-    Returns (kind, sign, word, steps) tuples; sign is (-1)^e2.  Reduction
-    keeps the first and last letter of a nonzero word, so the six terms
-    with e1 = 1 (first letter x) or e3 = 1 (last letter q) never reach C;
-    only the type I word (e2 = 0) and the type II word (e2 = 1) are
-    expanded.
+    The sign of a member is (-1)^e2.  Reduction keeps the first and last
+    letter of a nonzero word, so the six terms with e1 = 1 (first letter
+    x) or e3 = 1 (last letter q) never reach C; only the type I word
+    (e2 = 0) and the type II word (e2 = 1) are expanded.
     """
     out = []
     for kind, sign, outcome in (("type-I", 1, type_i_word(w, y, system)),
                                 ("type-II", -1, type_ii_word(w, y, system))):
         word = outcome.result
         if word is not None and word.first_letter == "q" and word.last_letter == "x":
-            out.append((kind, sign, word, outcome.steps))
+            out.append(COccurrence(word, w, y, kind, sign, outcome.steps))
     return tuple(out)
 
 
-def _normalize_side(terms, side: str, algebra: Algebra) -> list[tuple[object, Word]]:
-    """Accepts words, word text, or (coefficient, word) pairs; validates
-    shapes, distinctness and nonzero coefficients."""
+def _checked_side(words, side: str, system: RewriteSystem) -> list[Word]:
+    """Accepts words or word text; validates shapes and distinctness."""
     end = "q" if side == "left" else "x"
-    field = algebra.field
-    normalized = []
+    checked = []
     seen = set()
-    for entry in terms:
-        if isinstance(entry, tuple):
-            coefficient, word = entry
-        else:
-            coefficient, word = field.one, entry
-        word = _as_word(word)
-        coefficient = field.coerce(coefficient)
-        if coefficient == field.zero:
-            raise ValueError(f"zero coefficient on {side} word {word}")
-        if not _is_shape(word, end, algebra.system):
+    for word in map(_as_word, words):
+        if not _is_shape(word, end, system):
             raise ValueError(f"{word} is not a {side}-shape word")
         if word in seen:
             raise ValueError(f"duplicate {side} word {word}")
         seen.add(word)
-        normalized.append((coefficient, word))
-    return normalized
+        checked.append(word)
+    return checked
 
 
-def build_c_set(left_terms, right_terms, algebra: Algebra) -> CSet:
+def build_c_set(left_words, right_words, system: RewriteSystem) -> CSet:
     """Collect the C-words of the expansion of
-    (1-xq)(sum of left terms)(1-qx)(sum of right terms)(1-xq).
+    (1-xq)(sum of left words)(1-qx)(sum of right words)(1-xq).
 
-    Empty sides are legal and give an empty C-set.
+    Only the supports matter: each occurrence carries the sign of its
+    monomial, and the coefficients of the sums would only scale it.  Empty
+    sides are legal and give an empty C-set.
     """
-    lefts = _normalize_side(left_terms, "left", algebra)
-    rights = _normalize_side(right_terms, "right", algebra)
-    field = algebra.field
-    occurrences = []
-    for left_coeff, w in lefts:
-        for right_coeff, y in rights:
-            pair_coeff = field.mul(left_coeff, right_coeff)
-            for kind, sign, word, steps in _pair_contributions(algebra.system, w, y):
-                coefficient = (pair_coeff if sign > 0 else field.neg(pair_coeff))
-                occurrences.append(COccurrence(word, w, y, kind, coefficient, steps))
-    return CSet(tuple(occurrences), algebra)
+    lefts = _checked_side(left_words, "left", system)
+    rights = _checked_side(right_words, "right", system)
+    return CSet(tuple(itertools.chain.from_iterable(
+        _pair_contributions(system, w, y) for w in lefts for y in rights)), system)
 
 
 @dataclass(frozen=True)
@@ -238,7 +216,7 @@ def find_tau(c_set: CSet) -> Word:
         raise ValueError("the C-set is empty; there is no largest word")
     tau = max((occ.word for occ in c_set.occurrences),
               key=Word.lex_key)
-    if c_set.algebra.system.nilpotency_degree == 3 and tau_form_of(tau) is None:
+    if c_set.system.nilpotency_degree == 3 and tau_form_of(tau) is None:
         raise RuntimeError(f"largest C-word {tau} off-form")
     return tau
 
@@ -352,7 +330,7 @@ def classify_tau_occurrences(c_set: CSet) -> TauClassification:
     restriction instead of guessing.  Such a pair reaches tau at most
     once, since its type I word is a shape word and never a C-word.
     """
-    if c_set.algebra.system.nilpotency_degree != 3:
+    if c_set.system.nilpotency_degree != 3:
         raise ValueError("the tau classification is specific to n = 3")
     tau = find_tau(c_set)
     form = tau_form_of(tau)
@@ -417,7 +395,7 @@ def _iter_families(exhaustive_len: int, random_len: int, random_trials: int,
 def _sweep_tau_families(check: str, exhaustive_len: int, random_len: int,
                         random_trials: int, seed: int) -> VerificationReport:
     started = time.perf_counter()
-    algebra = Algebra(xq_system(3), QQ)
+    system = xq_system(3)
     parameters = {
         "exhaustive_len": exhaustive_len,
         "random_len": random_len,
@@ -428,9 +406,9 @@ def _sweep_tau_families(check: str, exhaustive_len: int, random_len: int,
     examined = 0
     witness = None
     for left_words, right_words in _iter_families(
-            exhaustive_len, random_len, random_trials, seed, algebra.system):
+            exhaustive_len, random_len, random_trials, seed, system):
         examined += 1
-        c_set = build_c_set(left_words, right_words, algebra)
+        c_set = build_c_set(left_words, right_words, system)
         if c_set.is_empty:
             continue
         witness = _tau_witness(classify_tau_occurrences(c_set),

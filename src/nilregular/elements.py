@@ -331,8 +331,13 @@ def parse_element(text: str, algebra: Algebra) -> AlgebraElement:
         except WordSyntaxError as error:
             raise WordSyntaxError(
                 "bad word in term", word_start + error.position) from None
-        coefficient = (field.coerce(coefficient_text)
-                       if coefficient_text is not None else field.one)
+        try:
+            coefficient = (field.coerce(coefficient_text)
+                           if coefficient_text is not None else field.one)
+        except ZeroDivisionError:
+            raise WordSyntaxError(
+                f"coefficient {coefficient_text} has no value in {field.name}",
+                term_start) from None
         if sign < 0:
             coefficient = field.neg(coefficient)
         outcome = reduce(word, algebra.system)

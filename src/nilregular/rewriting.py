@@ -36,7 +36,9 @@ from .reports import VerificationReport, finish_report
 
 _LETTER_RANK = {"x": 0, "q": 1, "a": 0, "b": 1}
 
-# guards parse_word against pathological input like q^999999999999
+# guards parse_word against pathological input like q^999999999999 or
+# q^999999 x^999999 ... repeated: it caps the letter count of a whole word,
+# so each exponent too
 MAX_EXPONENT = 10**6
 
 
@@ -145,9 +147,11 @@ def parse_word(text: str) -> Word:
     """Parse word text like ``q^3 x^2 q``; ``1`` denotes the identity.
 
     Whitespace is ignored and juxtaposition means product, so ``q^3x^2q``
-    parses the same.  Raises :class:`WordSyntaxError` on anything else.
+    parses the same.  Raises :class:`WordSyntaxError` on anything else,
+    and on a word of more than ``MAX_EXPONENT`` letters.
     """
     blocks: list[tuple[str, int]] = []
+    length = 0
     pos = 0
     while pos < len(text):
         match = _WORD_TOKEN.match(text, pos)
@@ -158,8 +162,9 @@ def parse_word(text: str) -> Word:
             exponent = int(match.group(2)) if match.group(2) else 1
             if exponent == 0:
                 raise WordSyntaxError("exponent must be a positive integer", pos)
-            if exponent > MAX_EXPONENT:
-                raise WordSyntaxError("exponent too large", pos)
+            length += exponent
+            if length > MAX_EXPONENT:
+                raise WordSyntaxError("word too long", pos)
             if blocks and blocks[-1][0] == letter:
                 blocks[-1] = (letter, blocks[-1][1] + exponent)
             else:

@@ -120,6 +120,9 @@ def test_bad_flag_value_is_usage(capsys):
     ("verify", "unit-regular-search", "--n", "1"),
     ("reduce", "x", "--n", "1"),
     ("basis", "2", "--n", "1"),
+    ("reduce", "1/0 x"),
+    ("reduce", "--field", "gf2", "1/2 x"),
+    ("reduce", "q^1000000 q^1000000"),
 ], ids=" ".join)
 def test_rejected_config_is_usage(capsys, argv):
     code, out, err = run_cli(capsys, *argv)

@@ -70,6 +70,12 @@ def test_parse_element_errors_carry_positions():
         parse_element("2 +", ALG)
     exc = pytest.raises(WordSyntaxError, parse_element, "q + z", ALG)
     assert exc.value.position == 4
+    # a coefficient the field cannot invert is refused at its offset
+    exc = pytest.raises(WordSyntaxError, parse_element, "1/0 x", ALG)
+    assert exc.value.position == 0
+    exc = pytest.raises(WordSyntaxError, parse_element, "x - 1/2 x",
+                        Algebra(xq_system(3), GF2))
+    assert exc.value.position == 4
 
 
 def test_parse_element_round_trip():

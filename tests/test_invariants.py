@@ -35,13 +35,11 @@ def test_concat_reduce_seam_uniqueness_survives_optimization():
 def test_find_tau_off_form_survives_optimization():
     completed = run_optimized("""
         from nilregular.analysis import COccurrence, CSet, find_tau
-        from nilregular.elements import Algebra
-        from nilregular.fields import QQ
         from nilregular.rewriting import parse_word, xq_system
         assert False  # proves asserts are stripped
         word = parse_word("q x q^2 x")
         occurrence = COccurrence(word, parse_word("q"), parse_word("x"), "type-I", 1)
-        find_tau(CSet((occurrence,), Algebra(xq_system(3), QQ)))
+        find_tau(CSet((occurrence,), xq_system(3)))
     """)
     assert completed.returncode == 1
     assert "RuntimeError: largest C-word q x q^2 x off-form" in completed.stderr

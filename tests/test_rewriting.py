@@ -89,6 +89,15 @@ def test_parse_word_error_positions():
         parse_word("q^0")
     with pytest.raises(WordSyntaxError):
         parse_word(f"q^{MAX_EXPONENT + 1}")
+    # the whole word's letter count is capped too, at the token that
+    # crosses the cap; nothing here is ever expanded into letters
+    for tokens in ([f"q^{MAX_EXPONENT}"] * 2,
+                   [f"q^{MAX_EXPONENT - 1}", f"x^{MAX_EXPONENT - 1}"] * 50):
+        with pytest.raises(WordSyntaxError, match="word too long") as excinfo:
+            parse_word(" ".join(tokens))
+        assert excinfo.value.position == len(tokens[0]) + 1
+    assert parse_word(f"q^{MAX_EXPONENT - 1} x").blocks \
+        == (("q", MAX_EXPONENT - 1), ("x", 1))
 
 
 def test_lex_order_q_above_x_and_prefix_below_extension():
