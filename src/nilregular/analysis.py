@@ -64,15 +64,15 @@ from .rewriting import (
 )
 from .reports import EXHAUSTED, VerificationReport, checklist_report, finish_report
 
-_QX_WORD = Word((("q", 1), ("x", 1)))
+_QX_WORD = Word("qx")
 
 
 def _as_word(value) -> Word:
-    return parse_word(value) if isinstance(value, str) else value
+    return value if isinstance(value, Word) else parse_word(value)
 
 
 def _has_ends(word: Word, end: str) -> bool:
-    return word.is_identity or word.first_letter == word.last_letter == end
+    return not word or word[0] == word[-1] == end
 
 
 def _is_shape(word: Word, end: str, system: RewriteSystem) -> bool:
@@ -149,7 +149,7 @@ def _pair_contributions(system: RewriteSystem, w: Word,
     for kind, sign, outcome in (("type-I", 1, type_i_word(w, y, system)),
                                 ("type-II", -1, type_ii_word(w, y, system))):
         word = outcome.result
-        if word is not None and word.first_letter == "q" and word.last_letter == "x":
+        if word is not None and word.startswith("q") and word.endswith("x"):
             out.append(COccurrence(word, w, y, kind, sign, outcome.steps))
     return tuple(out)
 
@@ -272,7 +272,7 @@ def _q_block_count(word: Word) -> int:
 def _match_form1(w: Word, y: Word) -> TauOccurrence | None:
     # type I equals tau with no reduction: tau splits as w ++ y exactly at
     # a q-block/x-block boundary, so the only datum left is r
-    if w.last_letter != "q" or y.first_letter != "x":
+    if not (w.endswith("q") and y.startswith("x")):
         return None
     return TauOccurrence(w, y, form=1, r=_q_block_count(w))
 
@@ -281,20 +281,13 @@ def _match_form2(w: Word, y: Word, tau: Word, form: TauForm) -> TauOccurrence | 
     # type I with reduction: w = (tau prefix) q^a and y = x q^b (tau tail),
     # the seam deletes one q and one x, and a + b - 1 = i_r; maximality of
     # tau further forces b > 2, or b = 2 with some later group exceeding 2
-    if w.last_letter != "q":
+    if not (w.endswith("q") and y.startswith("xq")) or w[:-1] + y[1:] != tau:
         return None
+    # the seam group is tau's r-th q-group, so a + b - 1 = i_r holds
     a = w.blocks[-1][1]
-    if len(y.blocks) < 2 or y.blocks[0] != ("x", 1) or y.blocks[1][0] != "q":
-        return None
     b = y.blocks[1][1]
     r = _q_block_count(w)
-    exponents = form.q_exponents
-    if r > len(exponents) or a + b - 1 != exponents[r - 1]:
-        return None
-    rebuilt = w.blocks[:-1] + (("q", a + b - 1),) + y.blocks[2:]
-    if rebuilt != tau.blocks:
-        return None
-    if not (b > 2 or (b == 2 and any(e > 2 for e in exponents[r:]))):
+    if not (b > 2 or (b == 2 and any(e > 2 for e in form.q_exponents[r:]))):
         return None
     return TauOccurrence(w, y, form=2, r=r, a=a, b=b)
 
@@ -303,13 +296,11 @@ def _match_form3(w: Word, y: Word, tau: Word, form: TauForm) -> TauOccurrence | 
     # type II equals tau with no reduction: tau is literally w ++ qx ++ y;
     # either y = x closes the final x^2 ("terminal"), or y carries the rest
     # and every q-group after the split must be exactly q^2
-    if w.last_letter != "q" or y.first_letter != "x":
-        return None
-    if w.letters() + ("q", "x") + y.letters() != tau.letters():
+    if not (w.endswith("q") and y.startswith("x")) or w + "qx" + y != tau:
         return None
     r = _q_block_count(w)
     exponents = form.q_exponents
-    if y == Word((("x", 1),)):
+    if y == "x":
         if r != len(exponents):
             return None
         return TauOccurrence(w, y, form=3, r=r, variant="terminal")
@@ -696,16 +687,6 @@ def check_primeness_bounded(max_len: int = 6, n: int = 3, field=QQ,
     return finish_report("primeness", parameters, witness, examined, started)
 
 
-def _ends_with(word: Word, suffix: tuple[str, ...]) -> bool:
-    letters = word.letters()
-    return len(letters) >= len(suffix) and letters[-len(suffix):] == suffix
-
-
-def _begins_with(word: Word, prefix: tuple[str, ...]) -> bool:
-    letters = word.letters()
-    return len(letters) >= len(prefix) and letters[:len(prefix)] == prefix
-
-
 def check_types_lemma(max_len: int = 7) -> VerificationReport:
     """The four clauses describing type I and II words, over all shape
     pairs with |w|, |y| <= max_len (n = 3):
@@ -739,21 +720,19 @@ def check_types_lemma(max_len: int = 7) -> VerificationReport:
 
 def _types_clause_violation(w: Word, y: Word, system: RewriteSystem) -> str | None:
     first = type_i_word(w, y, system)
-    zero_expected = _ends_with(w, ("x", "x", "q")) and _begins_with(y, ("x", "x"))
+    zero_expected = w.endswith("xxq") and y.startswith("xx")
     if first.is_zero != zero_expected:
         return "type-I zero condition"
     if not first.is_zero:
         reduction_expected = (
-            (_ends_with(w, ("x", "q")) and _begins_with(y, ("x",)))
-            or (w.last_letter == "q" and _begins_with(y, ("x", "q"))))
+            (w.endswith("xq") and y.startswith("x"))
+            or (w.endswith("q") and y.startswith("xq")))
         if (first.steps > 0) != reduction_expected:
             return "type-I reduction condition"
-        if first.steps > 0:
-            expected = Word.from_letters(w.letters()[:-1] + y.letters()[1:])
-            if first.result != expected:
-                return "type-I reduction shape"
+        if first.steps > 0 and first.result != w[:-1] + y[1:]:
+            return "type-I reduction shape"
     second = type_ii_word(w, y, system)
-    if second.is_zero != _begins_with(y, ("x", "x")):
+    if second.is_zero != y.startswith("xx"):
         return "type-II zero condition"
     if not second.is_zero and second.steps > 0:
         return "type-II never reduces"

@@ -53,7 +53,7 @@ class Algebra:
         return AlgebraElement(self, {IDENTITY_WORD: self.field.one})
 
     def gen(self, letter: str) -> "AlgebraElement":
-        return self.word(Word(((letter, 1),)))
+        return self.word(Word(letter))
 
     def scalar(self, value) -> "AlgebraElement":
         coeff = self.field.coerce(value)
@@ -64,7 +64,7 @@ class Algebra:
     def word(self, word) -> "AlgebraElement":
         """The element of a single word (given as Word or text), rewritten
         to normal form; words that rewrite to zero give the zero element."""
-        if isinstance(word, str):
+        if not isinstance(word, Word):
             word = parse_word(word)
         outcome = reduce(word, self.system)
         if outcome.is_zero:
@@ -76,7 +76,7 @@ class Algebra:
         Word values or text and need not be in normal form."""
         total: dict[Word, object] = {}
         for word, coefficient in terms.items():
-            if isinstance(word, str):
+            if not isinstance(word, Word):
                 word = parse_word(word)
             coeff = self.field.coerce(coefficient)
             outcome = reduce(word, self.system)
@@ -147,7 +147,7 @@ class AlgebraElement:
         return dict(self._terms)
 
     def coeff(self, word):
-        if isinstance(word, str):
+        if not isinstance(word, Word):
             word = parse_word(word)
         return self._terms.get(word, self.algebra.field.zero)
 
@@ -286,7 +286,9 @@ def linear_combination(algebra: Algebra, pairs) -> AlgebraElement:
     return AlgebraElement(algebra, total)
 
 
-_NUMBER = re.compile(r"\d+(?:\s*/\s*\d+)?")
+_NUMBER = re.compile(r"(\d+)(?:\s*/\s*(\d+))?")
+# CPython's default limit on int() of a digit string
+_MAX_DIGITS = 4300
 
 
 def parse_element(text: str, algebra: Algebra) -> AlgebraElement:
@@ -319,6 +321,10 @@ def parse_element(text: str, algebra: Algebra) -> AlgebraElement:
         coefficient_text = None
         if match is not None:
             coefficient_text = match.group(0)
+            for group, digits in enumerate(match.groups(), 1):
+                if digits is not None and len(digits) > _MAX_DIGITS:
+                    raise WordSyntaxError("coefficient has too many digits",
+                                          match.start(group))
             pos = match.end()
         word_start = pos
         while pos < size and text[pos] not in "+-":

@@ -190,9 +190,9 @@ class MatrixModel:
         self._prefixes = (MatrixElement.identity(self.target), {})
 
     def word_image(self, word) -> MatrixElement:
-        word = parse_word(word) if isinstance(word, str) else word
+        word = word if isinstance(word, Word) else parse_word(word)
         image, longer = self._prefixes
-        for letter in word.letters():
+        for letter in word:
             if letter not in longer:
                 generator = self.x_image if letter == "x" else self.q_image
                 longer[letter] = (image * generator, {})
@@ -201,7 +201,7 @@ class MatrixModel:
 
     def phi(self, value) -> MatrixElement:
         """Image of an element (or word) of the xq algebra."""
-        if isinstance(value, (str, Word)):
+        if isinstance(value, str):
             return self.word_image(value)
         if value.algebra != self.source:
             raise ValueError("phi expects an element of this model's xq algebra")
@@ -369,7 +369,7 @@ def pi_eval(element: AlgebraElement):
     total = ((zero, zero), (zero, zero))
     for word, coefficient in element.terms().items():
         image = ((one, zero), (zero, one))
-        for letter in word.letters():
+        for letter in word:
             image = _mat2_mul(image, generator[letter], field)
         total = _mat2_add(total, _mat2_scale(coefficient, image, field), field)
     return total

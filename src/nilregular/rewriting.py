@@ -18,14 +18,15 @@ an output that is always irreducible, so a new redex can only be a suffix
 of it, and each pushed letter costs at most one suffix test per rule.
 Reduction is linear in the length of the word.
 
-Words are stored run-length encoded as blocks ``(letter, exponent)``; the
-empty block tuple is the identity word.  The letter precedence is q > x
-(and b > a), and words compare first by the leftmost letter, with a proper
-prefix ordered below its extensions.
+A :class:`Word` is the string of its letters, so hashing, equality and
+slicing are ``str``'s own, and a word equals its plain letter string.
+The letter precedence is q > x (and b > a), and words compare first by
+the leftmost letter, with a proper prefix ordered below its extensions.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 import re
 import time
@@ -34,7 +35,8 @@ from functools import lru_cache
 
 from .reports import VerificationReport, finish_report
 
-_LETTER_RANK = {"x": 0, "q": 1, "a": 0, "b": 1}
+_ALPHABET = "xqab"
+_RANKS = str.maketrans("xaqb", "0011")
 
 # guards parse_word against pathological input like q^999999999999 or
 # q^999999 x^999999 ... repeated: it caps the letter count of a whole word,
@@ -50,69 +52,55 @@ class WordSyntaxError(ValueError):
         self.position = position
 
 
-@dataclass(frozen=True)
-class Word:
-    """A word in the generators, run-length encoded.
+class Word(str):
+    """A word in the generators: the string of its letters.
 
-    ``blocks`` is a tuple of (letter, exponent) pairs with positive
-    exponents and distinct adjacent letters, e.g. q^2 x q is
-    ``(("q", 2), ("x", 1), ("q", 1))``.  ``Word(())`` is the identity.
+    ``Word("qqxq")`` is q^2 x q and ``Word()`` is the identity.  A Word is
+    equal to its plain letter string and hashes like it.  ``str(word)``
+    renders the run-length text ``q^2 x q`` (``1`` for the identity), so
+    output must go through ``str()``: ``json.dumps``, ``str.join``, ``+``
+    and ``format`` with a non-empty spec see the raw letters.  The
+    inherited ``<`` is ASCII order, not the word order; sort with
+    :meth:`sort_key`.
     """
 
-    blocks: tuple[tuple[str, int], ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self):
-        previous = None
-        for letter, exponent in self.blocks:
-            if letter not in _LETTER_RANK:
-                raise ValueError(f"unknown letter {letter!r}")
-            if exponent < 1:
-                raise ValueError("block exponents must be positive")
-            if letter == previous:
-                raise ValueError("adjacent blocks must use distinct letters")
-            previous = letter
+    def __new__(cls, letters: str = "") -> "Word":
+        if not isinstance(letters, str):
+            raise TypeError(f"a Word is built from a str, not {type(letters).__name__}")
+        stray = letters.strip(_ALPHABET)
+        if stray:
+            raise ValueError(f"unknown letter {stray[0]!r}")
+        return str.__new__(cls, letters)
 
     @classmethod
     def from_letters(cls, letters) -> "Word":
-        blocks: list[tuple[str, int]] = []
-        for letter in letters:
-            if blocks and blocks[-1][0] == letter:
-                blocks[-1] = (letter, blocks[-1][1] + 1)
-            else:
-                blocks.append((letter, 1))
-        return cls(tuple(blocks))
+        return cls("".join(letters))
 
     def letters(self) -> tuple[str, ...]:
-        flat: list[str] = []
-        for letter, exponent in self.blocks:
-            flat.extend([letter] * exponent)
-        return tuple(flat)
+        return tuple(self)
 
-    def __len__(self) -> int:
-        return sum(exponent for _, exponent in self.blocks)
+    @property
+    def blocks(self) -> tuple[tuple[str, int], ...]:
+        """The run-length form: q^2 x q is ``(("q", 2), ("x", 1), ("q", 1))``."""
+        return tuple((letter, len(list(run)))
+                     for letter, run in itertools.groupby(self))
 
     @property
     def is_identity(self) -> bool:
-        return not self.blocks
+        return not self
 
-    @property
-    def first_letter(self) -> str | None:
-        return self.blocks[0][0] if self.blocks else None
+    def lex_key(self) -> str:
+        # string comparison of the ranks realizes the word order: leftmost
+        # letter first, and a proper prefix sorts below all of its extensions
+        return self.translate(_RANKS)
 
-    @property
-    def last_letter(self) -> str | None:
-        return self.blocks[-1][0] if self.blocks else None
-
-    def lex_key(self) -> tuple[int, ...]:
-        # tuple comparison realizes the word order: leftmost letter first,
-        # and a proper prefix sorts below all of its extensions
-        return tuple(_LETTER_RANK[letter] for letter in self.letters())
-
-    def sort_key(self) -> tuple[int, tuple[int, ...]]:
-        return (len(self), self.lex_key())
+    def sort_key(self) -> tuple[int, str]:
+        return (len(self), self.translate(_RANKS))
 
     def __str__(self) -> str:
-        if not self.blocks:
+        if not self:
             return "1"
         return " ".join(
             letter if exponent == 1 else f"{letter}^{exponent}"
@@ -120,27 +108,26 @@ class Word:
         )
 
     def __repr__(self) -> str:
-        return f"Word('{self}')"
+        return f"Word('{self!s}')"
+
+    def __reduce__(self):
+        # pickle protocols 0 and 1 would otherwise rebuild from str(self)
+        return (Word, (str.__str__(self),))
 
 
-IDENTITY_WORD = Word(())
+# a Word from letters already known to lie in the alphabet, unchecked
+_word = str.__new__
+
+IDENTITY_WORD = Word()
 
 
 def concat(u: Word, v: Word) -> Word:
     """Concatenation as words, with no rewriting applied."""
-    if u.is_identity:
-        return v
-    if v.is_identity:
-        return u
-    if u.last_letter == v.first_letter:
-        letter, left_exp = u.blocks[-1]
-        _, right_exp = v.blocks[0]
-        merged = u.blocks[:-1] + ((letter, left_exp + right_exp),) + v.blocks[1:]
-        return Word(merged)
-    return Word(u.blocks + v.blocks)
+    return _word(Word, u + v)
 
 
 _WORD_TOKEN = re.compile(r"([xqab])(?:\s*\^\s*(\d+))?|1|\s+")
+_MAX_EXPONENT_DIGITS = len(str(MAX_EXPONENT))
 
 
 def parse_word(text: str) -> Word:
@@ -150,27 +137,27 @@ def parse_word(text: str) -> Word:
     parses the same.  Raises :class:`WordSyntaxError` on anything else,
     and on a word of more than ``MAX_EXPONENT`` letters.
     """
-    blocks: list[tuple[str, int]] = []
+    runs: list[str] = []
     length = 0
     pos = 0
     while pos < len(text):
         match = _WORD_TOKEN.match(text, pos)
         if match is None:
             raise WordSyntaxError("unexpected character", pos)
-        letter = match.group(1)
+        letter, digits = match.groups()
         if letter is not None:
-            exponent = int(match.group(2)) if match.group(2) else 1
+            # checked before int(), which refuses over 4,300 digits
+            if digits and len(digits) > _MAX_EXPONENT_DIGITS:
+                raise WordSyntaxError("exponent too large", pos)
+            exponent = int(digits) if digits else 1
             if exponent == 0:
                 raise WordSyntaxError("exponent must be a positive integer", pos)
             length += exponent
             if length > MAX_EXPONENT:
                 raise WordSyntaxError("word too long", pos)
-            if blocks and blocks[-1][0] == letter:
-                blocks[-1] = (letter, blocks[-1][1] + exponent)
-            else:
-                blocks.append((letter, exponent))
+            runs.append(letter * exponent)
         pos = match.end()
-    return Word(tuple(blocks))
+    return _word(Word, "".join(runs))
 
 
 @dataclass(frozen=True)
@@ -186,7 +173,7 @@ class Rule:
         return f"{left} -> {right}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RewriteSystem:
     """A fixed alphabet with length-reducing rules.
 
@@ -195,6 +182,10 @@ class RewriteSystem:
     words: no interior block may have a smaller exponent (2 for the xq
     family, where interior x or q alone would sit inside xqx or qxq; 1,
     i.e. no constraint, for the ab family).
+
+    A presentation compares and hashes by identity, so the caches keyed by
+    it never rehash its rules; :func:`xq_system` and :func:`ab_system`
+    return one object per degree.
     """
 
     label: str
@@ -276,11 +267,10 @@ class ReductionOutcome:
 
 
 def _check_alphabet(word: Word, system: RewriteSystem) -> None:
-    for letter, _ in word.blocks:
-        if letter not in system.letters:
-            raise ValueError(
-                f"letter {letter!r} does not belong to presentation {system.label}"
-            )
+    stray = word.strip("".join(system.letters))
+    if stray:
+        raise ValueError(
+            f"letter {stray[0]!r} does not belong to presentation {system.label}")
 
 
 def _redexes(letters: list[str], rules) -> list[tuple[int, Rule]]:
@@ -333,7 +323,7 @@ def _stack_reduce(output: list[str], pending: list[str], system: RewriteSystem,
                 break
     if not steps:
         return ReductionOutcome(unchanged, 0)
-    return ReductionOutcome(Word.from_letters(output), steps)
+    return ReductionOutcome(_word(Word, "".join(output)), steps)
 
 
 def reduce(word: Word, system: RewriteSystem, rng: random.Random | None = None) -> ReductionOutcome:
@@ -345,15 +335,14 @@ def reduce(word: Word, system: RewriteSystem, rng: random.Random | None = None) 
     serves :func:`check_confluence` and the tests as an independent oracle.
     """
     _check_alphabet(word, system)
-    letters = list(word.letters())
     if rng is None:
-        letters.reverse()
-        return _stack_reduce([], letters, system, word)
+        return _stack_reduce([], list(word[::-1]), system, word)
+    letters = list(word)
     steps = 0
     while True:
         found = _redexes(letters, system.rules)
         if not found:
-            return ReductionOutcome(Word.from_letters(letters), steps)
+            return ReductionOutcome(_word(Word, "".join(letters)), steps)
         start, rule = found[rng.randrange(len(found))]
         steps += 1
         if rule.rhs is None:
@@ -373,52 +362,27 @@ def concat_reduce(u: Word, v: Word, system: RewriteSystem) -> ReductionOutcome:
     """
     joined = concat(u, v)
     _check_alphabet(joined, system)
-    pending = list(v.letters())
-    pending.reverse()
-    outcome = _stack_reduce(list(u.letters()), pending, system, joined)
+    outcome = _stack_reduce(list(u), list(v[::-1]), system, joined)
     if system.label == "S" and not outcome.is_zero and outcome.steps > 1:
         raise RuntimeError(f"interface reduction not unique for {u} * {v}")
     return outcome
 
 
 def is_basis_word(word: Word, system: RewriteSystem) -> bool:
-    """Closed-form test for irreducibility.
-
-    A word is irreducible exactly when every block of the nilpotent letter
-    has exponent below the nilpotency degree and no interior block drops
-    below ``interior_min_exponent``.  Agrees with ``reduce`` having
-    nothing to do; the equivalence is exercised in the test-suite.
-    """
+    """Irreducibility by definition: no rule's left-hand side occurs in
+    the word.  :func:`enumerate_basis` uses a closed form instead; the
+    test-suite checks the two against each other."""
     _check_alphabet(word, system)
-    blocks = word.blocks
-    for index, (letter, exponent) in enumerate(blocks):
-        if letter == system.nilpotent_letter and exponent >= system.nilpotency_degree:
-            return False
-        if 0 < index < len(blocks) - 1 and exponent < system.interior_min_exponent:
-            return False
-    return True
+    return not any("".join(rule.lhs) in word for rule in system.rules)
 
 
 def canonical_words(max_len: int, system: RewriteSystem) -> list[Word]:
-    """All words over the system's alphabet of length <= max_len, one
-    representative per letter string, sorted by (length, word order)."""
+    """All words over the system's alphabet of length <= max_len, sorted by
+    (length, word order)."""
     if max_len < 0:
         raise ValueError("max_len must be nonnegative")
-    out = [IDENTITY_WORD]
-
-    def extend(blocks: tuple, used: int, last: str | None) -> None:
-        for letter in system.letters:
-            if letter == last:
-                continue
-            for exponent in range(1, max_len - used + 1):
-                grown = blocks + ((letter, exponent),)
-                out.append(Word(grown))
-                extend(grown, used + exponent, letter)
-
-    extend((), 0, None)
-    # extend reaches itself through its closure cell; drop the name so the
-    # function, and with it no cycle, outlives the call
-    del extend
+    out = [_word(Word, "".join(letters)) for length in range(max_len + 1)
+           for letters in itertools.product(system.letters, repeat=length)]
     out.sort(key=Word.sort_key)
     return out
 
@@ -427,34 +391,35 @@ def enumerate_basis(max_len: int, system: RewriteSystem) -> list[Word]:
     """All irreducible words of length <= max_len, sorted by
     (length, word order).
 
-    Grows only block sequences that stay irreducible, using the closed
-    form of :func:`is_basis_word`: a nilpotent block stops below the
-    nilpotency degree, and a block gets a successor only if it is the
-    first block or reaches ``interior_min_exponent``.  Every grown
-    sequence is an output word, so the cost is linear in the output (plus
-    the final sort), not in the 2^(max_len + 1) words over the alphabet.
+    Grows only words that stay irreducible, using the closed form of the
+    irreducible words: a block (maximal run of one letter) of the
+    nilpotent letter stays below the nilpotency degree, and a block gets a
+    successor only if it is the first block or reaches
+    ``interior_min_exponent``.  Every grown word is an output word, so the
+    cost is linear in the output (plus the final sort), not in the
+    2^(max_len + 1) words over the alphabet.
     """
     if max_len < 0:
         raise ValueError("max_len must be nonnegative")
     cap = system.nilpotency_degree - 1
     out = [IDENTITY_WORD]
-    # explicit stack of (blocks, length, last letter), so no recursive
-    # closure is left behind in a reference cycle
-    stack = [((), 0, None)]
+    # an explicit stack of words that may grow, so no recursive closure is
+    # left behind in a reference cycle
+    stack = [""]
     while stack:
-        blocks, used, last = stack.pop()
+        text = stack.pop()
         for letter in system.letters:
-            if letter == last:
+            if text.endswith(letter):
                 continue
-            top = max_len - used
+            top = max_len - len(text)
             if letter == system.nilpotent_letter:
                 top = min(top, cap)
             for exponent in range(1, top + 1):
-                grown = blocks + ((letter, exponent),)
-                out.append(Word(grown))
-                if used + exponent < max_len and (
-                        not blocks or exponent >= system.interior_min_exponent):
-                    stack.append((grown, used + exponent, letter))
+                grown = text + letter * exponent
+                out.append(_word(Word, grown))
+                if len(grown) < max_len and (
+                        not text or exponent >= system.interior_min_exponent):
+                    stack.append(grown)
     out.sort(key=Word.sort_key)
     return out
 

@@ -162,7 +162,7 @@ def _eight_monomial_members(w, y):
                    + y.letters() + ("x", "q") * e3)
         outcome = reduce(Word.from_letters(letters), S)
         word = outcome.result
-        if word is None or word.first_letter != "q" or word.last_letter != "x":
+        if word is None or not (word.startswith("q") and word.endswith("x")):
             continue
         kind = {(0, 0, 0): "type-I", (0, 1, 0): "type-II"}.get((e1, e2, e3),
                                                                 "other")
@@ -232,8 +232,8 @@ def test_classification_from_the_c_set_matches_the_pairwise_oracle():
         tau = max((word for w in lefts for y in rights
                    for word in (type_i_word(w, y, S).result,
                                 type_ii_word(w, y, S).result)
-                   if word is not None and word.first_letter == "q"
-                   and word.last_letter == "x"), key=Word.lex_key)
+                   if word is not None and word.startswith("q")
+                   and word.endswith("x")), key=Word.lex_key)
         assert classification.tau == tau
         assert (classification.occurrences, classification.violations,
                 classification.skipped_identity_pairs) \

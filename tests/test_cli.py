@@ -132,6 +132,21 @@ def test_rejected_config_is_usage(capsys, argv):
     assert line.startswith("error: ")
 
 
+@pytest.mark.parametrize("literal, position", [
+    ("q^" + "9" * 5000, 0),
+    ("9" * 5000 + " x", 0),
+    ("1/" + "9" * 5000 + " x", 2),
+], ids=["exponent", "coefficient", "denominator"])
+def test_overlong_digit_strings_are_usage(capsys, literal, position):
+    # past 4,300 digits CPython's int() raises its own bare ValueError
+    code, out, err = run_cli(capsys, "reduce", literal)
+    assert code == 2
+    assert out == ""
+    [line] = err.splitlines()
+    assert line.startswith("error: ")
+    assert f"(at position {position})" in line
+
+
 @pytest.mark.parametrize("check", ["types-lemma", "tau-forms", "tau-unique",
                                    "separativity", "determinant"])
 def test_checks_fixed_at_n3_refuse_other_n(capsys, check):
@@ -259,6 +274,28 @@ def test_import_does_not_load_the_process_pool():
                                capture_output=True, text=True, env=_child_env())
     assert completed.returncode == 0, completed.stderr
     assert completed.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("argv", [
+    ("types-lemma", "--max-len", "5"),
+    ("unit-regular-search", "--field", "gf3", "--max-word-len", "2"),
+    ("phi-faithful", "--max-len", "6"),
+    ("primeness", "--field", "gf2", "--max-len", "4"),
+    ("confluence", "--max-len", "6"),
+], ids=lambda argv: argv[0])
+def test_json_reports_do_not_depend_on_the_hash_seed(argv):
+    # words hash as strings, and string hashes are salted per process
+    reports = []
+    for seed in ("0", "1"):
+        completed = subprocess.run(
+            [sys.executable, "-m", "nilregular", "verify", *argv, "--json"],
+            capture_output=True, text=True,
+            env=dict(_child_env(), PYTHONHASHSEED=seed))
+        assert completed.returncode == 0, completed.stderr
+        report = json.loads(completed.stdout)
+        report.pop("elapsed_ms")
+        reports.append(report)
+    assert reports[0] == reports[1]
 
 
 def test_reduce_of_a_long_literal(capsys):

@@ -1,11 +1,17 @@
 """Word mechanics, reduction goldens, the basis closed form, confluence."""
 
+import copy
+import dataclasses
 import gc
 import itertools
+import pickle
 import random
 
 import pytest
 
+from nilregular.elements import Algebra
+from nilregular.fields import QQ
+from nilregular.matrixrep import MatrixModel
 from nilregular.rewriting import (
     IDENTITY_WORD, MAX_EXPONENT, ReductionOutcome, RewriteSystem, Rule, Word,
     WordSyntaxError, ab_system, canonical_words, check_confluence, concat,
@@ -56,13 +62,76 @@ def brute_force_basis(max_len, system):
     return found
 
 
-def test_word_block_validation():
-    with pytest.raises(ValueError):
-        Word((("q", 0),))
-    with pytest.raises(ValueError):
-        Word((("q", 2), ("q", 1)))
-    with pytest.raises(ValueError):
-        Word((("z", 1),))
+def test_word_accepts_exactly_the_alphabet():
+    for length in range(4):
+        for letters in itertools.product("xqabz1 ^", repeat=length):
+            text = "".join(letters)
+            if set(text) <= set("xqab"):
+                word = Word(text)
+                assert type(word) is Word and word == text
+                assert Word.from_letters(letters) == word
+            else:
+                with pytest.raises(ValueError, match="unknown letter"):
+                    Word(text)
+    for value in ((("q", 1),), ["q"], None, 3):
+        with pytest.raises(TypeError):
+            Word(value)
+
+
+def test_word_is_its_letter_string():
+    word = Word("qqxq")
+    assert word == parse_word("q^2 x q") and hash(word) == hash("qqxq")
+    assert len(word) == 4
+    assert word.letters() == ("q", "q", "x", "q")
+    assert word.blocks == (("q", 2), ("x", 1), ("q", 1))
+    assert str(word) == "q^2 x q"
+    assert repr(word) == "Word('q^2 x q')"
+    assert Word() == IDENTITY_WORD == ""
+
+
+@pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+def test_word_survives_pickle_and_deepcopy(protocol):
+    for word in (IDENTITY_WORD, parse_word("q^2 x q"), parse_word("b a^3 b")):
+        for back in (pickle.loads(pickle.dumps(word, protocol)), copy.deepcopy(word)):
+            assert type(back) is Word
+            assert back == word and str(back) == str(word)
+
+
+def _rank_tuple_key(word):
+    """The word order before words were strings: length, then the tuple of
+    letter ranks."""
+    rank = {"x": 0, "q": 1, "a": 0, "b": 1}
+    return (len(word), tuple(rank[letter] for letter in word.letters()))
+
+
+def test_sort_key_matches_the_rank_tuple_order():
+    for system in (S, R):
+        words = canonical_words(8, system)
+        shuffled = random.Random(5).sample(words, len(words))
+        assert sorted(shuffled, key=Word.sort_key) == words
+        assert words == sorted(shuffled, key=_rank_tuple_key)
+        # lex_key alone, as find_tau uses it: no length first
+        assert sorted(shuffled, key=Word.lex_key) \
+            == sorted(shuffled, key=lambda word: _rank_tuple_key(word)[1])
+
+
+def test_words_and_their_text_are_interchangeable():
+    algebra = Algebra(S, QQ)
+    model = MatrixModel(3, QQ)
+    element = algebra.parse("1 - x q + 2 q^2 x")
+    for word in enumerate_basis(4, S):
+        text = str(word)
+        assert algebra.word(word) == algebra.word(text)
+        assert element.coeff(word) == element.coeff(text)
+        assert model.phi(word) == model.phi(text)
+
+
+def test_presentations_compare_by_identity():
+    twin = dataclasses.replace(xq_system(3))
+    assert twin != xq_system(3)
+    assert xq_system(3) == xq_system(3)
+    assert Algebra(xq_system(3), QQ) == Algebra(xq_system(3), QQ)
+    assert Algebra(twin, QQ) != Algebra(xq_system(3), QQ)
 
 
 def test_identity_word():
@@ -89,8 +158,12 @@ def test_parse_word_error_positions():
         parse_word("q^0")
     with pytest.raises(WordSyntaxError):
         parse_word(f"q^{MAX_EXPONENT + 1}")
+    # CPython refuses int() of more than 4,300 digits: the offset survives
+    with pytest.raises(WordSyntaxError, match="exponent too large") as excinfo:
+        parse_word("x q^" + "9" * 5000)
+    assert excinfo.value.position == 2
     # the whole word's letter count is capped too, at the token that
-    # crosses the cap; nothing here is ever expanded into letters
+    # crosses the cap and before it is expanded into letters
     for tokens in ([f"q^{MAX_EXPONENT}"] * 2,
                    [f"q^{MAX_EXPONENT - 1}", f"x^{MAX_EXPONENT - 1}"] * 50):
         with pytest.raises(WordSyntaxError, match="word too long") as excinfo:
