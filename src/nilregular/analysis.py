@@ -30,6 +30,11 @@ and updates the summed coefficient table only where a digit changed;
 over GF(2) the table is a list of packed column masks, tested by the XOR
 basis of ``linalg``, so support length 6 (2^13 alphas) takes about 0.06 s
 and length 7 (2^18 alphas, 2^33 candidates) about 1.3 s on a 2-core host.
+Over GF(p > 2) and the rationals the dense table keeps only the rows
+whose stacked coefficients (every left word's, and the target's) form a
+basis, which decides every alpha alike, and over GF(p > 2) one alpha per
+orbit of nonzero scalars is solved: GF(3) at length 3 takes about 3 ms
+(10 ms before both) and at length 4 about 40 ms (190 ms before).
 """
 
 from __future__ import annotations
@@ -48,7 +53,7 @@ from functools import lru_cache, partial
 
 from .elements import Algebra, AlgebraElement, linear_combination
 from .fields import GF2, QQ
-from .linalg import gf2_basis, gf2_reduce, solve
+from .linalg import gf2_basis, gf2_reduce, row_reduce, solve
 from .rewriting import (
     IDENTITY_WORD,
     ReductionOutcome,
@@ -438,6 +443,18 @@ def _vector_from_index(index: int, pool, length: int) -> tuple:
     return tuple(reversed(digits))
 
 
+def _row_basis(tables, target, width: int, field) -> list[int]:
+    """The rows, picked greedily from the first, whose stacked coefficients
+    (T_1[r] | ... | T_m[r] | target[r]) span every row's.  Row r of M(alpha) beta = target is its
+    stacked row mapped linearly by alpha, so every other row is a fixed
+    combination of kept ones and the kept rows decide every alpha."""
+    stacked = [[field.zero] * len(target) for _ in range(len(tables) * width)]
+    for i, table in enumerate(tables):
+        for r, j, c in table:
+            stacked[i * width + j][r] = c
+    return row_reduce(stacked + [target], field)[1]
+
+
 def _scan_alpha_range(n: int, field, lefts, rights, start: int,
                       stop: int) -> int | None:
     """Scan alpha-coefficient vectors with indices in [start, stop); return
@@ -452,9 +469,11 @@ def _scan_alpha_range(n: int, field, lefts, rights, start: int,
     significant digit), and each step adds to the summed table only
     delta * table for the digits that changed.  Over GF(2) each column is
     kept as a bit mask over the rows, a step XORs masks, and consistency
-    comes from the packed kernel of ``linalg``; other fields keep a dense
-    table and call ``solve``.  Only an alpha whose system is consistent has
-    its betas walked in index order, which finds the first hit; over the
+    comes from the packed kernel of ``linalg``.  Other fields keep a dense
+    table of the ``_row_basis`` rows alone (9 of 26 at GF(3) L=3 n=3) and
+    call ``solve`` on it, over GF(p > 2) once per orbit of nonzero scalars
+    (see ``consistent``).  Only an alpha whose system is consistent has its
+    betas walked in index order, which finds the first hit; over the
     rationals the solution may miss the coefficient grid, and the walk then
     comes up empty.
     """
@@ -468,6 +487,7 @@ def _scan_alpha_range(n: int, field, lefts, rights, start: int,
     products = [[a_unit * b_unit for b_unit in beta_units]
                 for a_unit in alpha_units]
     zero = field.zero
+    pool, exhaustive = field.coefficient_pool()
     # rows are the support words, numbered by first appearance
     row_of: dict[Word, int] = {}
     for element in itertools.chain([left_frame], *products):
@@ -493,7 +513,12 @@ def _scan_alpha_range(n: int, field, lefts, rights, start: int,
         def consistent():
             return gf2_reduce(gf2_basis(columns), target_mask) == 0
     else:
-        system = [[zero] * len(rights) for _ in row_of]
+        kept = {r: s for s, r in enumerate(
+            _row_basis(tables, target, len(rights), field))}
+        tables = [[(kept[r], j, c) for r, j, c in table if r in kept]
+                  for table in tables]
+        target = [target[r] for r in kept]
+        system = [[zero] * len(rights) for _ in kept]
 
         def add(i, delta):
             for r, j, c in tables[i]:
@@ -501,13 +526,24 @@ def _scan_alpha_range(n: int, field, lefts, rights, start: int,
                 row[j] = field.add(row[j], field.mul(delta, c))
 
         def consistent():
+            # over GF(p) the pool is range(p), so a digit is its value, and
+            # M(c alpha) = c M(alpha): alpha is consistent exactly when its
+            # scalar orbit's representative (leading digit 1, a smaller
+            # index) is.  A consistent alpha ends the scan with a hit, so a
+            # representative already scanned in this block was not; digit
+            # lists compare as their indices do.
+            lead = next(filter(None, digits), 1)
+            if exhaustive and lead > 1:
+                scale = field.inv(lead)
+                if [field.mul(scale, digit) for digit in digits] >= first:
+                    return False
             return solve(system, target, field) is not None
-    pool, _ = field.coefficient_pool()
     top = len(pool) - 1
     rise = [None] + [field.sub(pool[d], pool[d - 1]) for d in range(1, len(pool))]
     wrap = field.sub(pool[0], pool[top])
     beta_count = len(pool) ** len(rights)
     digits = list(_vector_from_index(start, range(len(pool)), len(lefts)))
+    first = digits[:]
     for i, digit in enumerate(digits):
         if pool[digit] != zero:
             add(i, pool[digit])

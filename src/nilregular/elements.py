@@ -326,6 +326,7 @@ def parse_element(text: str, algebra: Algebra) -> AlgebraElement:
                     raise WordSyntaxError("coefficient has too many digits",
                                           match.start(group))
             pos = match.end()
+            skip_ws()
         word_start = pos
         while pos < size and text[pos] not in "+-":
             pos += 1
@@ -335,8 +336,8 @@ def parse_element(text: str, algebra: Algebra) -> AlgebraElement:
         try:
             word = parse_word(word_text) if word_text else IDENTITY_WORD
         except WordSyntaxError as error:
-            raise WordSyntaxError(
-                "bad word in term", word_start + error.position) from None
+            raise WordSyntaxError(f"bad word in term: {error.reason}",
+                                  word_start + error.position) from None
         try:
             coefficient = (field.coerce(coefficient_text)
                            if coefficient_text is not None else field.one)

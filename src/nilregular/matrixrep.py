@@ -26,8 +26,9 @@ from dataclasses import dataclass
 
 from .elements import Algebra, AlgebraElement, linear_combination, parse_element
 from .fields import GF2, QQ
-from .linalg import rank, solve
-from .rewriting import IDENTITY_WORD, Word, ab_system, parse_word, xq_system
+from .linalg import gf2_basis, rank, solve
+from .rewriting import (
+    IDENTITY_WORD, Word, _check_alphabet, ab_system, parse_word, xq_system)
 from .reports import VerificationReport, checklist_report, finish_report
 
 
@@ -191,6 +192,7 @@ class MatrixModel:
 
     def word_image(self, word) -> MatrixElement:
         word = word if isinstance(word, Word) else parse_word(word)
+        _check_alphabet(word, self.source.system)
         image, longer = self._prefixes
         for letter in word:
             if letter not in longer:
@@ -307,6 +309,13 @@ def _rank(vectors: list[list[AlgebraElement]], field) -> int:
     """Rank of vectors, each the concatenation of the coefficient vectors
     of a list of elements (one slot per element, one column per word)."""
     columns: dict[tuple[int, Word], int] = {}
+    if field == GF2:
+        # every nonzero GF(2) coefficient is 1: pack each support as an int
+        return len(gf2_basis(
+            sum(1 << columns.setdefault((slot, word), len(columns))
+                for slot, element in enumerate(elements)
+                for word in element.terms())
+            for elements in vectors))
     for elements in vectors:
         for slot, element in enumerate(elements):
             for word in element.support():

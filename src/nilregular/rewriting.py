@@ -49,6 +49,7 @@ class WordSyntaxError(ValueError):
 
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} (at position {position})")
+        self.reason = message
         self.position = position
 
 

@@ -17,6 +17,7 @@ from nilregular.analysis import (
     tau_form_of, type_i_word, type_ii_word)
 from nilregular.elements import Algebra, linear_combination
 from nilregular.fields import GF2, GF3, QQ, PrimeField
+from nilregular.linalg import solve
 from nilregular.rewriting import Word, parse_word, reduce, xq_system
 
 S = xq_system(3)
@@ -373,9 +374,8 @@ def test_unit_regular_search_exhausts_gf2_at_length_7():
     assert report.parameters["analytic_candidate_count"] == 2 ** 33
 
 
-def _brute_force_scan(n, field, lefts, rights, start, stop):
-    """The oracle: multiply out every beta of every alpha in [start, stop)
-    and return the global index of the first product equal to 1 - xq."""
+def _frame_products(n, field, lefts, rights):
+    """The algebra, 1 - xq, and every (1-xq) w (1-qx) * (1-qx) y (1-xq)."""
     algebra = Algebra(xq_system(n), field)
     x = algebra.gen("x")
     q = algebra.gen("q")
@@ -383,8 +383,14 @@ def _brute_force_scan(n, field, lefts, rights, start, stop):
     right_frame = algebra.one - q * x
     alpha_units = [left_frame * algebra.word(w) * right_frame for w in lefts]
     beta_units = [right_frame * algebra.word(y) * left_frame for y in rights]
-    products = [[a_unit * b_unit for b_unit in beta_units]
-                for a_unit in alpha_units]
+    return algebra, left_frame, [[a_unit * b_unit for b_unit in beta_units]
+                                 for a_unit in alpha_units]
+
+
+def _brute_force_scan(n, field, lefts, rights, start, stop):
+    """The oracle: multiply out every beta of every alpha in [start, stop)
+    and return the global index of the first product equal to 1 - xq."""
+    algebra, left_frame, products = _frame_products(n, field, lefts, rights)
     pool, _ = field.coefficient_pool()
     beta_count = len(pool) ** len(rights)
     for alpha_index in range(start, stop):
@@ -497,12 +503,16 @@ def test_n2_gf2_hit_in_a_later_block_matches_the_brute_force_scan(
 # n = 2 ranges whose first alpha sits anywhere on the counter, including
 # just before a carry through several digits and right after a hit: GF(3)
 # L=4 hits at alphas 108, 135, 189 and 216 (of 3^5), the rational grid at
-# L=4 at 750, 875, 1375 and 1500 (of 5^5)
+# L=4 at 750, 875, 1375 and 1500 (of 5^5).  GF(5) L=4 hits at 750 = (1, 1,
+# 0, 0, 0) in base 5, 875, ..., 1750 = 2 * 875, 2000 = 3 * 875 and 2250 =
+# 3 * 750; a range from 1740, 1990 or 2240 starts after the hit's scalar
+# orbit representative, so the scan must solve the hit itself.
 COUNTER_RANGES = (
     [(GF3, 4, start, start + 30)
      for start in (0, 80, 107, 108, 109, 134, 160, 188, 213)]
     + [(GF3, 4, 217, 243)]
-    + [(QQ, 4, start, start + 8) for start in (742, 749, 751, 874, 1370, 1499)])
+    + [(QQ, 4, start, start + 8) for start in (742, 749, 751, 874, 1370, 1499)]
+    + [(GF5, 4, start, start + 12) for start in (0, 745, 1740, 1990, 2240)])
 
 
 @pytest.mark.parametrize(
@@ -515,6 +525,92 @@ def test_scan_from_any_counter_position_matches_the_brute_force_scan(
     rights = right_shape_words(max_word_len, system)
     args = (2, field, lefts, rights, start, stop)
     assert analysis._scan_alpha_range(*args) == _brute_force_scan(*args)
+
+
+@pytest.mark.parametrize("workers", (3, 13))
+def test_gf5_witness_is_the_same_across_worker_counts(in_process_pool, workers):
+    # 5^5 alphas in 3 or 4 blocks, the later ones starting mid-orbit; the
+    # first hit, alpha 750 with beta 31 of 5^3, lies in the first block
+    single = search_unit_regular_witness(max_word_len=4, field=GF5, n=2)
+    report = search_unit_regular_witness(max_word_len=4, field=GF5, n=2,
+                                         workers=workers)
+    assert in_process_pool == [min(workers, 4)]
+    assert single.candidates_examined == 750 * 5 ** 3 + 32
+    assert _without_timing(report) == _without_timing(single)
+
+
+# (field, max_word_len, start, stop, solves) at n = 3.  Over GF(p) one
+# alpha per orbit of nonzero scalars is solved, the zero alpha included:
+# 1 + 26 / 2 of the 3^3 alphas at GF(3) and 1 + 24 / 4 of the 5^2 at GF(5).
+# From 14 = (1, 1, 2) in base 3, 21, 22, 23 and 25 have representatives
+# 15, 17, 16 and 14 in the block and are skipped, 18, 19, 20, 24 and 26
+# have theirs before it and are solved.  The rational grid is not closed
+# under scalars, so all 5^2 of its alphas are solved.
+SOLVE_COUNTS = ((GF3, 2, 0, 27, 14), (GF3, 2, 14, 27, 9), (GF5, 1, 0, 25, 7),
+                (QQ, 1, 0, 25, 25))
+
+
+@pytest.mark.parametrize(
+    "field,max_word_len,start,stop,solves", SOLVE_COUNTS,
+    ids=[f"{f.name}-L{length}-{start}" for f, length, start, _, _ in SOLVE_COUNTS])
+def test_dense_scan_solves_once_per_scalar_orbit(
+        monkeypatch, field, max_word_len, start, stop, solves):
+    calls = []
+
+    def counting_solve(rows, rhs, field):
+        calls.append(len(rows))
+        return solve(rows, rhs, field)
+
+    monkeypatch.setattr(analysis, "solve", counting_solve)
+    lefts = left_shape_words(max_word_len, S)
+    rights = right_shape_words(max_word_len, S)
+    assert analysis._scan_alpha_range(3, field, lefts, rights, start, stop) is None
+    assert len(calls) == solves
+
+
+def _support_tables(n, field, lefts, rights):
+    """Each left word's table as the scan builds it, (row, column, value)
+    over the support words, and the target 1 - xq over the same rows."""
+    _, left_frame, products = _frame_products(n, field, lefts, rights)
+    row_of = {}
+    for element in itertools.chain([left_frame], *products):
+        for word in element.terms():
+            row_of.setdefault(word, len(row_of))
+    tables = [[(row_of[word], j, coefficient)
+               for j, product in enumerate(row_products)
+               for word, coefficient in product.terms().items()]
+              for row_products in products]
+    return tables, [left_frame.coeff(word) for word in row_of]
+
+
+# (field, max_word_len, n, whether some alpha is consistent)
+ROW_BASIS_CASES = ((GF3, 4, 2, True), (GF3, 3, 3, False), (QQ, 2, 2, False))
+
+
+@pytest.mark.parametrize(
+    "field,max_word_len,n,some_consistent", ROW_BASIS_CASES,
+    ids=[f"{f.name}-L{length}-n{n}" for f, length, n, _ in ROW_BASIS_CASES])
+def test_row_basis_keeps_every_alphas_verdict(field, max_word_len, n,
+                                              some_consistent):
+    system = xq_system(n)
+    lefts = left_shape_words(max_word_len, system)
+    rights = right_shape_words(max_word_len, system)
+    tables, target = _support_tables(n, field, lefts, rights)
+    kept = analysis._row_basis(tables, target, len(rights), field)
+    assert kept == sorted(kept) and len(kept) < len(target)
+    pool, _ = field.coefficient_pool()
+    verdicts = set()
+    for alpha in itertools.product(pool, repeat=len(lefts)):
+        matrix = [[field.zero] * len(rights) for _ in target]
+        for scalar, table in zip(alpha, tables):
+            for r, j, c in table:
+                matrix[r][j] = field.add(matrix[r][j], field.mul(scalar, c))
+        full = solve(matrix, target, field) is not None
+        on_kept = solve([matrix[r] for r in kept], [target[r] for r in kept],
+                        field) is not None
+        assert on_kept == full, alpha
+        verdicts.add(full)
+    assert (True in verdicts) == some_consistent
 
 
 def test_regularity_and_separativity_identities():

@@ -147,6 +147,19 @@ def test_overlong_digit_strings_are_usage(capsys, literal, position):
     assert f"(at position {position})" in line
 
 
+@pytest.mark.parametrize("literal, reason, position", [
+    ("q^99999999", "exponent too large", 0),
+    ("q^1000000 q^1000000", "word too long", 10),
+    ("x + 2 x y", "unexpected character", 8),
+], ids=["exponent", "length", "letter"])
+def test_word_errors_keep_their_reason(capsys, literal, reason, position):
+    code, out, err = run_cli(capsys, "reduce", literal)
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == [
+        f"error: bad word in term: {reason} (at position {position})"]
+
+
 @pytest.mark.parametrize("check", ["types-lemma", "tau-forms", "tau-unique",
                                    "separativity", "determinant"])
 def test_checks_fixed_at_n3_refuse_other_n(capsys, check):

@@ -70,6 +70,9 @@ def test_parse_element_errors_carry_positions():
         parse_element("2 +", ALG)
     exc = pytest.raises(WordSyntaxError, parse_element, "q + z", ALG)
     assert exc.value.position == 4
+    # the offset counts the blanks between a coefficient and its word
+    exc = pytest.raises(WordSyntaxError, parse_element, "2   x z", ALG)
+    assert exc.value.position == 6
     # a coefficient the field cannot invert is refused at its offset
     exc = pytest.raises(WordSyntaxError, parse_element, "1/0 x", ALG)
     assert exc.value.position == 0

@@ -45,6 +45,13 @@ def test_phi_rejects_foreign_elements():
         MODEL.phi(R.gen("a"))
 
 
+@pytest.mark.parametrize("word", [Word("ab"), "a b", "x a"], ids=repr)
+def test_phi_refuses_letters_outside_the_xq_alphabet(word):
+    # a and b are R's generators, not S's: they have no image under phi
+    with pytest.raises(ValueError, match="does not belong to presentation S"):
+        MODEL.phi(word)
+
+
 def test_matrix_parse_round_trip():
     text = "[[a b, a - a b a], [b, 1 - b a]]"
     matrix = parse_matrix(text, R)
