@@ -149,5 +149,9 @@ def field_from_name(name: str):
         return QQ
     match = _GF_NAME.match(name)
     if match:
-        return PrimeField(int(match.group(1)))
+        digits = match.group(1)
+        # 2^31 has 10 digits; int() refuses past 4,300 in its own words
+        if len(digits) > 10:
+            raise ValueError(f"a {len(digits)}-digit order is not below the prime-field cap 2^31")
+        return PrimeField(int(digits))
     raise ValueError(f"unknown field {name!r}")

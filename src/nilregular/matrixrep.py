@@ -369,7 +369,7 @@ def pi_eval(element: AlgebraElement):
     matrices (defined for the m = 2 relation a^2 = 0, which e21 satisfies).
     """
     system = element.algebra.system
-    if system.letters != ("a", "b") or system.nilpotency_degree != 2:
+    if system.letters != "ab" or system.nilpotency_degree != 2:
         raise ValueError("pi is defined on the a,b algebra with a^2 = 0")
     field = element.algebra.field
     zero, one = field.zero, field.one

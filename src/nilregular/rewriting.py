@@ -15,8 +15,10 @@ rewriting terminates, and all critical pairs resolve (see
 form a linear basis.  The normal form is therefore reached by any
 strategy, and :func:`reduce` uses a stack: letters move one at a time onto
 an output that is always irreducible, so a new redex can only be a suffix
-of it, and each pushed letter costs at most one suffix test per rule.
-Reduction is linear in the length of the word.
+of it.  A parallel stack holds the length of the run each output letter
+ends, so x^n = 0 or a^m = 0 costs one comparison at any degree, and xqx
+and qxq a three-letter suffix slice: reduction is linear in the length
+of the word at every nilpotency degree.
 
 A :class:`Word` is the string of its letters, so hashing, equality and
 slicing are ``str``'s own, and a word equals its plain letter string.
@@ -165,20 +167,18 @@ def parse_word(text: str) -> Word:
 class Rule:
     """One rewrite rule; ``rhs`` of None sends the word to zero."""
 
-    lhs: tuple[str, ...]
-    rhs: tuple[str, ...] | None
+    lhs: str
+    rhs: str | None
 
     def __str__(self) -> str:
-        left = "".join(self.lhs)
-        right = "".join(self.rhs) if self.rhs else "0"
-        return f"{left} -> {right}"
+        return f"{self.lhs} -> {self.rhs or 0}"
 
 
 @dataclass(frozen=True, eq=False)
 class RewriteSystem:
     """A fixed alphabet with length-reducing rules.
 
-    ``letters`` lists the alphabet in increasing precedence.  The
+    ``letters`` spells the alphabet in increasing precedence.  The
     ``interior_min_exponent`` records the closed form of the irreducible
     words: no interior block may have a smaller exponent (2 for the xq
     family, where interior x or q alone would sit inside xqx or qxq; 1,
@@ -190,7 +190,7 @@ class RewriteSystem:
     """
 
     label: str
-    letters: tuple[str, str]
+    letters: str
     nilpotent_letter: str
     nilpotency_degree: int
     rules: tuple[Rule, ...]
@@ -208,13 +208,13 @@ def xq_system(n: int = 3) -> RewriteSystem:
         raise ValueError("nilpotency degree must be at least 2")
     return RewriteSystem(
         label="S",
-        letters=("x", "q"),
+        letters="xq",
         nilpotent_letter="x",
         nilpotency_degree=n,
         rules=(
-            Rule(("x",) * n, None),
-            Rule(("x", "q", "x"), ("x",)),
-            Rule(("q", "x", "q"), ("q",)),
+            Rule("x" * n, None),
+            Rule("xqx", "x"),
+            Rule("qxq", "q"),
         ),
         interior_min_exponent=2,
     )
@@ -231,10 +231,10 @@ def ab_system(m: int = 2) -> RewriteSystem:
         raise ValueError("nilpotency degree must be at least 1")
     return RewriteSystem(
         label="R",
-        letters=("a", "b"),
+        letters="ab",
         nilpotent_letter="a",
         nilpotency_degree=m,
-        rules=(Rule(("a",) * m, None),),
+        rules=(Rule("a" * m, None),),
         interior_min_exponent=1,
     )
 
@@ -268,62 +268,64 @@ class ReductionOutcome:
 
 
 def _check_alphabet(word: Word, system: RewriteSystem) -> None:
-    stray = word.strip("".join(system.letters))
+    stray = word.strip(system.letters)
     if stray:
         raise ValueError(
             f"letter {stray[0]!r} does not belong to presentation {system.label}")
 
 
-def _redexes(letters: list[str], rules) -> list[tuple[int, Rule]]:
-    found = []
-    for start in range(len(letters)):
-        for rule in rules:
-            end = start + len(rule.lhs)
-            if end <= len(letters) and tuple(letters[start:end]) == rule.lhs:
-                found.append((start, rule))
-    return found
-
-
 @lru_cache(maxsize=None)
 def _rules_by_last_letter(system: RewriteSystem) -> dict[str, tuple]:
     """(length, lhs as a list, rhs reversed for pushing) of each rule,
-    grouped by the last letter of its left-hand side."""
+    grouped by the last letter of its left-hand side; a power rule's lhs is
+    None, since the length of the output's trailing run decides it."""
     table: dict[str, list] = {letter: [] for letter in system.letters}
     for rule in system.rules:
+        lhs = list(rule.lhs) if rule.lhs.strip(rule.lhs[-1]) else None
         rhs = None if rule.rhs is None else rule.rhs[::-1]
-        table[rule.lhs[-1]].append((len(rule.lhs), list(rule.lhs), rhs))
+        table[rule.lhs[-1]].append((len(rule.lhs), lhs, rhs))
     return {letter: tuple(rules) for letter, rules in table.items()}
 
 
-def _stack_reduce(output: list[str], pending: list[str], system: RewriteSystem,
-                  unchanged: Word) -> ReductionOutcome:
-    """Move the letters of ``pending``, a stack whose top is the next
-    letter, onto ``output``, which must be irreducible; ``unchanged`` is
-    the word output + pending, returned as is if no rule applies.
+def _stack_reduce(word: Word, system: RewriteSystem) -> ReductionOutcome:
+    """Push the letters of ``word`` one at a time onto an output that
+    stays irreducible; ``word`` itself is returned if no rule applies.
 
-    After each push, only a suffix of ``output`` can be a redex, and at
+    After each push, only a suffix of the output can be a redex, and at
     most one rule matches there since no left-hand side contains another.
-    A match is deleted and its right-hand side goes back onto ``pending``.
-    Every step shortens the word, so there are at most len(word) steps,
-    and the pushes are the word's letters plus the re-pushed right-hand
-    sides.  The redex found is always the leftmost one of output +
-    pending, so the steps are those of leftmost rewriting.
+    A match is deleted and its right-hand side goes back onto the pending
+    letters.  Every step shortens the word, so there are at most len(word)
+    steps, and the pushes are the word's letters plus the re-pushed
+    right-hand sides.  The redex found is always the leftmost one of
+    output + pending, so the steps are those of leftmost rewriting.
     """
     rules = _rules_by_last_letter(system)
+    # runs[i] is the length of the run of output[i]'s letter ending at i,
+    # and run, last mirror the tops of both stacks; the sentinel "" at the
+    # bottom keeps them nonempty
+    output = [""]
+    runs = [0]
+    run, last = 0, ""
+    pending = list(word[::-1])
     steps = 0
     while pending:
         letter = pending.pop()
+        run = run + 1 if letter == last else 1
+        last = letter
         output.append(letter)
+        runs.append(run)
         for size, lhs, rhs in rules[letter]:
-            if output[-size:] == lhs:
+            if run >= size if lhs is None else output[-size:] == lhs:
                 del output[-size:]
+                del runs[-size:]
+                run, last = runs[-1], output[-1]
                 steps += 1
                 if rhs is None:
                     return ReductionOutcome(None, steps)
                 pending.extend(rhs)
                 break
     if not steps:
-        return ReductionOutcome(unchanged, 0)
+        return ReductionOutcome(word, 0)
     return ReductionOutcome(_word(Word, "".join(output)), steps)
 
 
@@ -337,33 +339,33 @@ def reduce(word: Word, system: RewriteSystem, rng: random.Random | None = None) 
     """
     _check_alphabet(word, system)
     if rng is None:
-        return _stack_reduce([], list(word[::-1]), system, word)
-    letters = list(word)
+        return _stack_reduce(word, system)
+    # a plain str: _word of a Word would copy its rendered text
+    text = word[:]
     steps = 0
     while True:
-        found = _redexes(letters, system.rules)
+        found = [(start, rule) for start in range(len(text))
+                 for rule in system.rules if text.startswith(rule.lhs, start)]
         if not found:
-            return ReductionOutcome(_word(Word, "".join(letters)), steps)
+            return ReductionOutcome(_word(Word, text), steps)
         start, rule = found[rng.randrange(len(found))]
         steps += 1
         if rule.rhs is None:
             return ReductionOutcome(None, steps)
-        letters[start : start + len(rule.lhs)] = rule.rhs
+        text = text[:start] + rule.rhs + text[start + len(rule.lhs):]
 
 
 @lru_cache(maxsize=None)
 def concat_reduce(u: Word, v: Word, system: RewriteSystem) -> ReductionOutcome:
     """Normal form of the product of two words already in normal form.
 
-    The letters of ``v`` go onto the stack reducer's output ``u``, which is
-    irreducible and so never rescanned.  For the xq family a nonzero
-    product needs at most one rule application, always at the seam (it
-    deletes the last letter of ``u`` and the first letter of ``v``);
-    products that die may take more steps.
+    For the xq family a nonzero product needs at most one rule
+    application, always at the seam (it deletes the last letter of ``u``
+    and the first letter of ``v``); products that die may take more steps.
     """
     joined = concat(u, v)
     _check_alphabet(joined, system)
-    outcome = _stack_reduce(list(u), list(v[::-1]), system, joined)
+    outcome = _stack_reduce(joined, system)
     if system.label == "S" and not outcome.is_zero and outcome.steps > 1:
         raise RuntimeError(f"interface reduction not unique for {u} * {v}")
     return outcome
@@ -374,7 +376,7 @@ def is_basis_word(word: Word, system: RewriteSystem) -> bool:
     the word.  :func:`enumerate_basis` uses a closed form instead; the
     test-suite checks the two against each other."""
     _check_alphabet(word, system)
-    return not any("".join(rule.lhs) in word for rule in system.rules)
+    return not any(rule.lhs in word for rule in system.rules)
 
 
 def canonical_words(max_len: int, system: RewriteSystem) -> list[Word]:
@@ -438,12 +440,12 @@ class CriticalPair:
         return self.left.result == self.right.result
 
 
-def _apply_then_reduce(letters: tuple[str, ...], start: int, rule: Rule,
+def _apply_then_reduce(overlap: str, start: int, rule: Rule,
                        system: RewriteSystem) -> ReductionOutcome:
     if rule.rhs is None:
         return ReductionOutcome(None, 1)
-    rest = letters[:start] + rule.rhs + letters[start + len(rule.lhs):]
-    outcome = reduce(Word.from_letters(rest), system)
+    rest = overlap[:start] + rule.rhs + overlap[start + len(rule.lhs):]
+    outcome = reduce(_word(Word, rest), system)
     return ReductionOutcome(outcome.result, outcome.steps + 1)
 
 
@@ -463,7 +465,7 @@ def critical_pairs(system: RewriteSystem) -> list[CriticalPair]:
                 overlap = first.lhs + second.lhs[k:]
                 left = _apply_then_reduce(overlap, 0, first, system)
                 right = _apply_then_reduce(overlap, len(first.lhs) - k, second, system)
-                pairs.append(CriticalPair(Word.from_letters(overlap), left, right))
+                pairs.append(CriticalPair(_word(Word, overlap), left, right))
     return pairs
 
 

@@ -8,7 +8,7 @@ import pytest
 
 from nilregular import analysis
 from nilregular.analysis import (
-    COccurrence, _iter_families, _match_form1, _match_form2, _match_form3,
+    COccurrence, TauForm, _iter_families, _match_form1, _match_form2, _match_form3,
     _pair_contributions, _tau_witness, build_c_set, check_primeness_bounded,
     check_regularity_identities, check_separativity_identities,
     check_tau_forms_families, check_tau_uniqueness_families, check_types_lemma,
@@ -18,7 +18,8 @@ from nilregular.analysis import (
 from nilregular.elements import Algebra, linear_combination
 from nilregular.fields import GF2, GF3, QQ, PrimeField
 from nilregular.linalg import solve
-from nilregular.rewriting import Word, parse_word, reduce, xq_system
+from nilregular.rewriting import (
+    Word, canonical_words, enumerate_basis, parse_word, reduce, xq_system)
 
 S = xq_system(3)
 
@@ -85,6 +86,41 @@ def test_find_tau_and_form_parse():
     assert tau_form_of(parse_word("q x^2 q")) is None
     with pytest.raises(ValueError):
         find_tau(build_c_set([], [], S))
+
+
+def _blocks_tau_form_of(word):
+    """The block-walking parser that the regular expression replaced."""
+    blocks = word.blocks
+    if not blocks or blocks[0][0] != "q" or blocks[-1][0] != "x":
+        return None
+    q_exponents = tuple(e for letter, e in blocks if letter == "q")
+    x_exponents = tuple(e for letter, e in blocks if letter == "x")
+    if any(e != 2 for e in x_exponents[:-1]):
+        return None
+    if x_exponents[-1] not in (1, 2):
+        return None
+    if any(e < 2 for e in q_exponents[1:]):
+        return None
+    return TauForm(q_exponents, x_exponents[-1])
+
+
+def test_tau_form_matches_the_block_parser():
+    words_seen = parsed = 0
+    for word in canonical_words(12, S):
+        form = tau_form_of(word)
+        assert form == _blocks_tau_form_of(word), word
+        words_seen += 1
+        parsed += form is not None
+    assert (words_seen, parsed) == (2**13 - 1, 84)
+
+
+def test_every_basis_word_from_q_to_x_has_the_tau_form():
+    # so find_tau's off-form error can only fire on a non-basis word
+    ends = [w for w in enumerate_basis(14, S)
+            if w.startswith("q") and w.endswith("x")]
+    assert len(ends) == 162
+    assert all(tau_form_of(w) is not None for w in ends)
+    assert tau_form_of("q x q^2 x") is None
 
 
 def test_form1_occurrence():

@@ -66,6 +66,12 @@ def test_field_identity_and_lookup():
         field_from_name("gf6")
     with pytest.raises(ValueError):
         field_from_name("complex")
+    assert field_from_name("gf2147483647").p == 2**31 - 1
+    # an order past 10 digits is refused before int() sees its digits
+    for digits in ("1" * 11, "7" * 5000):
+        with pytest.raises(ValueError, match=f"a {len(digits)}-digit order "
+                           "is not below the prime-field cap"):
+            field_from_name("gf" + digits)
 
 
 def test_names():

@@ -6,6 +6,7 @@ import gc
 import itertools
 import pickle
 import random
+import time
 
 import pytest
 
@@ -20,13 +21,14 @@ from nilregular.rewriting import (
 
 S = xq_system(3)
 R = ab_system(2)
-FAMILIES = [xq_system(n) for n in range(2, 6)] + [ab_system(m) for m in range(1, 4)]
+FAMILIES = ([xq_system(n) for n in (2, 3, 4, 5, 7)]
+            + [ab_system(m) for m in (1, 2, 3, 6)])
 # x^3 = 0 and q^2 x = x: a right-hand side x can complete x^3 with letters
 # to its left (x^2 q^2 x), which never happens in the two families, so only
 # here does a re-pushed right-hand side have to be tested again
 PROBE = RewriteSystem(
-    label="T", letters=("x", "q"), nilpotent_letter="x", nilpotency_degree=3,
-    rules=(Rule(("x",) * 3, None), Rule(("q", "q", "x"), ("x",))),
+    label="T", letters="xq", nilpotent_letter="x", nilpotency_degree=3,
+    rules=(Rule("xxx", None), Rule("qqx", "x")),
     interior_min_exponent=1)
 
 
@@ -40,7 +42,7 @@ def _leftmost_reduce(word, system):
         for start in range(len(letters)):
             for rule in system.rules:
                 end = start + len(rule.lhs)
-                if end <= len(letters) and tuple(letters[start:end]) == rule.lhs:
+                if end <= len(letters) and "".join(letters[start:end]) == rule.lhs:
                     found.append((start, rule))
         if not found:
             return ReductionOutcome(Word.from_letters(letters), steps)
@@ -244,6 +246,34 @@ def test_long_words_reduce():
     assert outcome.steps == 20000
     letters[-8:-8] = ["x"] * 3
     assert reduce(Word.from_letters(letters), S).is_zero
+
+
+def test_reduction_is_linear_at_a_large_degree():
+    # a suffix slice per pushed x would cost up to n letters each, so
+    # minutes here; the run-length stack makes x^n = 0 one comparison
+    system = xq_system(10**6)
+    started = time.perf_counter()
+    outcome = reduce(Word("x" * 200000), system)
+    assert time.perf_counter() - started < 1.0
+    assert outcome == ReductionOutcome(Word("x" * 200000), 0)
+    system = xq_system(10**4)
+    irreducible = Word("x" * 9999 + "qq" + "xx")
+    assert reduce(irreducible, system) == ReductionOutcome(irreducible, 0)
+    # each xqx -> x cuts the output back into the x-run, and the run stack,
+    # cut with it, must count the re-pushed x as the 9,999th, not the first
+    assert reduce(Word("x" * 9999 + "qxqx"), system) \
+        == ReductionOutcome(Word("x" * 9999), 2)
+    assert reduce(Word("x" * 9999 + "qxx"), system) == ReductionOutcome(None, 2)
+
+
+def test_rules_and_presentations_print_as_strings():
+    assert str(Rule("xqx", "x")) == "xqx -> x"
+    assert str(Rule("aaa", None)) == "aaa -> 0"
+    assert str(xq_system(3)) == "S(xxx -> 0, xqx -> x, qxq -> q)"
+    assert str(xq_system(5)) == "S(xxxxx -> 0, xqx -> x, qxq -> q)"
+    assert str(ab_system(2)) == "R(aa -> 0)"
+    assert str(ab_system(1)) == "R(a -> 0)"
+    assert (xq_system(3).letters, ab_system(2).letters) == ("xq", "ab")
 
 
 def test_random_strategy_agrees_with_leftmost():
