@@ -5,8 +5,8 @@ obstructions that live on the free-algebra side.
 from nilregular.elements import Algebra
 from nilregular.fields import QQ
 from nilregular.matrixrep import (
-    MatrixModel, check_determinant_obstruction, det2, n2_variant_check,
-    parse_matrix, pi_eval, verify_phi_faithful)
+    MatrixElement, MatrixModel, check_determinant_obstruction, det2,
+    n2_variant_check, pi_eval, verify_phi_faithful)
 from nilregular.rewriting import ab_system, xq_system
 
 model = MatrixModel(3, QQ)
@@ -29,7 +29,8 @@ for text in ("q x^2", "q^2 x", "x q", "1 - q x"):
           f" | (1,2) factor: {cert.top_right_factor}"
           f" | (2,2) = {cert.constant_part} + ({cert.bottom_right_factor})(1 - ba)")
 
-outside = parse_matrix("[[0, 1], [0, 0]]", model.target)
+zero, one = model.target.zero, model.target.one
+outside = MatrixElement(model.target, ((zero, one), (zero, zero)))
 cert = model.membership(outside, degree_bound=6)
 print(f"{outside}: in image subalgebra: {cert.in_t}"
       f" (failed entries {cert.failed_entries})")

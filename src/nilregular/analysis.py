@@ -212,13 +212,21 @@ def find_tau(c_set: CSet) -> Word:
     """The lex-largest word of a nonempty C-set.  At n = 3 every basis word
     from q to x has the :class:`TauForm`, so the off-form error fires only
     on a hand-built C-set holding a non-basis word."""
+    return _tau_and_form(c_set)[0]
+
+
+def _tau_and_form(c_set: CSet) -> tuple[Word, TauForm | None]:
+    """``find_tau``'s word with the form it parsed (None unless n = 3)."""
     if c_set.is_empty:
         raise ValueError("the C-set is empty; there is no largest word")
     tau = max((occ.word for occ in c_set.occurrences),
               key=Word.lex_key)
-    if c_set.system.nilpotency_degree == 3 and tau_form_of(tau) is None:
+    if c_set.system.nilpotency_degree != 3:
+        return tau, None
+    form = tau_form_of(tau)
+    if form is None:
         raise RuntimeError(f"largest C-word {tau} off-form")
-    return tau
+    return tau, form
 
 
 @dataclass(frozen=True)
@@ -321,8 +329,7 @@ def classify_tau_occurrences(c_set: CSet) -> TauClassification:
     """
     if c_set.system.nilpotency_degree != 3:
         raise ValueError("the tau classification is specific to n = 3")
-    tau = find_tau(c_set)
-    form = tau_form_of(tau)
+    tau, form = _tau_and_form(c_set)
     occurrences: list[TauOccurrence] = []
     violations: list[dict] = []
     skipped: list[tuple[Word, Word]] = []
@@ -672,18 +679,18 @@ def check_separativity_identities(field=QQ) -> VerificationReport:
 
 
 def check_primeness_bounded(max_len: int = 6, n: int = 3, field=QQ,
-                            random_trials: int = 300,
                             seed: int = 0) -> VerificationReport:
     """No bounded nonzero element is killed on both sides by the
     generators: qz != 0 or xz != 0, and zq != 0 or zx != 0.
 
     Single-word supports are checked exhaustively, multi-word supports by
-    seeded random sampling.  Needs n >= 3: left-multiplying a word that
+    300 seeded random samples.  Needs n >= 3: left-multiplying a word that
     starts in x^(n-1) by q involves no reduction then.
     """
     if n < 3:
         raise ValueError("the bounded primeness check needs n >= 3")
     started = time.perf_counter()
+    random_trials = 300
     algebra = Algebra(xq_system(n), field)
     x = algebra.gen("x")
     q = algebra.gen("q")

@@ -11,6 +11,7 @@ check or presentation rejects).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass, fields
@@ -71,8 +72,11 @@ def _field_name(text: str) -> str:
     return text
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    # Flag groups, so that each subcommand accepts only flags it reads.
+    # Built once per process, on first use: building costs about as much as
+    # a whole short reduce.  Flag groups, so that each subcommand accepts
+    # only flags it reads.
     shape = argparse.ArgumentParser(add_help=False)
     shape.add_argument("--presentation", choices=("S", "R"), default="S",
                        help="which presentation to work in (default S)")
@@ -132,34 +136,32 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     return RunConfig(**settings, output="json" if args.json else "text")
 
 
-def cmd_reduce(expression: str, cfg: RunConfig, out=None) -> int:
+def cmd_reduce(expression: str, cfg: RunConfig) -> int:
     """Parse an element literal and print its normal form in canonical
     term order."""
-    out = out if out is not None else sys.stdout
     element = parse_element(expression, cfg.algebra())
     if cfg.output == "json":
         payload = {"input": expression, "normal_form": str(element),
                    "terms": element.to_json_dict()}
-        print(json.dumps(payload, indent=2, sort_keys=True), file=out)
+        print(json.dumps(payload, indent=2, sort_keys=True))
     else:
-        print(element, file=out)
+        print(element)
     return 0
 
 
-def cmd_basis(max_len: int, cfg: RunConfig, out=None) -> int:
+def cmd_basis(max_len: int, cfg: RunConfig) -> int:
     """List the basis words of length at most max_len, sorted, with a
     count line."""
-    out = out if out is not None else sys.stdout
     words = enumerate_basis(max_len, system_from_label(cfg.presentation, cfg.n))
     if cfg.output == "json":
         payload = {"presentation": cfg.presentation, "n": cfg.n,
                    "max_len": max_len, "count": len(words),
                    "words": [str(word) for word in words]}
-        print(json.dumps(payload, indent=2, sort_keys=True), file=out)
+        print(json.dumps(payload, indent=2, sort_keys=True))
     else:
         for word in words:
-            print(word, file=out)
-        print(f"{len(words)} words of length <= {max_len}", file=out)
+            print(word)
+        print(f"{len(words)} words of length <= {max_len}")
     return 0
 
 
@@ -205,13 +207,12 @@ def run_check(name: str, cfg: RunConfig) -> VerificationReport:
     return CHECKS[name](cfg)
 
 
-def cmd_verify(check: str, cfg: RunConfig, out=None) -> int:
-    out = out if out is not None else sys.stdout
+def cmd_verify(check: str, cfg: RunConfig) -> int:
     report = run_check(check, cfg)
     if cfg.output == "json":
-        print(report.to_json(), file=out)
+        print(report.to_json())
     else:
-        print(report.summary(), file=out)
+        print(report.summary())
     return 0 if report.passed else 1
 
 

@@ -1,19 +1,16 @@
 """Exact linear algebra over the package's coefficient fields.
 
-There is one rank/solve path per field kind.  Over GF(2) a vector is a
-Python int, one bit per coordinate, and rank and consistency come from
-inserting vectors into an XOR basis keyed by each member's highest set
-bit (``gf2_basis``, ``gf2_reduce``); ``rank`` and ``solve`` pack GF(2) rows
-into it, and callers that already hold packed vectors call it directly.
-Over GF(p) with p > 2 and over the rationals, ``row_reduce`` runs plain
-Gaussian elimination on lists of lists.  Everything is exact (field
-elements, no floating point), so rank and solvability answers are never
+``rank`` and ``solve`` run one Gaussian elimination, ``row_reduce`` on
+lists of lists, for every field, GF(2) included.  Callers that already
+hold GF(2) vectors packed into Python ints, one bit per coordinate (the
+GF(2) search scan and the faithfulness rank), skip it: they insert the
+vectors into an XOR basis keyed by each member's highest set bit
+(``gf2_basis``, ``gf2_reduce``).  Everything is exact (field elements, no
+floating point), so rank and solvability answers are never
 approximations.
 """
 
 from __future__ import annotations
-
-from .fields import GF2
 
 
 def gf2_reduce(basis: dict[int, int], vector: int) -> int:
@@ -47,11 +44,6 @@ def gf2_basis(vectors) -> dict[int, int]:
                 break
             vector ^= member
     return basis
-
-
-def _pack(row) -> int:
-    """A GF(2) row (entries 0 or 1) as an int: entry j is bit j."""
-    return sum(1 << j for j, value in enumerate(row) if value)
 
 
 def row_reduce(rows, field):
@@ -98,8 +90,6 @@ def row_reduce(rows, field):
 
 
 def rank(rows, field) -> int:
-    if field == GF2:
-        return len(gf2_basis(map(_pack, rows)))
     return len(row_reduce(rows, field)[1])
 
 
@@ -120,8 +110,6 @@ def solve(rows, rhs, field):
     if not rows:
         return []
     ncols = len(rows[0])
-    if field == GF2:
-        return _solve_gf2(rows, rhs, ncols)
     augmented = [list(row) + [value] for row, value in zip(rows, rhs)]
     echelon, pivots = row_reduce(augmented, field)
     if ncols in pivots:
@@ -130,19 +118,3 @@ def solve(rows, rhs, field):
     for r, col in enumerate(pivots):
         solution[col] = echelon[r][ncols]
     return solution
-
-
-def _solve_gf2(rows, rhs, ncols: int):
-    # variable j is bit j + 1 and the right-hand side is bit 0, below every
-    # variable, so a member keyed by bit length 1 is a row 0 = 1
-    basis = gf2_basis(_pack(row) << 1 | value for row, value in zip(rows, rhs))
-    if 1 in basis:
-        return None
-    # back substitution from the lowest pivot up: a member's other
-    # variable bits lie below its pivot and are already decided
-    solution = 0
-    for top in sorted(basis):
-        member = basis[top]
-        if (member ^ (member & solution).bit_count()) & 1:
-            solution |= 1 << (top - 1)
-    return [solution >> (j + 1) & 1 for j in range(ncols)]

@@ -24,7 +24,7 @@ import random
 import time
 from dataclasses import dataclass
 
-from .elements import Algebra, AlgebraElement, linear_combination, parse_element
+from .elements import Algebra, AlgebraElement, linear_combination
 from .fields import GF2, QQ
 from .linalg import gf2_basis, rank, solve
 from .rewriting import (
@@ -119,36 +119,6 @@ class MatrixElement:
 
     def __repr__(self) -> str:
         return f"MatrixElement({self})"
-
-
-def parse_matrix(text: str, algebra: Algebra) -> MatrixElement:
-    """Parse the literal format [[e11, e12], [e21, e22]] with entries in
-    the element grammar (which contains no brackets or commas)."""
-    stripped = text.strip()
-    if not (stripped.startswith("[") and stripped.endswith("]")):
-        raise ValueError("matrix literal must be wrapped in [...]")
-    inner = stripped[1:-1]
-    rows = []
-    depth = 0
-    row_start = None
-    for index, char in enumerate(inner):
-        if char == "[":
-            if depth == 0:
-                row_start = index + 1
-            depth += 1
-        elif char == "]":
-            depth -= 1
-            if depth == 0:
-                rows.append(inner[row_start:index])
-    if len(rows) != 2 or depth != 0:
-        raise ValueError("expected two bracketed rows")
-    entries = []
-    for row in rows:
-        cells = row.split(",")
-        if len(cells) != 2:
-            raise ValueError("expected two entries per row")
-        entries.append(tuple(parse_element(cell, algebra) for cell in cells))
-    return MatrixElement(algebra, tuple(entries))
 
 
 class DegreeBoundExceeded(ValueError):
@@ -404,12 +374,12 @@ def det2(matrix, field):
                      field.mul(matrix[0][1], matrix[1][0]))
 
 
-def check_determinant_obstruction(random_trials: int = 1000,
-                                  seed: int = 0) -> VerificationReport:
+def check_determinant_obstruction(seed: int = 0) -> VerificationReport:
     """1 - ba evaluates to the singular matrix [[0,0],[0,1]], so no
     C (1-ba) D can be the identity; confirmed exactly by the determinant
-    and by seeded random sandwiching over GF(2)."""
+    and by 1000 seeded random sandwiches over GF(2)."""
     started = time.perf_counter()
+    random_trials = 1000
     parameters = {"random_trials": random_trials, "seed": seed, "field": "gf2"}
     witness = None
     examined = 0

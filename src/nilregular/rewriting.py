@@ -470,12 +470,13 @@ def critical_pairs(system: RewriteSystem) -> list[CriticalPair]:
 
 
 def check_confluence(system: RewriteSystem, max_len: int = 8,
-                     orders_per_word: int = 5, seed: int = 0) -> VerificationReport:
+                     seed: int = 0) -> VerificationReport:
     """Resolve every critical pair, then rewrite every word of length
-    <= max_len under several randomized strategies and compare against the
+    <= max_len under five randomized strategies and compare against the
     stack reducer's result, which is the leftmost-first one (a witness
     reports it under ``leftmost``)."""
     started = time.perf_counter()
+    orders_per_word = 5
     parameters = {
         "presentation": system.label,
         "nilpotency_degree": system.nilpotency_degree,

@@ -133,7 +133,7 @@ def test_criterion_09_determinant_obstruction():
     image = pi_eval(algebra.parse("1 - b a"))
     ok = (image == ((QQ.zero, QQ.zero), (QQ.zero, QQ.one))
           and det2(image, QQ) == QQ.zero
-          and check_determinant_obstruction(random_trials=1000, seed=0).passed)
+          and check_determinant_obstruction(seed=0).passed)
     _conclude(9, "determinant obstruction", ok,
               time.perf_counter() - started, 1.0)
 

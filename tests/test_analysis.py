@@ -75,6 +75,18 @@ def test_qx_occurrences_across_a_family():
     assert sum(o.sign for o in c.occurrences_of("q x")) == 0
 
 
+@pytest.mark.parametrize("lefts, rights, message", [
+    (["x"], ["x"], "x is not a left-shape word"),
+    (["q x q"], ["x"], "q x q is not a left-shape word"),
+    (["q"], ["q x"], "q x is not a right-shape word"),
+    (["q", Word("q")], ["x"], "duplicate left word q"),
+    (["q"], ["a"], "letter 'a' does not belong to presentation S"),
+], ids=["left-x", "non-basis", "right-begins-in-q", "duplicate", "letter-a"])
+def test_build_c_set_rejects_bad_input(lefts, rights, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        build_c_set(lefts, rights, S)
+
+
 def test_find_tau_and_form_parse():
     c = build_c_set(["q"], ["x^2"], S)
     tau = find_tau(c)
@@ -657,7 +669,7 @@ def test_regularity_and_separativity_identities():
 
 
 def test_primeness_bounded():
-    report = check_primeness_bounded(max_len=4, random_trials=50)
+    report = check_primeness_bounded(max_len=4)
     assert report.passed
     with pytest.raises(ValueError):
         check_primeness_bounded(max_len=4, n=2)

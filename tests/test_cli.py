@@ -1,5 +1,6 @@
 """Command-line behavior: outputs, exit codes, JSON reports."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -94,6 +95,20 @@ def test_verify_json_report(capsys):
     assert payload["status"] == "pass"
     assert payload["parameters"]["seed"] == 0
     assert "witness" not in payload
+
+
+def test_main_calls_share_one_parser(capsys, monkeypatch):
+    parsers = []
+    parse_args = argparse.ArgumentParser.parse_args
+
+    def recording(parser, *args, **kwargs):
+        parsers.append(parser)
+        return parse_args(parser, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", recording)
+    assert run_cli(capsys, "reduce", "x q x")[:2] == (0, "x\n")
+    assert run_cli(capsys, "basis", "0")[0] == 0
+    assert len(parsers) == 2 and parsers[0] is parsers[1]
 
 
 def test_verify_unknown_check_is_usage(capsys):

@@ -5,7 +5,7 @@ import itertools
 import random
 
 from nilregular.fields import GF2, GF3
-from nilregular.linalg import rank, row_reduce, solve
+from nilregular.linalg import gf2_basis, gf2_reduce, rank, row_reduce, solve
 
 
 def _span(rows, p) -> set:
@@ -48,12 +48,22 @@ def test_packed_gf2_rank_and_solve_match_brute_force():
     _check_against_brute_force(GF2, random.Random(6))
 
 
+def _pack(entries) -> int:
+    """A GF(2) vector (entries 0 or 1) as an int: entry j is bit j."""
+    return sum(1 << j for j, value in enumerate(entries) if value)
+
+
 def _check_against_dense(rows, rhs):
-    """Packed rank and solve agree with dense elimination over GF(2)."""
-    assert rank(rows, GF2) == len(row_reduce(rows, GF2)[1])
+    """The packed kernel agrees with dense elimination over GF(2), used as
+    the search uses it: the XOR basis of the packed rows has the rank's
+    size, and the packed right-hand side reduces to 0 against the basis of
+    the packed columns exactly when the system is consistent."""
+    assert len(gf2_basis(map(_pack, rows))) == rank(rows, GF2)
     width = len(rows[0])
     augmented = [row + [value] for row, value in zip(rows, rhs)]
     consistent = width not in row_reduce(augmented, GF2)[1]
+    columns = gf2_basis(_pack(column) for column in zip(*rows))
+    assert (gf2_reduce(columns, _pack(rhs)) == 0) == consistent
     found = solve(rows, rhs, GF2)
     if not consistent:
         assert found is None

@@ -8,7 +8,7 @@ from nilregular.elements import Algebra
 from nilregular.fields import GF2, GF3, QQ
 from nilregular.matrixrep import (
     DegreeBoundExceeded, MatrixElement, MatrixModel, _rank,
-    check_determinant_obstruction, det2, n2_variant_check, parse_matrix, pi_eval,
+    check_determinant_obstruction, det2, n2_variant_check, pi_eval,
     verify_phi_faithful)
 from nilregular.rewriting import Word, ab_system, parse_word, xq_system
 
@@ -53,14 +53,7 @@ def test_phi_refuses_letters_outside_the_xq_alphabet(word):
 
 
 def test_matrix_parse_round_trip():
-    text = "[[a b, a - a b a], [b, 1 - b a]]"
-    matrix = parse_matrix(text, R)
-    assert str(matrix) == text
-    assert matrix == MODEL.phi("x q")
-    with pytest.raises(ValueError):
-        parse_matrix("[[a, b]]", R)
-    with pytest.raises(ValueError):
-        parse_matrix("[[a, b], [a]]", R)
+    assert str(MODEL.phi("x q")) == "[[a b, a - a b a], [b, 1 - b a]]"
 
 
 def test_membership_certificates():
@@ -78,7 +71,7 @@ def test_membership_certificates():
 
 
 def test_membership_rejects_an_outside_matrix():
-    outside = parse_matrix("[[0, 1], [0, 0]]", R)
+    outside = MatrixElement(R, ((R.zero, R.one), (R.zero, R.zero)))
     result = MODEL.membership(outside, degree_bound=6)
     assert not result.in_t
     assert result.failed_entries == ("(1,2)",)
@@ -228,9 +221,9 @@ def test_pi_goldens():
 
 
 def test_determinant_obstruction_report():
-    report = check_determinant_obstruction(random_trials=200, seed=1)
+    report = check_determinant_obstruction(seed=1)
     assert report.passed
-    assert report.candidates_examined == 202
+    assert report.candidates_examined == 1002
 
 
 def test_n2_variant():
