@@ -35,8 +35,8 @@ class Algebra:
         self.field = field
 
     def __eq__(self, other) -> bool:
-        return (isinstance(other, Algebra) and other.system == self.system
-                and other.field == self.field)
+        return other is self or (isinstance(other, Algebra) and other.system == self.system
+                                 and other.field == self.field)
 
     def __hash__(self) -> int:
         return hash((self.system, self.field))

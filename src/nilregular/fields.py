@@ -1,7 +1,8 @@
 """Exact coefficient fields: prime fields GF(p) and the rationals.
 
-Field elements are plain values (ints in range(p) for prime fields,
-fractions.Fraction for the rationals); the field objects only bundle the
+Field elements are plain values (ints in range(p) for prime fields; for
+the rationals, an int when the value is integral and a
+fractions.Fraction otherwise); the field objects only bundle the
 arithmetic, so elements stay cheap to hash and compare.
 """
 
@@ -86,42 +87,47 @@ class PrimeField:
         return f"PrimeField({self.p})"
 
 
+def _rational(value):
+    """An int for an integral value, else the Fraction itself."""
+    return value.numerator if value.denominator == 1 else value
+
+
 class RationalField:
-    """Exact rational arithmetic via fractions.Fraction."""
+    """Exact rational arithmetic: integral values are ints, all others
+    fractions.Fraction, so the common integer case skips Fraction."""
 
     __slots__ = ()
 
     name = "rational"
-    zero = Fraction(0)
-    one = Fraction(1)
+    zero = 0
+    one = 1
 
-    def coerce(self, value) -> Fraction:
+    def coerce(self, value):
         if isinstance(value, str):
             value = value.replace(" ", "")
-        return Fraction(value)
+        return _rational(Fraction(value))
 
     def add(self, a, b):
-        return a + b
+        return _rational(a + b)
 
     def sub(self, a, b):
-        return a - b
+        return _rational(a - b)
 
     def neg(self, a):
         return -a
 
     def mul(self, a, b):
-        return a * b
+        return _rational(a * b)
 
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("0 has no inverse")
-        return 1 / Fraction(a)
+        return _rational(Fraction(1, a))
 
-    def coefficient_pool(self) -> tuple[list[Fraction], bool]:
+    def coefficient_pool(self) -> tuple[list[int], bool]:
         """A small grid around 0; the rationals cannot be exhausted, so the
         flag is False and searches over this pool only report the grid."""
-        grid = [Fraction(0), Fraction(1), Fraction(-1), Fraction(2), Fraction(-2)]
-        return grid, False
+        return [0, 1, -1, 2, -2], False
 
     def to_str(self, a) -> str:
         return str(a)

@@ -48,6 +48,18 @@ def test_rational_field_is_exact():
         QQ.inv(QQ.zero)
 
 
+def test_rationals_keep_integral_values_as_ints():
+    half, third = QQ.coerce("1/2"), QQ.coerce(Fraction(1, 3))
+    cases = [(QQ.coerce("6/3"), 2), (QQ.coerce(" -4 / 2 "), -2), (QQ.coerce("0"), 0),
+             (QQ.coerce(Fraction(9, 3)), 3), (QQ.coerce(7), 7),
+             (QQ.add(half, half), 1), (QQ.sub(half, QQ.coerce("-1/2")), 1),
+             (QQ.mul(half, 4), 2), (QQ.mul(third, QQ.coerce("3/2")), Fraction(1, 2)),
+             (QQ.neg(QQ.coerce("-8/4")), 2), (QQ.inv(half), 2), (QQ.inv(-3), Fraction(-1, 3)),
+             (QQ.inv(QQ.coerce("-1/5")), -5), (QQ.add(third, 1), Fraction(4, 3))]
+    for value, expected in cases:
+        assert value == expected and type(value) is type(expected)
+
+
 def test_coefficient_pools():
     pool, exhaustive = GF3.coefficient_pool()
     assert pool == [0, 1, 2]
@@ -55,6 +67,8 @@ def test_coefficient_pools():
     grid, exhaustive = QQ.coefficient_pool()
     assert not exhaustive
     assert QQ.one in grid and QQ.zero in grid
+    assert type(QQ.zero) is int and type(QQ.one) is int
+    assert all(type(c) is int for c in grid)
 
 
 def test_field_identity_and_lookup():

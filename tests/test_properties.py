@@ -1,10 +1,12 @@
 """Randomized algebraic laws: the product is associative, phi is
 multiplicative, phi does not see the rewriting that produces normal
 forms, stack reduction agrees with random strategies and with products of
-normal forms, and the packed GF(2) kernel's rank and consistency agree
-with dense elimination."""
+normal forms, the packed GF(2) kernel's rank and consistency agree
+with dense elimination, and QQ arithmetic is Fraction arithmetic with
+integral values kept as ints."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -102,3 +104,26 @@ def test_packed_gf2_rank_and_solve_agree_with_dense_elimination(system):
     consistent = len(rows[0]) not in row_reduce(augmented, GF2)[1]
     columns = gf2_basis(pack(column) for column in zip(*rows))
     assert (gf2_reduce(columns, pack(rhs)) == 0) == consistent
+
+
+# big numerators, and small denominators so that integral results are common
+rationals = st.builds(Fraction, st.integers(-2**80, 2**80),
+                      st.sampled_from([1, 2, 3, 6]) | st.integers(1, 2**80))
+
+
+@LAWS
+@given(rationals, rationals)
+def test_qq_arithmetic_is_fraction_arithmetic(a, b):
+    u, v = QQ.coerce(a), QQ.coerce(b)
+    results = [(u, a), (v, b), (QQ.add(u, v), a + b), (QQ.sub(u, v), a - b),
+               (QQ.mul(u, v), a * b), (QQ.neg(u), -a),
+               # inverses cancel to integral values, also from non-integral ones
+               (QQ.add(u, QQ.neg(u)), Fraction(0)), (QQ.sub(u, u), Fraction(0))]
+    if a:
+        results.append((QQ.mul(u, QQ.inv(u)), Fraction(1)))
+    if b:
+        results.append((QQ.inv(v), 1 / b))
+    for value, expected in results:
+        assert value == expected
+        # integral values are ints; a Fraction never has denominator 1
+        assert type(value) is (int if expected.denominator == 1 else Fraction)
