@@ -23,18 +23,19 @@ so tau cannot cancel out of the expansion, while 1 - xq contains no word
 beginning in q.  The checkers below verify the three-form classification
 and the uniqueness bound exhaustively at small size and on randomized
 families, and the search covers every coefficient assignment over a
-finite field to witness exhaustion directly.  With alpha fixed, alpha *
-beta = 1 - xq is linear in beta, so one exact consistency test per alpha
-settles its whole beta pool.  The search steps alpha as a base-p counter
-and updates the summed coefficient table only where a digit changed;
-over GF(2) the table is a list of packed column masks, tested by the XOR
-basis of ``linalg``, so support length 6 (2^13 alphas) takes about 0.06 s
-and length 7 (2^18 alphas, 2^33 candidates) about 1.3 s on a 2-core host.
+finite field to witness exhaustion directly.  With beta fixed, alpha *
+beta = 1 - xq is linear in alpha, so one exact consistency test per beta
+settles its whole alpha pool, and there are fewer right shape words than
+left ones (15 against 18 at length 7).  The search sums, per beta, the
+coefficient tables of its nonzero digits; over GF(2) the table is a list
+of packed column masks, tested by the XOR basis of ``linalg``, so support
+length 7 (2^15 betas, 2^33 candidates) takes about 0.5 s and length 8
+(2^20 betas, 2^45 candidates) about 30 s on one core of a 2-core host.
 Over GF(p > 2) and the rationals the dense table keeps only the rows
-whose stacked coefficients (every left word's, and the target's) form a
-basis, which decides every alpha alike, and over GF(p > 2) one alpha per
-orbit of nonzero scalars is solved: GF(3) at length 3 takes about 3 ms
-and at length 4 about 40 ms.
+whose stacked coefficients (every right word's, and the target's) form a
+basis, which decides every beta alike, and over GF(p > 2) one beta per
+orbit of nonzero scalars is solved: GF(3) at length 4 takes about 6 ms
+and at length 5 about 0.25 s.
 """
 
 from __future__ import annotations
@@ -445,37 +446,39 @@ def _vector_from_index(index: int, pool, length: int) -> tuple:
 
 def _row_basis(tables, target, width: int, field) -> list[int]:
     """The rows, picked greedily from the first, whose stacked coefficients
-    (T_1[r] | ... | T_m[r] | target[r]) span every row's.  Row r of M(alpha) beta = target is its
-    stacked row mapped linearly by alpha, so every other row is a fixed
-    combination of kept ones and the kept rows decide every alpha."""
+    (T_1[r] | ... | T_m[r] | target[r]) span every row's.  Row r of
+    M(beta) alpha = target is its stacked row mapped linearly by beta, so
+    every other row is a fixed combination of kept ones and the kept rows
+    decide every beta."""
     stacked = [[field.zero] * len(target) for _ in range(len(tables) * width)]
-    for i, table in enumerate(tables):
-        for r, j, c in table:
-            stacked[i * width + j][r] = c
+    for j, table in enumerate(tables):
+        for r, i, c in table:
+            stacked[j * width + i][r] = c
     return row_reduce(stacked + [target], field)[1]
 
 
-def _scan_alpha_range(n: int, field, lefts, rights, start: int,
-                      stop: int) -> int | None:
-    """Scan alpha-coefficient vectors with indices in [start, stop); return
-    the global candidate index of the first witness, or None.
+def _scan_beta_range(n: int, field, lefts, rights, start: int,
+                     stop: int) -> int | None:
+    """The least global candidate index alpha_index * beta_count +
+    beta_index of a witness whose beta this block owns, or None.
 
     The products (1-xq) w (1-qx) * (1-qx) y (1-xq) are built once per call,
-    and with them one coefficient table per left word w: a row per word in
-    the supports, a column per right word y.  With alpha fixed, alpha * beta
-    = 1 - xq is linear in beta, so one consistency test against the summed
-    table decides whether any beta works.  The alphas are stepped as a
-    base-p counter in index order (the last left word is the least
-    significant digit), and each step adds to the summed table only
-    delta * table for the digits that changed.  Over GF(2) each column is
-    kept as a bit mask over the rows, a step XORs masks, and consistency
-    comes from the packed kernel of ``linalg``.  Other fields keep a dense
-    table of the ``_row_basis`` rows alone (9 of 26 at GF(3) L=3 n=3) and
-    call ``solve`` on it, over GF(p > 2) once per orbit of nonzero scalars
-    (see ``consistent``).  Only an alpha whose system is consistent has its
-    betas walked in index order, which finds the first hit; over the
-    rationals the solution may miss the coefficient grid, and the walk then
-    comes up empty.
+    and with them one coefficient table per right word y: a row per word in
+    the supports, a column per left word w.  With beta fixed, alpha * beta
+    = 1 - xq is linear in alpha, so one consistency test against the sum
+    of the tables of beta's nonzero digits decides whether any alpha works.
+    Over GF(2) each column is a bit mask over the rows, the sum XORs masks,
+    and consistency comes from the packed kernel of ``linalg``.  Other
+    fields fill a dense table of the ``_row_basis`` rows alone (9 of 26 at
+    GF(3) L=3 n=3) and call ``solve`` on it.  Over GF(p > 2) the pool is
+    range(p), so a digit is its value, and M(c beta) = c M(beta): the block
+    owns the scalar orbit of each beta in [start, stop) whose first nonzero
+    digit is 1 and tests that beta alone.  Over GF(2) and the rationals'
+    grid it owns and tests every beta in [start, stop).  For a consistent
+    beta the alphas of each owned c beta, wherever its index lies, are
+    walked in index order up to the first hit or the least index found so
+    far; over the rationals the solution may miss the grid, and the walk
+    then comes up empty.
     """
     algebra = Algebra(xq_system(n), field)
     x = algebra.gen("x")
@@ -486,7 +489,6 @@ def _scan_alpha_range(n: int, field, lefts, rights, start: int,
     beta_units = [right_frame * algebra.word(y) * left_frame for y in rights]
     products = [[a_unit * b_unit for b_unit in beta_units]
                 for a_unit in alpha_units]
-    zero = field.zero
     pool, exhaustive = field.coefficient_pool()
     # rows are the support words, numbered by first appearance
     row_of: dict[Word, int] = {}
@@ -494,81 +496,64 @@ def _scan_alpha_range(n: int, field, lefts, rights, start: int,
         for word in element.terms():
             row_of.setdefault(word, len(row_of))
     target = [left_frame.coeff(word) for word in row_of]
-    # each left word's table, kept as its nonzero (row, column, value)
-    tables = [[(row_of[word], j, coefficient)
-               for j, product in enumerate(row_products)
-               for word, coefficient in product.terms().items()]
-              for row_products in products]
+    # each right word's table, kept as its nonzero (row, column, value)
+    tables = [[(row_of[word], i, coefficient)
+               for i, row_products in enumerate(products)
+               for word, coefficient in row_products[j].terms().items()]
+              for j in range(len(rights))]
     if field == GF2:
-        masks = [[0] * len(rights) for _ in tables]
+        masks = [[0] * len(lefts) for _ in tables]
         for table_masks, table in zip(masks, tables):
-            for r, j, _ in table:
-                table_masks[j] |= 1 << r
-        columns = [0] * len(rights)
+            for r, i, _ in table:
+                table_masks[i] |= 1 << r
         target_mask = sum(1 << r for r, value in enumerate(target) if value)
 
-        def add(i, delta):
-            columns[:] = map(operator.xor, columns, masks[i])
-
-        def consistent():
+        def consistent(beta):
+            columns = [0] * len(lefts)
+            for table_masks, digit in zip(masks, beta):
+                if digit:
+                    columns = map(operator.xor, columns, table_masks)
             return gf2_reduce(gf2_basis(columns), target_mask) == 0
     else:
         kept = {r: s for s, r in enumerate(
-            _row_basis(tables, target, len(rights), field))}
-        tables = [[(kept[r], j, c) for r, j, c in table if r in kept]
+            _row_basis(tables, target, len(lefts), field))}
+        tables = [[(kept[r], i, c) for r, i, c in table if r in kept]
                   for table in tables]
         target = [target[r] for r in kept]
-        system = [[zero] * len(rights) for _ in kept]
 
-        def add(i, delta):
-            for r, j, c in tables[i]:
-                row = system[r]
-                row[j] = field.add(row[j], field.mul(delta, c))
-
-        def consistent():
-            # over GF(p) the pool is range(p), so a digit is its value, and
-            # M(c alpha) = c M(alpha): alpha is consistent exactly when its
-            # scalar orbit's representative (leading digit 1, a smaller
-            # index) is.  A consistent alpha ends the scan with a hit, so a
-            # representative already scanned in this block was not; digit
-            # lists compare as their indices do.
-            lead = next(filter(None, digits), 1)
-            if exhaustive and lead > 1:
-                scale = field.inv(lead)
-                if [field.mul(scale, digit) for digit in digits] >= first:
-                    return False
+        def consistent(beta):
+            system = [[field.zero] * len(lefts) for _ in kept]
+            for table, digit in zip(tables, beta):
+                if digit:
+                    for r, i, c in table:
+                        row = system[r]
+                        row[i] = field.add(row[i], field.mul(digit, c))
             return solve(system, target, field) is not None
-    top = len(pool) - 1
-    rise = [None] + [field.sub(pool[d], pool[d - 1]) for d in range(1, len(pool))]
-    wrap = field.sub(pool[0], pool[top])
+    scalars = pool[1:] if exhaustive else pool[1:2]
     beta_count = len(pool) ** len(rights)
-    digits = list(_vector_from_index(start, range(len(pool)), len(lefts)))
-    first = digits[:]
-    for i, digit in enumerate(digits):
-        if pool[digit] != zero:
-            add(i, pool[digit])
-    for alpha_index in range(start, stop):
-        if alpha_index > start:
-            i = len(digits) - 1
-            while digits[i] == top:
-                digits[i] = 0
-                add(i, wrap)
-                i -= 1
-            digits[i] += 1
-            add(i, rise[digits[i]])
-        if not consistent():
+    best = None
+    for beta in itertools.islice(
+            itertools.product(pool, repeat=len(rights)), start, stop):
+        if exhaustive and next(filter(None, beta), None) != 1:
             continue
-        alpha_vec = [pool[digit] for digit in digits]
-        rows = [linear_combination(
-                    algebra,
-                    ((alpha_vec[i], products[i][j]) for i in range(len(lefts))))
-                for j in range(len(rights))]
-        for beta_index, beta_vec in enumerate(
-                itertools.product(pool, repeat=len(rights))):
-            candidate = linear_combination(algebra, zip(beta_vec, rows))
-            if candidate == left_frame:
-                return alpha_index * beta_count + beta_index
-    return None
+        if not consistent(beta):
+            continue
+        for scalar in scalars:
+            scaled = [field.mul(scalar, digit) for digit in beta]
+            beta_index = 0
+            for digit in scaled:
+                beta_index = beta_index * len(pool) + pool.index(digit)
+            columns = [linear_combination(algebra, zip(scaled, row_products))
+                       for row_products in products]
+            for alpha_index, alpha in enumerate(
+                    itertools.product(pool, repeat=len(lefts))):
+                index = alpha_index * beta_count + beta_index
+                if best is not None and index >= best:
+                    break
+                if linear_combination(algebra, zip(alpha, columns)) == left_frame:
+                    best = index
+                    break
+    return best
 
 
 def search_unit_regular_witness(max_word_len: int = 3, field=GF2, n: int = 3,
@@ -603,24 +588,25 @@ def search_unit_regular_witness(max_word_len: int = 3, field=GF2, n: int = 3,
         "analytic_candidate_count": total,
         "workers": workers,
     }
-    # The alphas split into one block per worker, at most one per CPU,
-    # since each block builds its own products table; the first hit in
-    # block order has the smallest index, so the result does not depend on
-    # the split.
+    # The betas split into one block per worker, at most one per CPU,
+    # since each block builds its own products table.  A block returns the
+    # least index among the witnesses whose beta it owns, each beta belongs
+    # to one block, so the least over the blocks does not depend on the
+    # split.
     blocks = min(workers, os.cpu_count() or 1)
-    if blocks <= 1 or alpha_count < 2 * blocks:
+    if blocks <= 1 or beta_count < 2 * blocks:
         blocks = 1
-    step = -(-alpha_count // blocks)
-    starts = range(0, alpha_count, step)
-    stops = [min(start + step, alpha_count) for start in starts]
-    scan = partial(_scan_alpha_range, n, field, lefts, rights)
+    step = -(-beta_count // blocks)
+    starts = range(0, beta_count, step)
+    stops = [min(start + step, beta_count) for start in starts]
+    scan = partial(_scan_beta_range, n, field, lefts, rights)
     if len(starts) == 1:
         hits = list(map(scan, starts, stops))
     else:
         with concurrent.futures.ProcessPoolExecutor(
                 max_workers=len(starts)) as executor:
             hits = list(executor.map(scan, starts, stops))
-    witness_index = next((hit for hit in hits if hit is not None), None)
+    witness_index = min((hit for hit in hits if hit is not None), default=None)
     if witness_index is None:
         witness = None
         examined = total

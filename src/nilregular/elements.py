@@ -97,7 +97,7 @@ class Algebra:
         basis and coefficients from the field's coefficient pool (all of
         GF(p); a small grid for the rationals)."""
         pool, _ = self.field.coefficient_pool()
-        nonzero = [c for c in pool if c != self.field.zero]
+        nonzero = pool[1:]  # the pool's first entry is zero
         words = self.basis_words(max_word_len)
         size = rng.randint(1, max_terms)
         support = rng.sample(words, min(size, len(words)))

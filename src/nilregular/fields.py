@@ -70,9 +70,9 @@ class PrimeField:
             raise ZeroDivisionError(f"0 has no inverse in {self.name}")
         return pow(a, self.p - 2, self.p)
 
-    def coefficient_pool(self) -> tuple[list[int], bool]:
-        """All field elements, flagged as exhaustive."""
-        return list(range(self.p)), True
+    def coefficient_pool(self) -> tuple[range, bool]:
+        """All field elements, zero first, flagged as exhaustive."""
+        return range(self.p), True
 
     def to_str(self, a: int) -> str:
         return str(a)
@@ -125,8 +125,9 @@ class RationalField:
         return _rational(Fraction(1, a))
 
     def coefficient_pool(self) -> tuple[list[int], bool]:
-        """A small grid around 0; the rationals cannot be exhausted, so the
-        flag is False and searches over this pool only report the grid."""
+        """A small grid around 0, zero first; the rationals cannot be
+        exhausted, so the flag is False and searches over this pool only
+        report the grid."""
         return [0, 1, -1, 2, -2], False
 
     def to_str(self, a) -> str:

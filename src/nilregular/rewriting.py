@@ -32,6 +32,7 @@ import itertools
 import random
 import re
 import time
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -449,14 +450,14 @@ def _apply_then_reduce(overlap: str, start: int, rule: Rule,
     return ReductionOutcome(outcome.result, outcome.steps + 1)
 
 
-def critical_pairs(system: RewriteSystem) -> list[CriticalPair]:
-    """All overlap ambiguities between left-hand sides.
+def critical_pairs(system: RewriteSystem) -> Iterator[CriticalPair]:
+    """All overlap ambiguities between left-hand sides, one at a time.
 
     Both rule families have no left-hand side contained in another, so
     proper overlaps (a suffix of one LHS equal to a prefix of another) are
-    the only ambiguities to resolve.
+    the only ambiguities to resolve.  x^n = 0 overlaps itself n - 1 times,
+    so the pairs are yielded rather than collected.
     """
-    pairs = []
     for first in system.rules:
         for second in system.rules:
             for k in range(1, min(len(first.lhs), len(second.lhs))):
@@ -465,8 +466,7 @@ def critical_pairs(system: RewriteSystem) -> list[CriticalPair]:
                 overlap = first.lhs + second.lhs[k:]
                 left = _apply_then_reduce(overlap, 0, first, system)
                 right = _apply_then_reduce(overlap, len(first.lhs) - k, second, system)
-                pairs.append(CriticalPair(_word(Word, overlap), left, right))
-    return pairs
+                yield CriticalPair(_word(Word, overlap), left, right)
 
 
 def check_confluence(system: RewriteSystem, max_len: int = 8,

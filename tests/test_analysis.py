@@ -377,7 +377,7 @@ def _without_timing(report) -> dict:
 
 
 def test_unit_regular_search_runs_at_most_one_process_per_cpu(in_process_pool):
-    # 3^3 = 27 alphas and the fixture reports 4 CPUs: 3 workers make 3
+    # 3^3 = 27 betas and the fixture reports 4 CPUs: 3 workers make 3
     # blocks of 9, 13 make 4 blocks of at most 7
     single = search_unit_regular_witness(max_word_len=2, field=GF3)
     for workers in (3, 13):
@@ -388,15 +388,22 @@ def test_unit_regular_search_runs_at_most_one_process_per_cpu(in_process_pool):
     assert in_process_pool == [3, 4]
 
 
-def test_unit_regular_search_reports_the_first_hit_in_block_order(
+def test_unit_regular_search_merges_blocks_by_least_index(
         in_process_pool, monkeypatch):
-    def scan(n, field, lefts, rights, start, stop):
-        return None if start == 0 else start * 3 ** 3
+    # 3^3 betas in blocks from 0, 9 and 18; the last block's hit, alpha 2
+    # with beta 18, has a smaller index than the middle block's
+    hits = {0: None, 9: 5 * 3 ** 3 + 9, 18: 2 * 3 ** 3 + 18}
 
-    monkeypatch.setattr(analysis, "_scan_alpha_range", scan)
+    def scan(n, field, lefts, rights, start, stop):
+        return hits[start]
+
+    monkeypatch.setattr(analysis, "_scan_beta_range", scan)
     report = search_unit_regular_witness(max_word_len=2, field=GF3, workers=3)
     assert report.status == "fail"
-    assert report.candidates_examined == 9 * 3 ** 3 + 1
+    assert report.candidates_examined == 2 * 3 ** 3 + 18 + 1
+    assert report.witness == {
+        "alpha_coefficients": {"1": "0", "q": "0", "q^2": "2"},
+        "beta_coefficients": {"1": "2", "x": "0", "x^2": "0"}}
 
 
 def test_unit_regular_search_rational_grid_is_flagged():
@@ -406,8 +413,8 @@ def test_unit_regular_search_rational_grid_is_flagged():
 
 
 def test_unit_regular_search_exhausts_gf2_at_length_5():
-    # 2^9 alphas against 2^7 betas: each alpha's system is inconsistent, so
-    # no beta is walked
+    # 2^9 alphas against 2^7 betas: each beta's system is inconsistent, so
+    # no alpha is walked
     report = search_unit_regular_witness(max_word_len=5, field=GF2)
     assert report.status == "exhausted"
     assert report.candidates_examined == 65_536
@@ -415,7 +422,7 @@ def test_unit_regular_search_exhausts_gf2_at_length_5():
 
 
 def test_unit_regular_search_exhausts_gf2_at_length_7():
-    # 2^18 alphas against 2^15 betas, one packed consistency test per alpha
+    # 2^18 alphas against 2^15 betas, one packed consistency test per beta
     report = search_unit_regular_witness(max_word_len=7, field=GF2)
     assert report.status == "exhausted"
     assert report.candidates_examined == 2 ** 33
@@ -436,28 +443,35 @@ def _frame_products(n, field, lefts, rights):
 
 
 def _brute_force_scan(n, field, lefts, rights, start, stop):
-    """The oracle: multiply out every beta of every alpha in [start, stop)
-    and return the global index of the first product equal to 1 - xq."""
+    """The oracle: multiply out every alpha with every beta that the block
+    [start, stop) owns, in global index order, and return the index of the
+    first product equal to 1 - xq.  A block owns each beta whose index
+    lies in [start, stop), except over GF(p > 2): there a beta belongs to
+    the block of its scalar orbit's representative, itself scaled to first
+    nonzero digit 1."""
     algebra, left_frame, products = _frame_products(n, field, lefts, rights)
-    pool, _ = field.coefficient_pool()
-    beta_count = len(pool) ** len(rights)
-    for alpha_index in range(start, stop):
-        alpha_vec = analysis._vector_from_index(alpha_index, pool, len(lefts))
-        rows = [linear_combination(
-                    algebra,
-                    ((alpha_vec[i], products[i][j]) for i in range(len(lefts))))
-                for j in range(len(rights))]
-        for beta_index, beta_vec in enumerate(
-                itertools.product(pool, repeat=len(rights))):
-            candidate = linear_combination(algebra, zip(beta_vec, rows))
-            if candidate == left_frame:
-                return alpha_index * beta_count + beta_index
+    pool, exhaustive = field.coefficient_pool()
+    betas = list(itertools.product(pool, repeat=len(rights)))
+    index_of = {beta: index for index, beta in enumerate(betas)}
+    owned = []
+    for beta_index, beta in enumerate(betas):
+        owner = beta_index
+        if exhaustive:
+            scale = field.inv(next(filter(None, beta), 1))
+            owner = index_of[tuple(field.mul(scale, digit) for digit in beta)]
+        if start <= owner < stop:
+            owned.append((beta_index, [linear_combination(algebra, zip(beta, row))
+                                       for row in products]))
+    for alpha_index, alpha in enumerate(itertools.product(pool, repeat=len(lefts))):
+        for beta_index, columns in owned:
+            if linear_combination(algebra, zip(alpha, columns)) == left_frame:
+                return alpha_index * len(betas) + beta_index
     return None
 
 
 def _brute_force_search(monkeypatch, **kwargs):
     with monkeypatch.context() as patched:
-        patched.setattr(analysis, "_scan_alpha_range", _brute_force_scan)
+        patched.setattr(analysis, "_scan_beta_range", _brute_force_scan)
         return search_unit_regular_witness(**kwargs)
 
 
@@ -517,9 +531,10 @@ def test_n2_witness_is_the_same_across_worker_counts(
     assert _without_timing(report) == _without_timing(expected)
 
 
-# blocks that start mid-counter, through the in-process pool of 4 CPUs:
-# QQ L=1 has 5^2 alphas and GF(3) L=2 has 3^3, and 3 or 7 workers split
-# them into 3 or 4 blocks whose first alpha has nonzero digits
+# blocks that start mid-way through the index order, through the
+# in-process pool of 4 CPUs: QQ L=1 has 5^2 betas and GF(3) L=2 has 3^3,
+# and 3 or 7 workers split them into 3 or 4 blocks whose first beta has
+# nonzero digits
 MID_COUNTER = ((QQ, 1), (GF3, 2))
 
 
@@ -539,7 +554,8 @@ def test_blocks_starting_mid_counter_match_the_brute_force_scan(
 
 def test_n2_gf2_hit_in_a_later_block_matches_the_brute_force_scan(
         in_process_pool, monkeypatch):
-    # 2^6 alphas in blocks starting at 0, 22 and 44; the hit is alpha 48
+    # 2^4 betas in blocks starting at 0, 6 and 12; the hit is beta 14
+    # with alpha 48
     expected = _brute_force_search(monkeypatch, max_word_len=5, field=GF2, n=2)
     report = search_unit_regular_witness(max_word_len=5, field=GF2, n=2,
                                          workers=3)
@@ -548,19 +564,22 @@ def test_n2_gf2_hit_in_a_later_block_matches_the_brute_force_scan(
     assert _without_timing(report) == _without_timing(expected)
 
 
-# n = 2 ranges whose first alpha sits anywhere on the counter, including
-# just before a carry through several digits and right after a hit: GF(3)
-# L=4 hits at alphas 108, 135, 189 and 216 (of 3^5), the rational grid at
-# L=4 at 750, 875, 1375 and 1500 (of 5^5).  GF(5) L=4 hits at 750 = (1, 1,
-# 0, 0, 0) in base 5, 875, ..., 1750 = 2 * 875, 2000 = 3 * 875 and 2250 =
-# 3 * 750; a range from 1740, 1990 or 2240 starts after the hit's scalar
-# orbit representative, so the scan must solve the hit itself.
+# n = 2 beta ranges that start anywhere in the index order: before, on or
+# after a hit, and past every orbit representative.  GF(3) L=4 has 3^3
+# betas against 3^5 alphas and hits at (alpha, beta) = (108, 13), (135,
+# 16), (189, 23) and (216, 26); 13 = (1, 1, 1) and 16 = (1, 2, 1) in base
+# 3 represent the orbits {13, 26} and {16, 23}, so [17, 27) holds two hit
+# betas and owns neither.  The rational grid at L=4 hits at (750, 31),
+# (875, 36), (1375, 57) and (1500, 62) of 5^5 by 5^3.  GF(5) L=4 hits at
+# 16 pairs, the least (750, 31), then (875, 41), (1000, 36) and (1125,
+# 46), and every representative lies below 50.  GF(2) L=5 hits once, at
+# (48, 14) of 2^6 by 2^4.
 COUNTER_RANGES = (
-    [(GF3, 4, start, start + 30)
-     for start in (0, 80, 107, 108, 109, 134, 160, 188, 213)]
-    + [(GF3, 4, 217, 243)]
-    + [(QQ, 4, start, start + 8) for start in (742, 749, 751, 874, 1370, 1499)]
-    + [(GF5, 4, start, start + 12) for start in (0, 745, 1740, 1990, 2240)])
+    [(GF3, 4, start, stop)
+     for start, stop in ((0, 27), (1, 13), (13, 14), (14, 27), (16, 17), (17, 27))]
+    + [(QQ, 4, start, start + 4) for start in (30, 33, 56, 58, 62)]
+    + [(GF5, 4, start, stop) for start, stop in ((0, 5), (30, 32), (46, 47), (50, 125))]
+    + [(GF2, 5, start, stop) for start, stop in ((8, 15), (15, 16))])
 
 
 @pytest.mark.parametrize(
@@ -572,13 +591,13 @@ def test_scan_from_any_counter_position_matches_the_brute_force_scan(
     lefts = left_shape_words(max_word_len, system)
     rights = right_shape_words(max_word_len, system)
     args = (2, field, lefts, rights, start, stop)
-    assert analysis._scan_alpha_range(*args) == _brute_force_scan(*args)
+    assert analysis._scan_beta_range(*args) == _brute_force_scan(*args)
 
 
 @pytest.mark.parametrize("workers", (3, 13))
 def test_gf5_witness_is_the_same_across_worker_counts(in_process_pool, workers):
-    # 5^5 alphas in 3 or 4 blocks, the later ones starting mid-orbit; the
-    # first hit, alpha 750 with beta 31 of 5^3, lies in the first block
+    # 5^3 betas in 3 or 4 blocks; the first hit, alpha 750 with beta 31 =
+    # (1, 1, 1) in base 5, is owned by the first block
     single = search_unit_regular_witness(max_word_len=4, field=GF5, n=2)
     report = search_unit_regular_witness(max_word_len=4, field=GF5, n=2,
                                          workers=workers)
@@ -587,14 +606,38 @@ def test_gf5_witness_is_the_same_across_worker_counts(in_process_pool, workers):
     assert _without_timing(report) == _without_timing(single)
 
 
+def test_gf5_orbit_members_outside_their_block_belong_to_it():
+    # 5^3 betas in the four blocks of 32 that 13 workers on 4 CPUs make.
+    # Beta 31 = (1, 1, 1) hits with alpha 750, and its multiples 62, 93
+    # and 124 hit with alphas 2250, 1500 and 3000 in the later blocks.
+    # All of its orbit belongs to the first block; the blocks from 64 and
+    # 96 hold hits but own no orbit, since each beta there begins in 2 to 4.
+    system = xq_system(2)
+    lefts = left_shape_words(4, system)
+    rights = right_shape_words(4, system)
+    algebra, left_frame, products = _frame_products(2, GF5, lefts, rights)
+    for alpha_index, beta_index in ((750, 31), (2250, 62), (1500, 93),
+                                    (3000, 124)):
+        alpha = analysis._vector_from_index(alpha_index, range(5), len(lefts))
+        beta = analysis._vector_from_index(beta_index, range(5), len(rights))
+        product = linear_combination(
+            algebra, ((GF5.mul(a, b), products[i][j])
+                      for i, a in enumerate(alpha) for j, b in enumerate(beta)))
+        assert product == left_frame
+    scans = [analysis._scan_beta_range(2, GF5, lefts, rights, start,
+                                       min(start + 32, 125))
+             for start in (0, 32, 64, 96)]
+    assert scans == [750 * 125 + 31, 875 * 125 + 41, None, None]
+
+
 # (field, max_word_len, start, stop, solves) at n = 3.  Over GF(p) one
-# alpha per orbit of nonzero scalars is solved, the zero alpha included:
-# 1 + 26 / 2 of the 3^3 alphas at GF(3) and 1 + 24 / 4 of the 5^2 at GF(5).
-# From 14 = (1, 1, 2) in base 3, 21, 22, 23 and 25 have representatives
-# 15, 17, 16 and 14 in the block and are skipped, 18, 19, 20, 24 and 26
-# have theirs before it and are solved.  The rational grid is not closed
-# under scalars, so all 5^2 of its alphas are solved.
-SOLVE_COUNTS = ((GF3, 2, 0, 27, 14), (GF3, 2, 14, 27, 9), (GF5, 1, 0, 25, 7),
+# beta per orbit of nonzero scalars is solved, the one whose first nonzero
+# digit is 1: 26 / 2 of the 3^3 betas at GF(3) and 24 / 4 of the 5^2 at
+# GF(5).  In [14, 27), 14 = (1, 1, 2) to 17 = (1, 2, 2) in base 3 are
+# representatives, and 18 to 26 begin in 2 and belong to the orbits of 9
+# to 17.  The rational grid is not closed under scalars, so all 5^2 of its
+# betas are solved.
+SOLVE_COUNTS = ((GF3, 2, 0, 27, 13), (GF3, 2, 14, 27, 4), (GF5, 1, 0, 25, 6),
                 (QQ, 1, 0, 25, 25))
 
 
@@ -612,53 +655,81 @@ def test_dense_scan_solves_once_per_scalar_orbit(
     monkeypatch.setattr(analysis, "solve", counting_solve)
     lefts = left_shape_words(max_word_len, S)
     rights = right_shape_words(max_word_len, S)
-    assert analysis._scan_alpha_range(3, field, lefts, rights, start, stop) is None
+    assert analysis._scan_beta_range(3, field, lefts, rights, start, stop) is None
     assert len(calls) == solves
 
 
 def _support_tables(n, field, lefts, rights):
-    """Each left word's table as the scan builds it, (row, column, value)
-    over the support words, and the target 1 - xq over the same rows."""
+    """Each left word's table, (row, column, value) over the support words
+    with a column per right word, each right word's table as the scan
+    builds it, with a column per left word, and the target 1 - xq over the
+    same rows."""
     _, left_frame, products = _frame_products(n, field, lefts, rights)
     row_of = {}
     for element in itertools.chain([left_frame], *products):
         for word in element.terms():
             row_of.setdefault(word, len(row_of))
-    tables = [[(row_of[word], j, coefficient)
-               for j, product in enumerate(row_products)
-               for word, coefficient in product.terms().items()]
-              for row_products in products]
-    return tables, [left_frame.coeff(word) for word in row_of]
+    left_tables = [[(row_of[word], j, coefficient)
+                    for j, product in enumerate(row_products)
+                    for word, coefficient in product.terms().items()]
+                   for row_products in products]
+    right_tables = [[(r, i, c) for i, table in enumerate(left_tables)
+                     for r, column, c in table if column == j]
+                    for j in range(len(rights))]
+    return left_tables, right_tables, [left_frame.coeff(word) for word in row_of]
 
 
-# (field, max_word_len, n, whether some alpha is consistent)
-ROW_BASIS_CASES = ((GF3, 4, 2, True), (GF3, 3, 3, False), (QQ, 2, 2, False))
-
-
-@pytest.mark.parametrize(
-    "field,max_word_len,n,some_consistent", ROW_BASIS_CASES,
-    ids=[f"{f.name}-L{length}-n{n}" for f, length, n, _ in ROW_BASIS_CASES])
-def test_row_basis_keeps_every_alphas_verdict(field, max_word_len, n,
-                                              some_consistent):
-    system = xq_system(n)
-    lefts = left_shape_words(max_word_len, system)
-    rights = right_shape_words(max_word_len, system)
-    tables, target = _support_tables(n, field, lefts, rights)
-    kept = analysis._row_basis(tables, target, len(rights), field)
+def _row_basis_verdicts(tables, target, width, field) -> set:
+    """Check that the kept rows decide every coefficient vector over the
+    tables exactly as all rows do; return the verdicts seen."""
+    kept = analysis._row_basis(tables, target, width, field)
     assert kept == sorted(kept) and len(kept) < len(target)
     pool, _ = field.coefficient_pool()
     verdicts = set()
-    for alpha in itertools.product(pool, repeat=len(lefts)):
-        matrix = [[field.zero] * len(rights) for _ in target]
-        for scalar, table in zip(alpha, tables):
-            for r, j, c in table:
-                matrix[r][j] = field.add(matrix[r][j], field.mul(scalar, c))
+    for vector in itertools.product(pool, repeat=len(tables)):
+        matrix = [[field.zero] * width for _ in target]
+        for scalar, table in zip(vector, tables):
+            for r, column, c in table:
+                matrix[r][column] = field.add(matrix[r][column], field.mul(scalar, c))
         full = solve(matrix, target, field) is not None
         on_kept = solve([matrix[r] for r in kept], [target[r] for r in kept],
                         field) is not None
-        assert on_kept == full, alpha
+        assert on_kept == full, vector
         verdicts.add(full)
-    assert (True in verdicts) == some_consistent
+    return verdicts
+
+
+# (field, max_word_len, n, whether some alpha is consistent, whether some
+# beta is)
+ROW_BASIS_CASES = ((GF3, 4, 2, True, True), (GF3, 3, 3, False, False),
+                   (QQ, 2, 2, False, False))
+
+
+ROW_BASIS_IDS = [f"{f.name}-L{length}-n{n}" for f, length, n, _, _ in ROW_BASIS_CASES]
+
+
+@pytest.mark.parametrize("field,max_word_len,n,some_alpha,some_beta",
+                         ROW_BASIS_CASES, ids=ROW_BASIS_IDS)
+def test_row_basis_keeps_every_alphas_verdict(field, max_word_len, n,
+                                              some_alpha, some_beta):
+    system = xq_system(n)
+    lefts = left_shape_words(max_word_len, system)
+    rights = right_shape_words(max_word_len, system)
+    tables, _, target = _support_tables(n, field, lefts, rights)
+    verdicts = _row_basis_verdicts(tables, target, len(rights), field)
+    assert (True in verdicts) == some_alpha
+
+
+@pytest.mark.parametrize("field,max_word_len,n,some_alpha,some_beta",
+                         ROW_BASIS_CASES, ids=ROW_BASIS_IDS)
+def test_row_basis_keeps_every_betas_verdict(field, max_word_len, n,
+                                             some_alpha, some_beta):
+    system = xq_system(n)
+    lefts = left_shape_words(max_word_len, system)
+    rights = right_shape_words(max_word_len, system)
+    _, tables, target = _support_tables(n, field, lefts, rights)
+    verdicts = _row_basis_verdicts(tables, target, len(lefts), field)
+    assert (True in verdicts) == some_beta
 
 
 def test_regularity_and_separativity_identities():

@@ -249,6 +249,16 @@ def test_field_flag_rejects_a_huge_prime_quickly(capsys):
     assert "cap" in capsys.readouterr().err
 
 
+def test_primeness_over_the_largest_prime_field_is_quick(capsys):
+    # the coefficient pool is a range, never a list of all p elements
+    started = time.perf_counter()
+    code, out, _ = run_cli(capsys, "verify", "primeness", "--field",
+                           "gf2147483647", "--max-len", "2")
+    assert code == 0
+    assert time.perf_counter() - started < 1.0
+    assert out.startswith("[pass] primeness")
+
+
 def test_verify_failure_exit_code(capsys, monkeypatch):
     failing = VerificationReport(
         check="separativity", parameters={}, status="fail",

@@ -62,10 +62,11 @@ def test_rationals_keep_integral_values_as_ints():
 
 def test_coefficient_pools():
     pool, exhaustive = GF3.coefficient_pool()
-    assert pool == [0, 1, 2]
+    assert list(pool) == [0, 1, 2]
     assert exhaustive
     grid, exhaustive = QQ.coefficient_pool()
     assert not exhaustive
+    assert grid[0] == QQ.zero
     assert QQ.one in grid and QQ.zero in grid
     assert type(QQ.zero) is int and type(QQ.one) is int
     assert all(type(c) is int for c in grid)

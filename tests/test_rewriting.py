@@ -7,6 +7,7 @@ import itertools
 import pickle
 import random
 import time
+import tracemalloc
 
 import pytest
 
@@ -336,7 +337,7 @@ def test_basis_words_have_the_closed_form():
 
 
 def test_all_critical_pairs_resolve():
-    pairs = critical_pairs(S)
+    pairs = list(critical_pairs(S))
     assert len(pairs) == 8
     assert all(pair.resolves for pair in pairs)
     assert all(pair.resolves for pair in critical_pairs(R))
@@ -347,6 +348,19 @@ def test_confluence_reports():
     assert report.passed
     assert report.status == "pass"
     assert check_confluence(R, max_len=6).passed
+
+
+def test_confluence_holds_one_overlap_at_a_time():
+    # x^2000 overlaps itself 1999 times, each overlap 2001 to 3999 letters
+    system = xq_system(2000)
+    tracemalloc.start()
+    try:
+        report = check_confluence(system, max_len=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.passed
+    assert peak < 1_000_000
 
 
 def test_system_from_label():
