@@ -22,11 +22,15 @@ lex-largest member tau drive the impossibility searches:
 so tau cannot cancel out of the expansion, while 1 - xq contains no word
 beginning in q.  The checkers below verify the three-form classification
 and the uniqueness bound exhaustively at small size and on randomized
-families, and the search covers every coefficient assignment over a
-finite field to witness exhaustion directly.  With beta fixed, alpha *
-beta = 1 - xq is linear in alpha, so one exact consistency test per beta
-settles its whole alpha pool, and there are fewer right shape words than
-left ones (15 against 18 at length 7).  The search sums, per beta, the
+families.  A sweep enumerates its shape pools once, and ``build_c_set``
+computes the shape verdict of each word once per process (a bounded
+cache), checking only the side and distinctness on every call.
+
+The search covers every coefficient assignment over a finite field to
+witness exhaustion directly.  With beta fixed, alpha * beta = 1 - xq is
+linear in alpha, so one exact consistency test per beta settles its
+whole alpha pool, and there are fewer right shape words than left ones
+(15 against 18 at length 7).  The search sums, per beta, the
 coefficient tables of its nonzero digits; over GF(2) the table is a list
 of packed column masks, tested by the XOR basis of ``linalg``, so support
 length 7 (2^15 betas, 2^33 candidates) takes about 0.5 s and length 8
@@ -57,6 +61,7 @@ from .elements import Algebra, AlgebraElement, linear_combination
 from .fields import GF2, QQ
 from .linalg import gf2_basis, gf2_reduce, row_reduce, solve
 from .rewriting import (
+    _RANKS,
     IDENTITY_WORD,
     ReductionOutcome,
     RewriteSystem,
@@ -82,12 +87,19 @@ def _has_ends(word: Word, end: str) -> bool:
     return not word or word[0] == word[-1] == end
 
 
+def _shape_pools(max_len: int, system: RewriteSystem) -> tuple[list[Word], list[Word]]:
+    """The left and right shape words, from one enumeration of the basis."""
+    basis = enumerate_basis(max_len, system)
+    return ([w for w in basis if _has_ends(w, "q")],
+            [w for w in basis if _has_ends(w, "x")])
+
+
 def left_shape_words(max_len: int, system: RewriteSystem) -> list[Word]:
-    return [w for w in enumerate_basis(max_len, system) if _has_ends(w, "q")]
+    return _shape_pools(max_len, system)[0]
 
 
 def right_shape_words(max_len: int, system: RewriteSystem) -> list[Word]:
-    return [w for w in enumerate_basis(max_len, system) if _has_ends(w, "x")]
+    return _shape_pools(max_len, system)[1]
 
 
 def type_i_word(w, y, system: RewriteSystem) -> ReductionOutcome:
@@ -155,15 +167,29 @@ def _pair_contributions(system: RewriteSystem, w: Word,
     return tuple(out)
 
 
+@lru_cache(maxsize=4096)
+def _shape_end(system: RewriteSystem, word: Word) -> str | None:
+    """The empty string for the identity, the shared end letter of a basis
+    word whose first and last letters match, None for any other word.
+    Letters outside the alphabet raise, and a raise is never cached."""
+    if not is_basis_word(word, system):
+        return None
+    if not word:
+        return ""
+    return word[0] if word[0] == word[-1] else None
+
+
 def _checked_side(words, side: str, system: RewriteSystem) -> list[Word]:
     """Accepts words or word text, distinct, each 1 or a basis word that
     begins and ends in q for the left shape (1, q, q^2, q z q), in x for
-    the right shape (1, x, x^2, x z x)."""
+    the right shape (1, x, x^2, x z x).  The shape verdict of a word is
+    computed once per process; the side and distinctness are checked on
+    every call."""
     end = "q" if side == "left" else "x"
     checked = []
     seen = set()
     for word in map(_as_word, words):
-        if not (is_basis_word(word, system) and _has_ends(word, end)):
+        if _shape_end(system, word) not in ("", end):
             raise ValueError(f"{word} is not a {side}-shape word")
         if word in seen:
             raise ValueError(f"duplicate {side} word {word}")
@@ -200,6 +226,7 @@ _TAU_FORM = re.compile(r"q+(?:xxqq+)*xx?")
 _Q_RUN = re.compile("q+")
 
 
+@lru_cache(maxsize=4096)
 def tau_form_of(word) -> TauForm | None:
     """Parse a word as a TauForm, or None if it does not fit."""
     word = _as_word(word)
@@ -220,8 +247,9 @@ def _tau_and_form(c_set: CSet) -> tuple[Word, TauForm | None]:
     """``find_tau``'s word with the form it parsed (None unless n = 3)."""
     if c_set.is_empty:
         raise ValueError("the C-set is empty; there is no largest word")
-    tau = max((occ.word for occ in c_set.occurrences),
-              key=Word.lex_key)
+    # the order of Word.lex_key, with no Python frame per occurrence
+    tau = max(map(operator.attrgetter("word"), c_set.occurrences),
+              key=operator.methodcaller("translate", _RANKS))
     if c_set.system.nilpotency_degree != 3:
         return tau, None
     form = tau_form_of(tau)
@@ -373,15 +401,13 @@ def _iter_families(exhaustive_len: int, random_len: int, random_trials: int,
                    seed: int, system: RewriteSystem):
     """All subset families at the exhaustive bound, then seeded random
     families drawn from the larger pools."""
-    lefts = left_shape_words(exhaustive_len, system)
-    rights = right_shape_words(exhaustive_len, system)
+    lefts, rights = _shape_pools(exhaustive_len, system)
     for l_mask in range(1 << len(lefts)):
         chosen_left = [w for i, w in enumerate(lefts) if l_mask >> i & 1]
         for r_mask in range(1 << len(rights)):
             chosen_right = [y for i, y in enumerate(rights) if r_mask >> i & 1]
             yield chosen_left, chosen_right
-    left_pool = left_shape_words(random_len, system)
-    right_pool = right_shape_words(random_len, system)
+    left_pool, right_pool = _shape_pools(random_len, system)
     rng = random.Random(seed)
     for _ in range(random_trials):
         left_size = rng.randint(1, min(5, len(left_pool)))
@@ -475,10 +501,16 @@ def _scan_beta_range(n: int, field, lefts, rights, start: int,
     owns the scalar orbit of each beta in [start, stop) whose first nonzero
     digit is 1 and tests that beta alone.  Over GF(2) and the rationals'
     grid it owns and tests every beta in [start, stop).  For a consistent
-    beta the alphas of each owned c beta, wherever its index lies, are
-    walked in index order up to the first hit or the least index found so
-    far; over the rationals the solution may miss the grid, and the walk
-    then comes up empty.
+    beta the alphas of that beta alone are walked in index order up to the
+    first hit or the least index found so far; over the rationals the
+    solution may miss the grid, and the walk then comes up empty.  The
+    rest of an orbit cannot hold a smaller hit.  No rule turns a nonempty
+    word into 1, so the empty word's coefficient of alpha * beta is u_1
+    v_1, the product of the leading digits, and 1 - xq makes it 1.  A hit
+    of a representative (v_1 = 1) thus has alpha leading digit 1, while
+    the hits of c beta are the alpha / c, with leading digit 1 / c != 1.
+    The leading digit is the most significant of alpha's index, and
+    alpha's index outweighs beta's in the candidate index.
     """
     algebra = Algebra(xq_system(n), field)
     x = algebra.gen("x")
@@ -529,30 +561,24 @@ def _scan_beta_range(n: int, field, lefts, rights, start: int,
                         row = system[r]
                         row[i] = field.add(row[i], field.mul(digit, c))
             return solve(system, target, field) is not None
-    scalars = pool[1:] if exhaustive else pool[1:2]
     beta_count = len(pool) ** len(rights)
     best = None
-    for beta in itertools.islice(
-            itertools.product(pool, repeat=len(rights)), start, stop):
+    for beta_index, beta in enumerate(itertools.islice(
+            itertools.product(pool, repeat=len(rights)), start, stop), start):
         if exhaustive and next(filter(None, beta), None) != 1:
             continue
         if not consistent(beta):
             continue
-        for scalar in scalars:
-            scaled = [field.mul(scalar, digit) for digit in beta]
-            beta_index = 0
-            for digit in scaled:
-                beta_index = beta_index * len(pool) + pool.index(digit)
-            columns = [linear_combination(algebra, zip(scaled, row_products))
-                       for row_products in products]
-            for alpha_index, alpha in enumerate(
-                    itertools.product(pool, repeat=len(lefts))):
-                index = alpha_index * beta_count + beta_index
-                if best is not None and index >= best:
-                    break
-                if linear_combination(algebra, zip(alpha, columns)) == left_frame:
-                    best = index
-                    break
+        columns = [linear_combination(algebra, zip(beta, row_products))
+                   for row_products in products]
+        for alpha_index, alpha in enumerate(
+                itertools.product(pool, repeat=len(lefts))):
+            index = alpha_index * beta_count + beta_index
+            if best is not None and index >= best:
+                break
+            if linear_combination(algebra, zip(alpha, columns)) == left_frame:
+                best = index
+                break
     return best
 
 
@@ -571,8 +597,7 @@ def search_unit_regular_witness(max_word_len: int = 3, field=GF2, n: int = 3,
         raise ValueError("max_word_len must be nonnegative")
     started = time.perf_counter()
     system = xq_system(n)
-    lefts = left_shape_words(max_word_len, system)
-    rights = right_shape_words(max_word_len, system)
+    lefts, rights = _shape_pools(max_word_len, system)
     pool, pool_exhaustive = field.coefficient_pool()
     alpha_count = len(pool) ** len(lefts)
     beta_count = len(pool) ** len(rights)
@@ -722,8 +747,7 @@ def check_types_lemma(max_len: int = 7) -> VerificationReport:
     """
     started = time.perf_counter()
     system = xq_system(3)
-    lefts = left_shape_words(max_len, system)
-    rights = right_shape_words(max_len, system)
+    lefts, rights = _shape_pools(max_len, system)
     parameters = {"max_len": max_len, "n": 3,
                   "left_pool": len(lefts), "right_pool": len(rights)}
     examined = 0

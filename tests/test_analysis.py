@@ -87,6 +87,50 @@ def test_build_c_set_rejects_bad_input(lefts, rights, message):
         build_c_set(lefts, rights, S)
 
 
+@pytest.mark.parametrize("order", ((3, 4), (4, 3)), ids=["n3-first", "n4-first"])
+def test_shape_verdicts_are_cached_per_system(order):
+    # x^3 is a right-shape word at n = 4 and zero at n = 3, whichever
+    # system's verdict is cached first
+    analysis._shape_end.cache_clear()
+    for n in order:
+        if n == 4:
+            assert build_c_set(["q"], ["x^3"], xq_system(4)).occurrences
+        else:
+            with pytest.raises(ValueError, match=r"^x\^3 is not a right-shape word$"):
+                build_c_set(["q"], ["x^3"], S)
+
+
+def test_cached_shape_verdicts_still_check_the_side_and_duplicates():
+    analysis._shape_end.cache_clear()
+    assert build_c_set(["q"], ["x"], S).occurrences
+    with pytest.raises(ValueError, match="^q is not a right-shape word$"):
+        build_c_set(["q"], ["q"], S)
+    with pytest.raises(ValueError, match="^duplicate left word q$"):
+        build_c_set(["q", "q", "x"], ["x"], S)
+
+
+@pytest.mark.parametrize("text, letters", [
+    ("q x q", "qxq"), ("q x^2 q", "qxxq"), ("x q", "xq"), ("1", "")])
+def test_text_and_word_input_get_the_same_shape_verdict(text, letters):
+    def verdict(word):
+        try:
+            build_c_set([word], [], S)
+        except ValueError as error:
+            return str(error)
+        return "accepted"
+
+    analysis._shape_end.cache_clear()
+    text_first = [verdict(text), verdict(Word(letters))]
+    analysis._shape_end.cache_clear()
+    word_first = [verdict(Word(letters)), verdict(text)]
+    assert text_first == word_first == [text_first[0]] * 2
+
+
+def test_analysis_caches_are_bounded():
+    assert analysis._shape_end.cache_info().maxsize is not None
+    assert tau_form_of.cache_info().maxsize is not None
+
+
 def test_find_tau_and_form_parse():
     c = build_c_set(["q"], ["x^2"], S)
     tau = find_tau(c)
@@ -319,6 +363,31 @@ def test_family_sweeps_small():
                                            random_trials=50, seed=3)
     assert unique.passed
     assert unique.parameters["random_trials"] == 50
+
+
+SWEEPS = [(check, random_len, seed)
+          for check in (check_tau_forms_families, check_tau_uniqueness_families)
+          for random_len in (6, 7, 8) for seed in (1, 2)]
+
+
+@pytest.mark.parametrize(
+    "check,random_len,seed", SWEEPS,
+    ids=[f"{c.__name__}-L{length}-s{seed}" for c, length, seed in SWEEPS])
+def test_sweeps_match_a_sweep_with_cold_caches(monkeypatch, check, random_len, seed):
+    kwargs = dict(exhaustive_len=2, random_len=random_len, random_trials=100,
+                  seed=seed)
+    warm = check(**kwargs)
+    build = analysis.build_c_set
+
+    def cold_build_c_set(left_words, right_words, system):
+        for cache in (analysis._shape_end, tau_form_of, _pair_contributions):
+            cache.cache_clear()
+        return build(left_words, right_words, system)
+
+    monkeypatch.setattr(analysis, "build_c_set", cold_build_c_set)
+    cold = check(**kwargs)
+    assert warm.passed
+    assert _without_elapsed(cold) == _without_elapsed(warm)
 
 
 def test_types_lemma_small():
@@ -628,6 +697,43 @@ def test_gf5_orbit_members_outside_their_block_belong_to_it():
                                        min(start + 32, 125))
              for start in (0, 32, 64, 96)]
     assert scans == [750 * 125 + 31, 875 * 125 + 41, None, None]
+
+
+def _n2_hits(field, max_word_len):
+    """Every (alpha, beta) with alpha * beta = 1 - xq at n = 2.  Per beta,
+    the sums over alpha's first two digits meet the sums over its other
+    digits in a dictionary keyed by their terms."""
+    system = xq_system(2)
+    lefts = left_shape_words(max_word_len, system)
+    rights = right_shape_words(max_word_len, system)
+    algebra, left_frame, products = _frame_products(2, field, lefts, rights)
+    pool, _ = field.coefficient_pool()
+    hits = []
+    for beta in itertools.product(pool, repeat=len(rights)):
+        columns = [linear_combination(algebra, zip(beta, row)) for row in products]
+        tails = {}
+        for tail in itertools.product(pool, repeat=len(lefts) - 2):
+            terms = linear_combination(algebra, zip(tail, columns[2:])).terms()
+            tails.setdefault(frozenset(terms.items()), []).append(tail)
+        for head in itertools.product(pool, repeat=2):
+            rest = left_frame - linear_combination(algebra, zip(head, columns))
+            hits.extend((head + tail, beta)
+                        for tail in tails.get(frozenset(rest.terms().items()), ()))
+    return hits
+
+
+@pytest.mark.parametrize("field,count", ((GF3, 4), (GF5, 16)),
+                         ids=["gf3-L4", "gf5-L4"])
+def test_n2_representatives_hit_only_with_alpha_leading_digit_1(field, count):
+    # the empty word's coefficient of alpha * beta is u_1 v_1, and 1 - xq
+    # makes it 1, so walking an orbit's representative alone finds the
+    # orbit's least hit
+    hits = _n2_hits(field, 4)
+    assert len(hits) == count
+    for alpha, beta in hits:
+        assert field.mul(alpha[0], beta[0]) == 1
+        if next(filter(None, beta)) == 1:
+            assert alpha[0] == 1
 
 
 # (field, max_word_len, start, stop, solves) at n = 3.  Over GF(p) one
