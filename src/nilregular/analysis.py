@@ -461,15 +461,6 @@ def check_tau_uniqueness_families(exhaustive_len: int = 3, random_len: int = 6,
                                random_trials, seed)
 
 
-def _vector_from_index(index: int, pool, length: int) -> tuple:
-    digits = []
-    base = len(pool)
-    for _ in range(length):
-        index, digit = divmod(index, base)
-        digits.append(pool[digit])
-    return tuple(reversed(digits))
-
-
 def _row_basis(tables, target, width: int, field) -> list[int]:
     """The rows, picked greedily from the first, whose stacked coefficients
     (T_1[r] | ... | T_m[r] | target[r]) span every row's.  Row r of
@@ -483,10 +474,12 @@ def _row_basis(tables, target, width: int, field) -> list[int]:
     return row_reduce(stacked + [target], field)[1]
 
 
-def _scan_beta_range(n: int, field, lefts, rights, start: int,
-                     stop: int) -> int | None:
-    """The least global candidate index alpha_index * beta_count +
-    beta_index of a witness whose beta this block owns, or None.
+def _scan_beta_block(n: int, field, lefts, rights, block: int,
+                     blocks: int) -> tuple | None:
+    """(index, alpha, beta) for the witness of least global candidate
+    index alpha_index * beta_count + beta_index whose beta this block
+    owns, or None.  Block ``block`` of ``blocks`` takes every
+    ``blocks``-th beta of the index order, from index ``block`` on.
 
     The products (1-xq) w (1-qx) * (1-qx) y (1-xq) are built once per call,
     and with them one coefficient table per right word y: a row per word in
@@ -498,19 +491,23 @@ def _scan_beta_range(n: int, field, lefts, rights, start: int,
     fields fill a dense table of the ``_row_basis`` rows alone (9 of 26 at
     GF(3) L=3 n=3) and call ``solve`` on it.  Over GF(p > 2) the pool is
     range(p), so a digit is its value, and M(c beta) = c M(beta): the block
-    owns the scalar orbit of each beta in [start, stop) whose first nonzero
-    digit is 1 and tests that beta alone.  Over GF(2) and the rationals'
-    grid it owns and tests every beta in [start, stop).  For a consistent
-    beta the alphas of that beta alone are walked in index order up to the
-    first hit or the least index found so far; over the rationals the
-    solution may miss the grid, and the walk then comes up empty.  The
-    rest of an orbit cannot hold a smaller hit.  No rule turns a nonempty
-    word into 1, so the empty word's coefficient of alpha * beta is u_1
-    v_1, the product of the leading digits, and 1 - xq makes it 1.  A hit
-    of a representative (v_1 = 1) thus has alpha leading digit 1, while
-    the hits of c beta are the alpha / c, with leading digit 1 / c != 1.
-    The leading digit is the most significant of alpha's index, and
-    alpha's index outweighs beta's in the candidate index.
+    owns the scalar orbit of each beta it takes whose first nonzero digit
+    is 1 and tests that beta alone; the orbit's other members may fall to
+    any block.  The representatives whose leading 1 sits at one digit are
+    a run of consecutive indices, and a block takes its share of each run
+    to within one, so the blocks' representative counts differ by at most
+    len(rights).  Over GF(2) and the rationals' grid it owns and tests
+    every beta it takes.  For a consistent beta the alphas of that beta
+    alone are walked in index order up to the first hit or the least
+    index found so far; over the rationals the solution may miss the grid,
+    and the walk then comes up empty.  The rest of an orbit cannot hold a
+    smaller hit.  No rule turns a nonempty word into 1, so the empty
+    word's coefficient of alpha * beta is u_1 v_1, the product of the
+    leading digits, and 1 - xq makes it 1.  A hit of a representative
+    (v_1 = 1) thus has alpha leading digit 1, while the hits of c beta are
+    the alpha / c, with leading digit 1 / c != 1.  The leading digit is
+    the most significant of alpha's index, and alpha's index outweighs
+    beta's in the candidate index.
     """
     algebra = Algebra(xq_system(n), field)
     x = algebra.gen("x")
@@ -563,8 +560,8 @@ def _scan_beta_range(n: int, field, lefts, rights, start: int,
             return solve(system, target, field) is not None
     beta_count = len(pool) ** len(rights)
     best = None
-    for beta_index, beta in enumerate(itertools.islice(
-            itertools.product(pool, repeat=len(rights)), start, stop), start):
+    for beta_index, beta in itertools.islice(enumerate(itertools.product(
+            pool, repeat=len(rights))), block, None, blocks):
         if exhaustive and next(filter(None, beta), None) != 1:
             continue
         if not consistent(beta):
@@ -574,10 +571,10 @@ def _scan_beta_range(n: int, field, lefts, rights, start: int,
         for alpha_index, alpha in enumerate(
                 itertools.product(pool, repeat=len(lefts))):
             index = alpha_index * beta_count + beta_index
-            if best is not None and index >= best:
+            if best is not None and index >= best[0]:
                 break
             if linear_combination(algebra, zip(alpha, columns)) == left_frame:
-                best = index
+                best = index, alpha, beta
                 break
     return best
 
@@ -615,35 +612,28 @@ def search_unit_regular_witness(max_word_len: int = 3, field=GF2, n: int = 3,
     }
     # The betas split into one block per worker, at most one per CPU,
     # since each block builds its own products table.  A block returns the
-    # least index among the witnesses whose beta it owns, each beta belongs
-    # to one block, so the least over the blocks does not depend on the
-    # split.
+    # witness of least index whose beta it owns, each beta belongs to one
+    # block, so the least over the blocks does not depend on the split.
     blocks = min(workers, os.cpu_count() or 1)
     if blocks <= 1 or beta_count < 2 * blocks:
         blocks = 1
-    step = -(-beta_count // blocks)
-    starts = range(0, beta_count, step)
-    stops = [min(start + step, beta_count) for start in starts]
-    scan = partial(_scan_beta_range, n, field, lefts, rights)
-    if len(starts) == 1:
-        hits = list(map(scan, starts, stops))
+    scan = partial(_scan_beta_block, n, field, lefts, rights, blocks=blocks)
+    if blocks == 1:
+        hits = [scan(0)]
     else:
-        with concurrent.futures.ProcessPoolExecutor(
-                max_workers=len(starts)) as executor:
-            hits = list(executor.map(scan, starts, stops))
-    witness_index = min((hit for hit in hits if hit is not None), default=None)
-    if witness_index is None:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=blocks) as executor:
+            hits = list(executor.map(scan, range(blocks)))
+    hit = min(filter(None, hits), default=None)
+    if hit is None:
         witness = None
         examined = total
     else:
-        alpha_index, beta_index = divmod(witness_index, beta_count)
-        alpha_vec = _vector_from_index(alpha_index, pool, len(lefts))
-        beta_vec = _vector_from_index(beta_index, pool, len(rights))
+        witness_index, alpha, beta = hit
         witness = {
             "alpha_coefficients": {str(w): field.to_str(c)
-                                   for w, c in zip(lefts, alpha_vec)},
+                                   for w, c in zip(lefts, alpha)},
             "beta_coefficients": {str(y): field.to_str(c)
-                                  for y, c in zip(rights, beta_vec)},
+                                  for y, c in zip(rights, beta)},
         }
         examined = witness_index + 1
     return finish_report("unit-regular-search", parameters, witness,

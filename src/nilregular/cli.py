@@ -76,30 +76,33 @@ def _field_name(text: str) -> str:
 def build_parser() -> argparse.ArgumentParser:
     # Built once per process, on first use: building costs about as much as
     # a whole short reduce.  Flag groups, so that each subcommand accepts
-    # only flags it reads.
+    # only flags it reads; every default is RunConfig's.
     shape = argparse.ArgumentParser(add_help=False)
-    shape.add_argument("--presentation", choices=("S", "R"), default="S",
-                       help="which presentation to work in (default S)")
-    shape.add_argument("--n", type=_positive_int, default=3,
+    shape.add_argument("--presentation", choices=("S", "R"),
+                       default=RunConfig.presentation,
+                       help="which presentation to work in (default %(default)s)")
+    shape.add_argument("--n", type=_positive_int, default=RunConfig.n,
                        help="nilpotency degree of the main presentation "
-                            "(default 3; R uses degree n-1)")
+                            "(default %(default)s; R uses degree n-1)")
     shape.add_argument("--json", action="store_true",
                        help="emit a JSON report instead of text")
     field = argparse.ArgumentParser(add_help=False)
-    field.add_argument("--field", type=_field_name, default="rational",
+    field.add_argument("--field", type=_field_name, default=RunConfig.field_name,
                        dest="field_name",
                        help="coefficient field: rational or gf<p> for a "
-                            "prime p < 2^31 (default rational)")
+                            "prime p < 2^31 (default %(default)s)")
     bounds = argparse.ArgumentParser(add_help=False)
-    bounds.add_argument("--max-len", type=_nonnegative_int, default=6,
-                        help="word-length bound for bounded checks (default 6)")
-    bounds.add_argument("--max-word-len", type=_nonnegative_int, default=3,
-                        help="word-length bound for search pools (default 3)")
-    bounds.add_argument("--seed", type=int, default=0,
-                        help="seed for randomized checks (default 0)")
-    bounds.add_argument("--workers", type=_positive_int, default=1,
+    bounds.add_argument("--max-len", type=_nonnegative_int, default=RunConfig.max_len,
+                        help="word-length bound for bounded checks "
+                             "(default %(default)s)")
+    bounds.add_argument("--max-word-len", type=_nonnegative_int,
+                        default=RunConfig.max_word_len,
+                        help="word-length bound for search pools (default %(default)s)")
+    bounds.add_argument("--seed", type=int, default=RunConfig.seed,
+                        help="seed for randomized checks (default %(default)s)")
+    bounds.add_argument("--workers", type=_positive_int, default=RunConfig.workers,
                         help="blocks the search splits into, run by at most "
-                             "one process per CPU (default 1)")
+                             "one process per CPU (default %(default)s)")
 
     parser = argparse.ArgumentParser(
         prog="nilregular",

@@ -82,9 +82,15 @@ def test_qx_occurrences_across_a_family():
     (["q", Word("q")], ["x"], "duplicate left word q"),
     (["q"], ["a"], "letter 'a' does not belong to presentation S"),
 ], ids=["left-x", "non-basis", "right-begins-in-q", "duplicate", "letter-a"])
-def test_build_c_set_rejects_bad_input(lefts, rights, message):
+def test_build_c_set_rejects_bad_input(monkeypatch, lefts, rights, message):
+    # each bad word is refused by the side check, before any pair is
+    # multiplied out (reducing a product would refuse a foreign letter too)
+    multiplied = []
+    monkeypatch.setattr(analysis, "_pair_contributions",
+                        lambda *pair: multiplied.append(pair) or ())
     with pytest.raises(ValueError, match=f"^{message}$"):
         build_c_set(lefts, rights, S)
+    assert multiplied == []
 
 
 @pytest.mark.parametrize("order", ((3, 4), (4, 3)), ids=["n3-first", "n4-first"])
@@ -447,7 +453,7 @@ def _without_timing(report) -> dict:
 
 def test_unit_regular_search_runs_at_most_one_process_per_cpu(in_process_pool):
     # 3^3 = 27 betas and the fixture reports 4 CPUs: 3 workers make 3
-    # blocks of 9, 13 make 4 blocks of at most 7
+    # blocks of 9 betas, 13 make 4 blocks of 6 or 7
     single = search_unit_regular_witness(max_word_len=2, field=GF3)
     for workers in (3, 13):
         fanned = search_unit_regular_witness(max_word_len=2, field=GF3,
@@ -459,20 +465,23 @@ def test_unit_regular_search_runs_at_most_one_process_per_cpu(in_process_pool):
 
 def test_unit_regular_search_merges_blocks_by_least_index(
         in_process_pool, monkeypatch):
-    # 3^3 betas in blocks from 0, 9 and 18; the last block's hit, alpha 2
-    # with beta 18, has a smaller index than the middle block's
-    hits = {0: None, 9: 5 * 3 ** 3 + 9, 18: 2 * 3 ** 3 + 18}
+    # 3^3 betas in 3 blocks, each taking every third beta; the last
+    # block's hit, alpha 2 with beta 20, has a smaller index than the
+    # middle block's, alpha 5 with beta 10
+    hits = {0: None, 1: (5 * 3 ** 3 + 10, (0, 1, 2), (1, 0, 1)),
+            2: (2 * 3 ** 3 + 20, (0, 0, 2), (2, 0, 2))}
 
-    def scan(n, field, lefts, rights, start, stop):
-        return hits[start]
+    def scan(n, field, lefts, rights, block, blocks):
+        assert blocks == 3
+        return hits[block]
 
-    monkeypatch.setattr(analysis, "_scan_beta_range", scan)
+    monkeypatch.setattr(analysis, "_scan_beta_block", scan)
     report = search_unit_regular_witness(max_word_len=2, field=GF3, workers=3)
     assert report.status == "fail"
-    assert report.candidates_examined == 2 * 3 ** 3 + 18 + 1
+    assert report.candidates_examined == 2 * 3 ** 3 + 20 + 1
     assert report.witness == {
         "alpha_coefficients": {"1": "0", "q": "0", "q^2": "2"},
-        "beta_coefficients": {"1": "2", "x": "0", "x^2": "0"}}
+        "beta_coefficients": {"1": "2", "x": "0", "x^2": "2"}}
 
 
 def test_unit_regular_search_rational_grid_is_flagged():
@@ -511,13 +520,13 @@ def _frame_products(n, field, lefts, rights):
                                  for a_unit in alpha_units]
 
 
-def _brute_force_scan(n, field, lefts, rights, start, stop):
+def _brute_force_scan(n, field, lefts, rights, block, blocks):
     """The oracle: multiply out every alpha with every beta that the block
-    [start, stop) owns, in global index order, and return the index of the
-    first product equal to 1 - xq.  A block owns each beta whose index
-    lies in [start, stop), except over GF(p > 2): there a beta belongs to
-    the block of its scalar orbit's representative, itself scaled to first
-    nonzero digit 1."""
+    owns, in global index order, and return (index, alpha, beta) for the
+    first product equal to 1 - xq.  Block ``block`` of ``blocks`` owns
+    each beta whose index is ``block`` mod ``blocks``, except over
+    GF(p > 2): there a beta belongs to the block of its scalar orbit's
+    representative, itself scaled to first nonzero digit 1."""
     algebra, left_frame, products = _frame_products(n, field, lefts, rights)
     pool, exhaustive = field.coefficient_pool()
     betas = list(itertools.product(pool, repeat=len(rights)))
@@ -528,19 +537,19 @@ def _brute_force_scan(n, field, lefts, rights, start, stop):
         if exhaustive:
             scale = field.inv(next(filter(None, beta), 1))
             owner = index_of[tuple(field.mul(scale, digit) for digit in beta)]
-        if start <= owner < stop:
-            owned.append((beta_index, [linear_combination(algebra, zip(beta, row))
-                                       for row in products]))
+        if owner % blocks == block:
+            owned.append((beta_index, beta, [
+                linear_combination(algebra, zip(beta, row)) for row in products]))
     for alpha_index, alpha in enumerate(itertools.product(pool, repeat=len(lefts))):
-        for beta_index, columns in owned:
+        for beta_index, beta, columns in owned:
             if linear_combination(algebra, zip(alpha, columns)) == left_frame:
-                return alpha_index * len(betas) + beta_index
+                return alpha_index * len(betas) + beta_index, alpha, beta
     return None
 
 
 def _brute_force_search(monkeypatch, **kwargs):
     with monkeypatch.context() as patched:
-        patched.setattr(analysis, "_scan_beta_range", _brute_force_scan)
+        patched.setattr(analysis, "_scan_beta_block", _brute_force_scan)
         return search_unit_regular_witness(**kwargs)
 
 
@@ -600,10 +609,10 @@ def test_n2_witness_is_the_same_across_worker_counts(
     assert _without_timing(report) == _without_timing(expected)
 
 
-# blocks that start mid-way through the index order, through the
-# in-process pool of 4 CPUs: QQ L=1 has 5^2 betas and GF(3) L=2 has 3^3,
-# and 3 or 7 workers split them into 3 or 4 blocks whose first beta has
-# nonzero digits
+# blocks that start past the first beta, through the in-process pool of
+# 4 CPUs: QQ L=1 has 5^2 betas and GF(3) L=2 has 3^3, and 3 or 7 workers
+# split them into 3 or 4 blocks, each taking every third or fourth beta
+# from its own offset
 MID_COUNTER = ((QQ, 1), (GF3, 2))
 
 
@@ -623,8 +632,8 @@ def test_blocks_starting_mid_counter_match_the_brute_force_scan(
 
 def test_n2_gf2_hit_in_a_later_block_matches_the_brute_force_scan(
         in_process_pool, monkeypatch):
-    # 2^4 betas in blocks starting at 0, 6 and 12; the hit is beta 14
-    # with alpha 48
+    # 2^4 betas in 3 blocks; the hit, beta 14 with alpha 48, is the fifth
+    # beta of the last block
     expected = _brute_force_search(monkeypatch, max_word_len=5, field=GF2, n=2)
     report = search_unit_regular_witness(max_word_len=5, field=GF2, n=2,
                                          workers=3)
@@ -633,40 +642,50 @@ def test_n2_gf2_hit_in_a_later_block_matches_the_brute_force_scan(
     assert _without_timing(report) == _without_timing(expected)
 
 
-# n = 2 beta ranges that start anywhere in the index order: before, on or
-# after a hit, and past every orbit representative.  GF(3) L=4 has 3^3
-# betas against 3^5 alphas and hits at (alpha, beta) = (108, 13), (135,
-# 16), (189, 23) and (216, 26); 13 = (1, 1, 1) and 16 = (1, 2, 1) in base
-# 3 represent the orbits {13, 26} and {16, 23}, so [17, 27) holds two hit
-# betas and owns neither.  The rational grid at L=4 hits at (750, 31),
-# (875, 36), (1375, 57) and (1500, 62) of 5^5 by 5^3.  GF(5) L=4 hits at
-# 16 pairs, the least (750, 31), then (875, 41), (1000, 36) and (1125,
-# 46), and every representative lies below 50.  GF(2) L=5 hits once, at
-# (48, 14) of 2^6 by 2^4.
-COUNTER_RANGES = (
-    [(GF3, 4, start, stop)
-     for start, stop in ((0, 27), (1, 13), (13, 14), (14, 27), (16, 17), (17, 27))]
-    + [(QQ, 4, start, start + 4) for start in (30, 33, 56, 58, 62)]
-    + [(GF5, 4, start, stop) for start, stop in ((0, 5), (30, 32), (46, 47), (50, 125))]
-    + [(GF2, 5, start, stop) for start, stop in ((8, 15), (15, 16))])
+# n = 2 blocks (block, blocks) that start anywhere in the index order,
+# since block b takes the betas b, b + blocks, b + 2 blocks, ...: on or
+# off a hit, past every orbit representative, or holding hit betas whose
+# orbits another block owns.  GF(3) L=4 has 3^3 betas against 3^5 alphas
+# and hits at (alpha, beta) = (108, 13), (135, 16), (189, 23) and (216,
+# 26); 13 = (1, 1, 1) and 16 = (1, 2, 1) in base 3 represent the orbits
+# {13, 26} and {16, 23}, so block 1 of 11, {1, 12, 23}, holds a hit beta
+# and owns no hit.  The rational grid at L=4 hits at (750, 31), (875,
+# 36), (1375, 57) and (1500, 62) of 5^5 by 5^3, and owns each beta
+# alone, so block 30 of 32 hits at 62, its second beta.  GF(5) L=4 hits
+# at 16 pairs, the least (750, 31), then (875, 41), (1000, 36) and (1125,
+# 46); every other hit beta is a multiple of one of these four, so blocks
+# 30 of 32, {30, 62, 94}, and 50 of 74, {50, 124}, own no hit.  GF(2) L=5
+# hits once, at (48, 14) of 2^6 by 2^4: the fifth beta of block 2 of 3.
+# At GF(7) L=4, block 8 of 14 meets 64 = (1, 2, 1) in base 7, which hits
+# with alpha 3773, before 78 = (1, 4, 1), which hits with alpha 3087, so
+# the block's least hit is not its first.
+SCAN_BLOCKS = (
+    [(GF3, 4, block, blocks) for block, blocks in (
+        (0, 1), (1, 11), (3, 5), (13, 14), (14, 15), (16, 17), (17, 18))]
+    + [(QQ, 4, block, blocks) for block, blocks in (
+        (5, 26), (30, 32), (33, 34), (56, 57), (58, 59), (62, 63))]
+    + [(GF5, 4, block, blocks) for block, blocks in (
+        (0, 1), (30, 32), (46, 47), (50, 74))]
+    + [(GF2, 5, block, blocks) for block, blocks in ((2, 3), (8, 9), (15, 16))]
+    + [(PrimeField(7), 4, 8, 14)])
 
 
 @pytest.mark.parametrize(
-    "field,max_word_len,start,stop", COUNTER_RANGES,
-    ids=[f"{f.name}-L{length}-{start}" for f, length, start, _ in COUNTER_RANGES])
+    "field,max_word_len,block,blocks", SCAN_BLOCKS,
+    ids=[f"{f.name}-L{length}-{block}" for f, length, block, _ in SCAN_BLOCKS])
 def test_scan_from_any_counter_position_matches_the_brute_force_scan(
-        field, max_word_len, start, stop):
+        field, max_word_len, block, blocks):
     system = xq_system(2)
     lefts = left_shape_words(max_word_len, system)
     rights = right_shape_words(max_word_len, system)
-    args = (2, field, lefts, rights, start, stop)
-    assert analysis._scan_beta_range(*args) == _brute_force_scan(*args)
+    args = (2, field, lefts, rights, block, blocks)
+    assert analysis._scan_beta_block(*args) == _brute_force_scan(*args)
 
 
 @pytest.mark.parametrize("workers", (3, 13))
 def test_gf5_witness_is_the_same_across_worker_counts(in_process_pool, workers):
     # 5^3 betas in 3 or 4 blocks; the first hit, alpha 750 with beta 31 =
-    # (1, 1, 1) in base 5, is owned by the first block
+    # (1, 1, 1) in base 5, is owned by the block 31 mod 3 or 31 mod 4
     single = search_unit_regular_witness(max_word_len=4, field=GF5, n=2)
     report = search_unit_regular_witness(max_word_len=4, field=GF5, n=2,
                                          workers=workers)
@@ -676,27 +695,39 @@ def test_gf5_witness_is_the_same_across_worker_counts(in_process_pool, workers):
 
 
 def test_gf5_orbit_members_outside_their_block_belong_to_it():
-    # 5^3 betas in the four blocks of 32 that 13 workers on 4 CPUs make.
-    # Beta 31 = (1, 1, 1) hits with alpha 750, and its multiples 62, 93
-    # and 124 hit with alphas 2250, 1500 and 3000 in the later blocks.
-    # All of its orbit belongs to the first block; the blocks from 64 and
-    # 96 hold hits but own no orbit, since each beta there begins in 2 to 4.
+    # 5^3 betas in five blocks, block b taking the betas b mod 5.  Beta
+    # 31 = (1, 1, 1) hits with alpha 750 = (1, 1, 0, 0, 0), and its
+    # multiples 62, 93 and 124 hit with alphas 2250, 1500 and 3000 in
+    # blocks 2, 3 and 4.  The four hit representatives 31, 36, 41 and 46
+    # all fall to block 1, so blocks 2 to 4 hold four hit betas each but
+    # own no hit.
     system = xq_system(2)
     lefts = left_shape_words(4, system)
     rights = right_shape_words(4, system)
     algebra, left_frame, products = _frame_products(2, GF5, lefts, rights)
-    for alpha_index, beta_index in ((750, 31), (2250, 62), (1500, 93),
-                                    (3000, 124)):
-        alpha = analysis._vector_from_index(alpha_index, range(5), len(lefts))
-        beta = analysis._vector_from_index(beta_index, range(5), len(rights))
+    for scale in range(1, 5):
+        alpha = (GF5.inv(scale),) * 2 + (0,) * 3
+        beta = (scale,) * 3
         product = linear_combination(
             algebra, ((GF5.mul(a, b), products[i][j])
                       for i, a in enumerate(alpha) for j, b in enumerate(beta)))
         assert product == left_frame
-    scans = [analysis._scan_beta_range(2, GF5, lefts, rights, start,
-                                       min(start + 32, 125))
-             for start in (0, 32, 64, 96)]
-    assert scans == [750 * 125 + 31, 875 * 125 + 41, None, None]
+    scans = [analysis._scan_beta_block(2, GF5, lefts, rights, block, 5)
+             for block in range(5)]
+    assert scans == [None, (750 * 125 + 31, (1, 1, 0, 0, 0), (1, 1, 1)),
+                     None, None, None]
+
+
+def test_gf5_witness_crosses_real_processes(monkeypatch):
+    # two blocks on a real process pool: the hit tuple and the pickled
+    # scan cross a process boundary
+    monkeypatch.setattr(analysis.os, "cpu_count", lambda: 2)
+    single = search_unit_regular_witness(max_word_len=4, field=GF5, n=2)
+    fanned = search_unit_regular_witness(max_word_len=4, field=GF5, n=2,
+                                         workers=2)
+    assert fanned.parameters["workers"] == 2
+    assert fanned.candidates_examined == 750 * 5 ** 3 + 31 + 1
+    assert _without_timing(fanned) == _without_timing(single)
 
 
 def _n2_hits(field, max_word_len):
@@ -736,22 +767,24 @@ def test_n2_representatives_hit_only_with_alpha_leading_digit_1(field, count):
             assert alpha[0] == 1
 
 
-# (field, max_word_len, start, stop, solves) at n = 3.  Over GF(p) one
+# (field, max_word_len, block, blocks, solves) at n = 3.  Over GF(p) one
 # beta per orbit of nonzero scalars is solved, the one whose first nonzero
 # digit is 1: 26 / 2 of the 3^3 betas at GF(3) and 24 / 4 of the 5^2 at
-# GF(5).  In [14, 27), 14 = (1, 1, 2) to 17 = (1, 2, 2) in base 3 are
-# representatives, and 18 to 26 begin in 2 and belong to the orbits of 9
-# to 17.  The rational grid is not closed under scalars, so all 5^2 of its
-# betas are solved.
-SOLVE_COUNTS = ((GF3, 2, 0, 27, 13), (GF3, 2, 14, 27, 4), (GF5, 1, 0, 25, 6),
-                (QQ, 1, 0, 25, 25))
+# GF(5).  Block 2 of 3 takes 2, 5, ..., 26, of which 5 = (0, 1, 2), 11, 14
+# and 17 = (1, 2, 2) in base 3 are representatives; 2 = (0, 0, 2), 8,
+# 20, 23 and 26 have first nonzero digit 2, and block 1 owns their
+# orbits.  Block 14 of 15 takes the representative 14 alone.  The rational grid is not
+# closed under scalars, so each of its betas is solved: 13 of the 5^2 in
+# block 0 of 2.
+SOLVE_COUNTS = ((GF3, 2, 0, 1, 13), (GF3, 2, 2, 3, 4), (GF3, 2, 14, 15, 1),
+                (GF5, 1, 0, 1, 6), (QQ, 1, 0, 2, 13))
 
 
 @pytest.mark.parametrize(
-    "field,max_word_len,start,stop,solves", SOLVE_COUNTS,
-    ids=[f"{f.name}-L{length}-{start}" for f, length, start, _, _ in SOLVE_COUNTS])
+    "field,max_word_len,block,blocks,solves", SOLVE_COUNTS,
+    ids=[f"{f.name}-L{length}-{block}" for f, length, block, _, _ in SOLVE_COUNTS])
 def test_dense_scan_solves_once_per_scalar_orbit(
-        monkeypatch, field, max_word_len, start, stop, solves):
+        monkeypatch, field, max_word_len, block, blocks, solves):
     calls = []
 
     def counting_solve(rows, rhs, field):
@@ -761,8 +794,46 @@ def test_dense_scan_solves_once_per_scalar_orbit(
     monkeypatch.setattr(analysis, "solve", counting_solve)
     lefts = left_shape_words(max_word_len, S)
     rights = right_shape_words(max_word_len, S)
-    assert analysis._scan_beta_range(3, field, lefts, rights, start, stop) is None
+    assert analysis._scan_beta_block(3, field, lefts, rights, block, blocks) is None
     assert len(calls) == solves
+
+
+# n = 3 searches with no witness: 31 representatives among the 5^3 betas
+# of GF(5) L=3 and 40 among the 3^4 of GF(3) L=4
+BALANCED = ((GF5, 3, 31), (GF3, 4, 40))
+
+
+@pytest.mark.parametrize("workers", (2, 4))
+@pytest.mark.parametrize(
+    "field,max_word_len,representatives", BALANCED,
+    ids=[f"{f.name}-L{length}" for f, length, _ in BALANCED])
+def test_blocks_share_the_representatives_evenly(
+        in_process_pool, monkeypatch, field, max_word_len, representatives,
+        workers):
+    # each block's solves, one per representative it owns, are counted as
+    # the block runs in this process; a run of consecutive representatives
+    # splits to within one per block, and there is a run per right word
+    solves = []
+
+    def counting_solve(rows, rhs, field):
+        solves[-1] += 1
+        return solve(rows, rhs, field)
+
+    def counting_map(executor, fn, *iterables):
+        for args in zip(*iterables):
+            solves.append(0)
+            yield fn(*args)
+
+    monkeypatch.setattr(analysis, "solve", counting_solve)
+    monkeypatch.setattr(concurrent.futures.ProcessPoolExecutor, "map", counting_map)
+    report = search_unit_regular_witness(max_word_len=max_word_len,
+                                         field=field, workers=workers)
+    assert report.status == "exhausted"
+    assert len(solves) == workers
+    assert sum(solves) == representatives
+    rights = len(report.parameters["right_words"])
+    assert all(abs(count - representatives / workers) <= rights
+               for count in solves), solves
 
 
 def _support_tables(n, field, lefts, rights):

@@ -270,6 +270,24 @@ def test_verify_failure_exit_code(capsys, monkeypatch):
     assert out.startswith("[fail]")
 
 
+@pytest.mark.parametrize("check", sorted(cli.CHECKS))
+def test_verify_without_flags_runs_the_run_config_defaults(capsys, monkeypatch, check):
+    # the parser takes every default from RunConfig
+    seen = []
+    passing = VerificationReport(
+        check=check, parameters={}, status="pass", witness=None,
+        candidates_examined=1, elapsed_ms=0.1)
+
+    def recording_run_check(name, cfg):
+        seen.append((name, cfg))
+        return passing
+
+    monkeypatch.setattr(cli, "run_check", recording_run_check)
+    code, _, _ = run_cli(capsys, "verify", check)
+    assert code == 0
+    assert seen == [(check, cli.RunConfig(output="text"))]
+
+
 def test_json_reports_are_reproducible():
     cfg = cli.RunConfig(field_name="gf2", seed=4, max_len=4)
     first = cli.run_check("primeness", cfg).to_dict()
