@@ -72,16 +72,20 @@ def row_reduce(rows, field):
         if target is None:
             continue
         matrix[pivot_row], matrix[target] = matrix[target], matrix[pivot_row]
-        scale = field.inv(matrix[pivot_row][col])
-        matrix[pivot_row] = [field.mul(scale, v) for v in matrix[pivot_row]]
-        # the pivot row is zero left of col, so only columns col.. change
-        tail = matrix[pivot_row][col:]
+        pivot = matrix[pivot_row]
+        scale = field.inv(pivot[col])
+        # the pivot row is zero left of col, and its zeros right of col
+        # change nothing: only its nonzero entries scale and eliminate
+        nonzero = [(j, field.mul(scale, pivot[j]))
+                   for j in range(col, ncols) if pivot[j] != zero]
+        for j, value in nonzero:
+            pivot[j] = value
         for r, row in enumerate(matrix):
             factor = row[col]
             if r == pivot_row or factor == zero:
                 continue
-            row[col:] = [field.sub(v, field.mul(factor, p))
-                         for v, p in zip(row[col:], tail)]
+            for j, value in nonzero:
+                row[j] = field.sub(row[j], field.mul(factor, value))
         pivots.append(col)
         pivot_row += 1
         if pivot_row == len(matrix):

@@ -7,10 +7,18 @@ R on a, b with a^(n-1) = 0, via
 
 and the image is the subalgebra of matrices whose (1,2) entry lies in the
 right ideal I = R(1 - ba) and whose (2,2) entry lies in F + I.  Membership
-in those corners is decidable by a small exact linear solve: multiplying
-distinct words by ba gives distinct words two letters longer, so
-s -> s(1 - ba) is injective and a factor s with entry = s(1 - ba) has
-deg(s) = deg(entry) - 2; the solve runs over the words up to that degree.
+in those corners is decided by one small exact linear solve per entry.
+Appending ba to a basis word of R gives a basis word two letters longer
+(the appended b breaks any run of a), so s -> s(1 - ba) sends a word w to
+w - w ba.  The basis words therefore fall into chains r, r ba, r (ba)^2,
+..., one per root r that does not end in ba.  If s has coefficients
+s_0, s_1, ... along a chain, the entry s(1 - ba) has e_j = s_j - s_(j-1)
+there, so s vanishes on a chain below the chain's first word in the
+entry, and on every chain that the entry does not meet.  The solve runs
+over the words w, w ba, w (ba)^2, ... of the entry's words w, up to
+length deg(entry) - 2, the degree that any factor has.  A constant c
+changes only e_0 = c + s_0 on the identity's chain, so when one is
+allowed that chain is solved for from the identity up.
 
 The module also carries the determinant obstruction (the evaluation
 a -> e21, b -> e12 into scalar matrices sends 1 - ba to a singular matrix,
@@ -28,7 +36,8 @@ from .elements import Algebra, AlgebraElement, linear_combination
 from .fields import GF2, QQ
 from .linalg import gf2_basis, rank, solve
 from .rewriting import (
-    IDENTITY_WORD, Word, _check_alphabet, ab_system, parse_word, xq_system)
+    IDENTITY_WORD, Word, _check_alphabet, _word, ab_system, parse_word,
+    xq_system)
 from .reports import VerificationReport, checklist_report, finish_report
 
 
@@ -187,14 +196,19 @@ class MatrixModel:
         """Decide the block-shape membership of a matrix over R.
 
         Entries (1,1) and (2,1) are unconstrained.  Entry (1,2) must lie
-        in R(1 - ba) and entry (2,2) in F + R(1 - ba); both are decided by
-        an exact linear solve for the factor s.  Any s with
+        in R(1 - ba) and entry (2,2) in F + R(1 - ba); each is decided by
+        one exact linear solve for the factor s.  Any s with
         entry = s(1 - ba) satisfies deg(s) = deg(entry) - 2 (multiplying a
         word by ba adds two letters and never cancels), so the factor is
-        unique and solving over the words up to that degree is conclusive;
-        for n = 2, a = 0 and 1 - ba = 1, so deg(s) = deg(entry).  A larger
-        degree_bound gives the same certificate; a smaller one is an error
-        rather than a silent weaker answer.
+        unique.  The unknowns are the words w (ba)^k of the entry's words
+        w up to that degree, and for (2,2) also the powers (ba)^k: s
+        vanishes on the rest of each ba-chain (see the module docstring).
+        For n = 2, a = 0 and 1 - ba = 1, so the unknowns are the entry's
+        words and deg(s) = deg(entry).
+
+        degree_bound caps the length of the words solved for.  A larger
+        bound lengthens the chains and gives the same certificate; a
+        smaller one is an error rather than a silent weaker answer.
         """
         if matrix.algebra != self.target:
             raise ValueError("matrix must live over this model's a,b algebra")
@@ -219,7 +233,14 @@ class MatrixModel:
             raise DegreeBoundExceeded(
                 f"membership solve needs degree {needed}, bound is {degree_bound}")
         bound = degree_bound if degree_bound is not None else needed
-        unknowns = self.target.basis_words(bound)
+        unknowns = entry.support()
+        if self.n > 2:
+            # the factor vanishes on a ba-chain below the entry's words,
+            # except on the identity's chain when the constant joins it
+            starts = (IDENTITY_WORD, *unknowns) if with_constant else unknowns
+            unknowns = list(dict.fromkeys(
+                _word(Word, word + "ba" * k) for word in starts
+                for k in range((bound - len(word)) // 2 + 1)))
         columns = [self.target.word(w) * self._one_minus_ba for w in unknowns]
         if with_constant:
             columns.append(self.target.one)

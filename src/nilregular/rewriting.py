@@ -76,7 +76,8 @@ class Word(str):
         stray = letters.strip(_ALPHABET)
         if stray:
             raise ValueError(f"unknown letter {stray[0]!r}")
-        return str.__new__(cls, letters)
+        # str.__new__ of a Word would go through its run-length __str__
+        return str.__new__(cls, str.__str__(letters))
 
     @classmethod
     def from_letters(cls, letters) -> "Word":

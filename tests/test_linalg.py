@@ -3,8 +3,11 @@ GF(2) kernel against dense elimination."""
 
 import itertools
 import random
+from fractions import Fraction
 
-from nilregular.fields import GF2, GF3
+import pytest
+
+from nilregular.fields import GF2, GF3, QQ, PrimeField
 from nilregular.linalg import gf2_basis, gf2_reduce, rank, row_reduce, solve
 
 
@@ -46,6 +49,50 @@ def test_elimination_matches_brute_force_over_gf3():
 
 def test_packed_gf2_rank_and_solve_match_brute_force():
     _check_against_brute_force(GF2, random.Random(6))
+
+
+def _dense_rref(rows, p):
+    """Gauss-Jordan elimination that scales and clears every entry, zeros
+    included: over GF(p), or over the rationals for p = None."""
+    def reduced(value):
+        return value if p is None else value % p
+
+    def inverse(value):
+        return 1 / Fraction(value) if p is None else pow(value, -1, p)
+
+    matrix = [list(row) for row in rows]
+    pivots = []
+    for col in range(len(matrix[0])):
+        top = len(pivots)
+        found = next((r for r in range(top, len(matrix)) if matrix[r][col] != 0),
+                     None)
+        if found is None:
+            continue
+        matrix[top], matrix[found] = matrix[found], matrix[top]
+        scale = inverse(matrix[top][col])
+        matrix[top] = [reduced(v * scale) for v in matrix[top]]
+        for r, row in enumerate(matrix):
+            if r != top and row[col] != 0:
+                matrix[r] = [reduced(v - row[col] * w)
+                             for v, w in zip(row, matrix[top])]
+        pivots.append(col)
+    return matrix, pivots
+
+
+@pytest.mark.parametrize("field", [QQ, GF2, PrimeField(5)], ids=lambda f: f.name)
+def test_row_reduce_matches_dense_elimination_on_sparse_matrices(field):
+    # row_reduce touches only the pivot row's nonzero entries; elimination
+    # over every entry must give the same rows and pivots
+    rng = random.Random(13)
+    p = None if field == QQ else field.p
+    values = ([Fraction(a, b) for a in range(-3, 4) if a for b in (1, 2, 3)]
+              if p is None else range(1, p))
+    for _ in range(300):
+        height, width = rng.randint(1, 12), rng.randint(1, 12)
+        density = rng.choice((0.1, 0.25, 0.5))
+        rows = [[field.coerce(rng.choice(values)) if rng.random() < density
+                 else field.zero for _ in range(width)] for _ in range(height)]
+        assert row_reduce(rows, field) == _dense_rref(rows, p), rows
 
 
 def _pack(entries) -> int:

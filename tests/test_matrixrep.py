@@ -4,13 +4,16 @@ import random
 
 import pytest
 
-from nilregular.elements import Algebra
+from nilregular import matrixrep
+from nilregular.elements import Algebra, linear_combination
 from nilregular.fields import GF2, GF3, QQ
+from nilregular.linalg import solve
 from nilregular.matrixrep import (
-    DegreeBoundExceeded, MatrixElement, MatrixModel, _rank,
+    DegreeBoundExceeded, MatrixElement, MatrixModel, TMembership, _rank,
     check_determinant_obstruction, det2, n2_variant_check, pi_eval,
     verify_phi_faithful)
-from nilregular.rewriting import Word, ab_system, parse_word, xq_system
+from nilregular.rewriting import (
+    IDENTITY_WORD, Word, ab_system, parse_word, xq_system)
 
 MODEL = MatrixModel(3, QQ)
 R = MODEL.target
@@ -91,49 +94,138 @@ def test_every_phi_image_is_in_t():
         assert MODEL.membership(MODEL.phi(word)).in_t
 
 
-def _oracle_matrices(model, rng):
-    """The zero matrix, phi of every basis word up to length 6, and planted
-    non-members: phi of a word up to length 4 plus a word of R one letter
-    longer than the (1,2) or (2,2) entry and not ending in ba.  Every
-    nonzero element of R(1 - ba) has only words ending in ba at its top
-    degree, so the planted entry cannot lie in the ideal.  Yields
-    (matrix, planted entry or None)."""
+def _one_minus_ba(target):
+    return target.one - target.gen("b") * target.gen("a")
+
+
+def _assert_certifies(result, matrix):
+    """result certifies that matrix lies in the image's block shape."""
+    target = matrix.algebra
+    assert result.in_t, str(matrix)
+    assert result.top_right_factor * _one_minus_ba(target) == matrix.entry(0, 1)
+    assert (target.scalar(result.constant_part)
+            + result.bottom_right_factor * _one_minus_ba(target)
+            == matrix.entry(1, 1))
+
+
+def _dense_factor(model, entry, with_constant):
+    """The factor s (and the constant c) with entry = s(1 - ba) (+ c), by
+    one dense solve over every basis word of R up to deg(entry) -
+    deg(1 - ba); None when there is none.  This is the membership solve
+    before it was restricted to the entry's ba-chains."""
     target = model.target
+    one_minus_ba = _one_minus_ba(target)
+    bound = max((entry.degree() or 0) - one_minus_ba.degree(), 0)
+    unknowns = target.basis_words(bound)
+    columns = [target.word(w) * one_minus_ba for w in unknowns]
+    if with_constant:
+        columns.append(target.one)
+    words = sorted({w for column in columns for w in column.support()}
+                   | set(entry.support()), key=Word.sort_key)
+    rows = [[column.coeff(w) for column in columns] for w in words]
+    solution = solve(rows, [entry.coeff(w) for w in words], target.field)
+    if solution is None:
+        return None
+    factor = linear_combination(
+        target, zip(solution, (target.word(w) for w in unknowns)))
+    return factor, solution[-1] if with_constant else None
+
+
+def _dense_membership(model, matrix):
+    top = _dense_factor(model, matrix.entry(0, 1), with_constant=False)
+    bottom = _dense_factor(model, matrix.entry(1, 1), with_constant=True)
+    failed = tuple(name for name, found in (("(1,2)", top), ("(2,2)", bottom))
+                   if found is None)
+    if failed:
+        return TMembership(False, None, None, None, failed)
+    return TMembership(True, top[0], bottom[1], bottom[0])
+
+
+def _oracle_matrices(model, rng):
+    """The zero matrix; phi of every basis word up to length 6; phi of
+    x q^k (k = 5..8) plus up to two random shorter words, for entry
+    degrees up to 10; six matrices built from random factors of R and a
+    constant that cancels the factor's identity term in (2,2); and planted
+    non-members: phi of a word up to length 4 plus a word of R one letter
+    longer than the (1,2) or (2,2) entry and not ending in ba.  For
+    n >= 3 every nonzero element of R(1 - ba) has only words ending in ba
+    at its top degree, so the planted entry cannot lie in the ideal; for
+    n = 2 the ideal is all of R.  Yields (matrix, planted entry or None).
+    """
+    source, target = model.source, model.target
     yield MatrixElement.zero(target), None
-    for word in model.source.basis_words(6):
+    for word in source.basis_words(6):
         yield model.phi(word), None
-    for word in model.source.basis_words(4):
+    for length in (6, 7, 8, 9, 9, 9):
+        # x q^k has entries of degree k + 2, the most a word of its length
+        element = source.word("x" + "q" * (length - 1)) + source.random_element(
+            rng, length - 1, max_terms=2)
+        yield model.phi(element), None
+    one_minus_ba = _one_minus_ba(target)
+    for _ in range(6):
+        left, right, top, bottom = (target.random_element(rng, 4, max_terms=3)
+                                    for _ in range(4))
+        constant = target.scalar(rng.choice((1, -1)))
+        # the (2,2) entry lacks the identity, yet its factor has it
+        bottom = bottom - target.scalar(bottom.coeff(IDENTITY_WORD)) - constant
+        yield MatrixElement(target, (
+            (left, top * one_minus_ba),
+            (right, constant + bottom * one_minus_ba))), None
+    for word in source.basis_words(4):
         rows = [list(row) for row in model.phi(word).rows]
         i = rng.choice((0, 1))
         length = (rows[i][1].degree() or 0) + 1
         planted = rng.choice([m for m in target.basis_words(length)
-                              if len(m) == length
-                              and m.letters()[-2:] != ("b", "a")])
-        rows[i][1] = rows[i][1] + target.word(planted) * rng.choice((1, 2))
+                              if len(m) == length and not m.endswith("ba")])
+        rows[i][1] = rows[i][1] + target.word(planted) * rng.choice((1, -1))
         yield MatrixElement(target, rows), ("(1,2)", "(2,2)")[i]
 
 
-@pytest.mark.parametrize("field", [QQ, GF3], ids=["rational", "gf3"])
+@pytest.mark.parametrize("field", [QQ, GF2, GF3], ids=["rational", "gf2", "gf3"])
 def test_membership_matches_the_wide_solve_oracle(field):
-    # the default solve runs over the factor's degree, deg(entry) - 2; the
-    # oracle solves over every word up to the largest entry degree + 2
+    # the chain solve against one dense solve over every word of R up to
+    # the factor's degree: the same verdict, factors and constant
+    for n in (2, 3, 4):
+        model = MatrixModel(n, field)
+        members = planted_count = 0
+        for matrix, planted in _oracle_matrices(model, random.Random(7 * n)):
+            context = f"n={n} {matrix}"
+            assert max(matrix.entry(i, 1).degree() or 0 for i in (0, 1)) <= 10
+            result = model.membership(matrix)
+            assert result == _dense_membership(model, matrix), context
+            if planted is not None and n > 2:
+                planted_count += 1
+                assert result.failed_entries == (planted,), context
+                continue
+            members += 1
+            _assert_certifies(result, matrix)
+        words = len(model.source.basis_words(4))
+        assert planted_count == (words if n > 2 else 0)
+        assert members == (1 + len(model.source.basis_words(6)) + 12
+                           + words - planted_count)
+
+
+@pytest.mark.parametrize("field", [QQ, GF3], ids=["rational", "gf3"])
+def test_membership_at_degree_40_solves_small_systems(field, monkeypatch):
+    # phi(x q^38) has (1,2) entry of degree 40; the dense solve would run
+    # over every word of R up to degree 38, the chain solve over a few
     model = MatrixModel(3, field)
-    target = model.target
-    one_minus_ba = target.one - target.gen("b") * target.gen("a")
-    members = 0
-    for matrix, planted in _oracle_matrices(model, random.Random(7)):
-        result = model.membership(matrix)
-        degree = max(matrix.entry(i, 1).degree() or 0 for i in (0, 1))
-        assert result == model.membership(matrix, degree + 2), str(matrix)
-        if planted is not None:
-            assert result.failed_entries == (planted,), str(matrix)
-            continue
-        members += 1
-        assert result.in_t, str(matrix)
-        assert result.top_right_factor * one_minus_ba == matrix.entry(0, 1)
-        assert (target.scalar(result.constant_part)
-                + result.bottom_right_factor * one_minus_ba == matrix.entry(1, 1))
-    assert members == 1 + len(model.source.basis_words(6))
+    matrix = model.phi("x q^38")
+    assert matrix.entry(0, 1).degree() == 40
+    shapes = []
+
+    def recording(rows, rhs, solve_field):
+        shapes.append((len(rows), len(rows[0]) if rows else 0))
+        return solve(rows, rhs, solve_field)
+
+    monkeypatch.setattr(matrixrep, "solve", recording)
+    result = model.membership(matrix)
+    assert len(shapes) == 2
+    assert all(height * width <= 1000 for height, width in shapes), shapes
+    _assert_certifies(result, matrix)
+    assert model.membership(matrix, degree_bound=44) == result
+    with pytest.raises(DegreeBoundExceeded):
+        model.membership(matrix, degree_bound=37)
 
 
 def test_n2_membership_factor_is_the_entry():

@@ -92,6 +92,17 @@ def test_word_is_its_letter_string():
     assert Word() == IDENTITY_WORD == ""
 
 
+@pytest.mark.parametrize("text", ["1", "a b", "a^2 b", "q^3 x"])
+def test_word_of_a_word_keeps_its_letters(text):
+    # str.__new__ of a Word renders it through __str__ ("a^2 b"), so
+    # Word(word) must copy the raw letters instead
+    word = parse_word(text)
+    again = Word(word)
+    assert type(again) is Word
+    assert again == word and str.__str__(again) == str.__str__(word)
+    assert str(again) == text
+
+
 @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
 def test_word_survives_pickle_and_deepcopy(protocol):
     for word in (IDENTITY_WORD, parse_word("q^2 x q"), parse_word("b a^3 b")):
