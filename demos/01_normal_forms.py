@@ -33,13 +33,13 @@ report = check_confluence(system, max_len=8)
 print(report.summary())
 
 print()
-print("== the basis closed form ==")
-print("basis words: nilpotent-letter blocks below 3, interior blocks of")
-print("the other letter at least 2")
+print("== the basis ==")
+print("basis words: no rule's left-hand side occurs, so x-blocks stay")
+print("below 3 and every interior block has exponent 2 or more")
 for bound in range(4):
     words = enumerate_basis(bound, system)
     print(f"length <= {bound}: {len(words):3d} words: "
           + ", ".join(str(w) for w in words))
 total = len(enumerate_basis(8, system))
 candidates = len(canonical_words(8, system))
-print(f"length <= 8: {total} basis words out of {candidates} block-words")
+print(f"length <= 8: {total} basis words out of {candidates} words")

@@ -12,13 +12,15 @@ Every rule rewrites a word to a strictly shorter word or to zero, so
 rewriting terminates, and all critical pairs resolve (see
 :func:`check_confluence`), so by the diamond lemma (Bergman, Adv. Math.
 29, 1978) every word has a unique normal form and the irreducible words
-form a linear basis.  The normal form is therefore reached by any
-strategy, and :func:`reduce` uses a stack: letters move one at a time onto
-an output that is always irreducible, so a new redex can only be a suffix
-of it.  A parallel stack holds the length of the run each output letter
-ends, so x^n = 0 or a^m = 0 costs one comparison at any degree, and xqx
-and qxq a three-letter suffix slice: reduction is linear in the length
-of the word at every nilpotency degree.
+form a linear basis: the words in which no rule's left-hand side
+occurs, which :func:`enumerate_basis` grows from the rules alone.  The
+normal form is therefore reached by any strategy, and :func:`reduce`
+uses a stack: letters move one at a time onto an output that is always
+irreducible, so a new redex can only be a suffix of it.  A parallel
+stack holds the length of the run each output letter ends, so x^n = 0 or
+a^m = 0 costs one comparison at any degree, and xqx and qxq a
+three-letter suffix slice: reduction is linear in the length of the word
+at every nilpotency degree.
 
 A :class:`Word` is the string of its letters, so hashing, equality and
 slicing are ``str``'s own, and a word equals its plain letter string.
@@ -180,11 +182,9 @@ class Rule:
 class RewriteSystem:
     """A fixed alphabet with length-reducing rules.
 
-    ``letters`` spells the alphabet in increasing precedence.  The
-    ``interior_min_exponent`` records the closed form of the irreducible
-    words: no interior block may have a smaller exponent (2 for the xq
-    family, where interior x or q alone would sit inside xqx or qxq; 1,
-    i.e. no constraint, for the ab family).
+    ``letters`` spells the alphabet in increasing precedence.  The rules
+    alone define the basis: its words are those in which no left-hand side
+    occurs.
 
     A presentation compares and hashes by identity, so the caches keyed by
     it never rehash its rules; :func:`xq_system` and :func:`ab_system`
@@ -193,10 +193,8 @@ class RewriteSystem:
 
     label: str
     letters: str
-    nilpotent_letter: str
     nilpotency_degree: int
     rules: tuple[Rule, ...]
-    interior_min_exponent: int
 
     def __str__(self) -> str:
         rules = ", ".join(str(rule) for rule in self.rules)
@@ -211,14 +209,12 @@ def xq_system(n: int = 3) -> RewriteSystem:
     return RewriteSystem(
         label="S",
         letters="xq",
-        nilpotent_letter="x",
         nilpotency_degree=n,
         rules=(
             Rule("x" * n, None),
             Rule("xqx", "x"),
             Rule("qxq", "q"),
         ),
-        interior_min_exponent=2,
     )
 
 
@@ -234,19 +230,19 @@ def ab_system(m: int = 2) -> RewriteSystem:
     return RewriteSystem(
         label="R",
         letters="ab",
-        nilpotent_letter="a",
         nilpotency_degree=m,
         rules=(Rule("a" * m, None),),
-        interior_min_exponent=1,
     )
 
 
 def system_from_label(label: str, n: int = 3) -> RewriteSystem:
     """S -> the xq presentation with x^n = 0; R -> its companion free
-    algebra on a, b with a^(n-1) = 0."""
+    algebra on a, b with a^(n-1) = 0, so R needs n >= 2 as S does."""
     if label == "S":
         return xq_system(n)
     if label == "R":
+        if n < 2:
+            raise ValueError(f"presentation R needs n >= 2, not n = {n}")
         return ab_system(n - 1)
     raise ValueError(f"unknown presentation {label!r}")
 
@@ -375,8 +371,9 @@ def concat_reduce(u: Word, v: Word, system: RewriteSystem) -> ReductionOutcome:
 
 def is_basis_word(word: Word, system: RewriteSystem) -> bool:
     """Irreducibility by definition: no rule's left-hand side occurs in
-    the word.  :func:`enumerate_basis` uses a closed form instead; the
-    test-suite checks the two against each other."""
+    the word.  :func:`enumerate_basis` lists exactly these words; the
+    test-suite checks the two against each other on every presentation it
+    builds, the two families and others."""
     _check_alphabet(word, system)
     return not any(rule.lhs in word for rule in system.rules)
 
@@ -396,35 +393,23 @@ def enumerate_basis(max_len: int, system: RewriteSystem) -> list[Word]:
     """All irreducible words of length <= max_len, sorted by
     (length, word order).
 
-    Grows only words that stay irreducible, using the closed form of the
-    irreducible words: a block (maximal run of one letter) of the
-    nilpotent letter stays below the nilpotency degree, and a block gets a
-    successor only if it is the first block or reaches
-    ``interior_min_exponent``.  Every grown word is an output word, so the
-    cost is linear in the output (plus the final sort), not in the
-    2^(max_len + 1) words over the alphabet.
+    Grows words one letter at a time and keeps a word only if no rule's
+    left-hand side is a suffix of it: the word it grew from is
+    irreducible, so a new redex can only end at the new letter.  Only
+    kept words are grown, so the cost is linear in the output (plus the
+    final sort), not in the 2^(max_len + 1) words over the alphabet.
     """
     if max_len < 0:
         raise ValueError("max_len must be nonnegative")
-    cap = system.nilpotency_degree - 1
+    lhs = tuple(rule.lhs for rule in system.rules)
     out = [IDENTITY_WORD]
-    # an explicit stack of words that may grow, so no recursive closure is
-    # left behind in a reference cycle
-    stack = [""]
-    while stack:
-        text = stack.pop()
-        for letter in system.letters:
-            if text.endswith(letter):
-                continue
-            top = max_len - len(text)
-            if letter == system.nilpotent_letter:
-                top = min(top, cap)
-            for exponent in range(1, top + 1):
-                grown = text + letter * exponent
-                out.append(_word(Word, grown))
-                if len(grown) < max_len and (
-                        not text or exponent >= system.interior_min_exponent):
-                    stack.append(grown)
+    layer = [""]
+    for _ in range(max_len):
+        layer = [grown for text in layer for letter in system.letters
+                 if not (grown := text + letter).endswith(lhs)]
+        if not layer:
+            break
+        out += [_word(Word, text) for text in layer]
     out.sort(key=Word.sort_key)
     return out
 

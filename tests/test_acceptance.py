@@ -64,9 +64,9 @@ def test_criterion_03_basis_oracle_equivalence():
     brute = set()
     for bound in range(9):
         brute |= by_length[bound]
-        closed_form = set(enumerate_basis(bound, S))
-        ok = ok and closed_form == brute and len(closed_form) == len(brute)
-    _conclude(3, "basis closed form equals brute force for L <= 8", ok,
+        basis = set(enumerate_basis(bound, S))
+        ok = ok and basis == brute and len(basis) == len(brute)
+    _conclude(3, "basis equals brute force for L <= 8", ok,
               time.perf_counter() - started, 10.0)
 
 

@@ -147,6 +147,19 @@ def test_rejected_config_is_usage(capsys, argv):
     assert line.startswith("error: ")
 
 
+@pytest.mark.parametrize("argv", [
+    ("basis", "2", "--presentation", "R", "--n", "1"),
+    ("reduce", "a", "--presentation", "R", "--n", "1"),
+    ("verify", "confluence", "--presentation", "R", "--n", "1"),
+], ids=" ".join)
+def test_presentation_r_refuses_n_1_in_terms_of_n(capsys, argv):
+    # R is a^(n-1) = 0: the refusal names the n the user gave, not n - 1
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == "error: presentation R needs n >= 2, not n = 1\n"
+
+
 @pytest.mark.parametrize("literal, position", [
     ("q^" + "9" * 5000, 0),
     ("9" * 5000 + " x", 0),

@@ -23,9 +23,8 @@ def test_concat_reduce_seam_uniqueness_survives_optimization():
     completed = run_optimized("""
         from nilregular.rewriting import RewriteSystem, Rule, parse_word, concat_reduce
         assert False  # proves asserts are stripped
-        system = RewriteSystem(label="S", letters="xq", nilpotent_letter="x",
-                               nilpotency_degree=3, rules=(Rule("xx", "x"),),
-                               interior_min_exponent=2)
+        system = RewriteSystem(label="S", letters="xq", nilpotency_degree=3,
+                               rules=(Rule("xx", "x"),))
         concat_reduce(parse_word("x"), parse_word("x^2"), system)
     """)
     assert completed.returncode == 1

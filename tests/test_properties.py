@@ -1,7 +1,7 @@
 """Randomized algebraic laws: the product is associative, phi is
 multiplicative, phi does not see the rewriting that produces normal
 forms, stack reduction agrees with random strategies and with products of
-normal forms, the packed GF(2) kernel's rank and consistency agree
+normal forms, the basis of a random presentation is its definition, the packed GF(2) kernel's rank and consistency agree
 with dense elimination, and QQ arithmetic is Fraction arithmetic with
 integral values kept as ints."""
 
@@ -17,7 +17,9 @@ from nilregular.elements import Algebra
 from nilregular.fields import GF2, GF3, QQ
 from nilregular.linalg import gf2_basis, gf2_reduce, row_reduce
 from nilregular.matrixrep import MatrixElement, MatrixModel
-from nilregular.rewriting import Word, ab_system, concat_reduce, reduce, xq_system
+from nilregular.rewriting import (
+    RewriteSystem, Rule, Word, ab_system, canonical_words, concat_reduce,
+    enumerate_basis, is_basis_word, reduce, xq_system)
 
 LAWS = settings(max_examples=60, deadline=None, database=None)
 
@@ -78,6 +80,30 @@ def test_stack_reduction_agrees_with_random_strategies_and_products(case, seed):
     if not (left.is_zero or right.is_zero):
         product = concat_reduce(left.result, right.result, system)
         assert product.result == outcome.result
+
+
+@st.composite
+def presentations(draw):
+    """1-3 rules over xq or ab, each left-hand side 1-3 letters long and
+    each right-hand side zero or strictly shorter."""
+    letters = draw(st.sampled_from(["xq", "ab"]))
+    rules = []
+    for _ in range(draw(st.integers(1, 3))):
+        lhs = "".join(draw(st.lists(st.sampled_from(letters), min_size=1, max_size=3)))
+        rhs = draw(st.none() | st.lists(st.sampled_from(letters),
+                                        max_size=len(lhs) - 1).map("".join))
+        rules.append(Rule(lhs, rhs))
+    return RewriteSystem(label="T", letters=letters, nilpotency_degree=0,
+                         rules=tuple(rules))
+
+
+@LAWS
+@given(presentations())
+def test_basis_of_a_random_presentation_is_its_definition(system):
+    for max_len in range(7):
+        filtered = [word for word in canonical_words(max_len, system)
+                    if is_basis_word(word, system)]
+        assert enumerate_basis(max_len, system) == filtered, (system, max_len)
 
 
 @st.composite

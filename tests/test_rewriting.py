@@ -1,4 +1,5 @@
-"""Word mechanics, reduction goldens, the basis closed form, confluence."""
+"""Word mechanics, reduction goldens, the basis against its definition and
+its closed form, confluence."""
 
 import copy
 import dataclasses
@@ -26,11 +27,11 @@ FAMILIES = ([xq_system(n) for n in (2, 3, 4, 5, 7)]
             + [ab_system(m) for m in (1, 2, 3, 6)])
 # x^3 = 0 and q^2 x = x: a right-hand side x can complete x^3 with letters
 # to its left (x^2 q^2 x), which never happens in the two families, so only
-# here does a re-pushed right-hand side have to be tested again
+# here does a re-pushed right-hand side have to be tested again; its basis
+# fits neither family's closed form
 PROBE = RewriteSystem(
-    label="T", letters="xq", nilpotent_letter="x", nilpotency_degree=3,
-    rules=(Rule("xxx", None), Rule("qqx", "x")),
-    interior_min_exponent=1)
+    label="T", letters="xq", nilpotency_degree=3,
+    rules=(Rule("xxx", None), Rule("qqx", "x")))
 
 
 def _leftmost_reduce(word, system):
@@ -299,8 +300,11 @@ def test_random_strategy_agrees_with_leftmost():
 def test_basis_matches_brute_force_small():
     for system in (S, R):
         assert set(enumerate_basis(4, system)) == brute_force_basis(4, system)
-    # the grown enumeration equals filtering every word, order included
-    systems = [xq_system(n) for n in range(2, 6)] + [ab_system(m) for m in range(1, 4)]
+    # the grown enumeration equals filtering every word, order included,
+    # also for PROBE, where the closed form of the two families would keep
+    # q^2 x, x q^2 x, ...
+    systems = ([xq_system(n) for n in range(2, 6)] + [ab_system(m) for m in range(1, 4)]
+               + [PROBE])
     for system in systems:
         for max_len in range(11):
             filtered = [w for w in canonical_words(max_len, system)
@@ -308,6 +312,15 @@ def test_basis_matches_brute_force_small():
             assert enumerate_basis(max_len, system) == filtered, (system, max_len)
         with pytest.raises(ValueError):
             enumerate_basis(-1, system)
+
+
+def test_a_finite_basis_ends_the_enumeration():
+    # every word of length 2 is reducible, so no length past it costs time
+    system = RewriteSystem(label="T", letters="xq", nilpotency_degree=1,
+                           rules=(Rule("x", None), Rule("qq", None)))
+    started = time.perf_counter()
+    assert enumerate_basis(10**9, system) == ["", "q"]
+    assert time.perf_counter() - started < 1.0
 
 
 def test_basis_enumeration_leaves_no_cyclic_garbage():
@@ -333,16 +346,23 @@ def test_canonical_words_count():
     assert len(canonical_words(8, S)) == 511
 
 
+def _has_the_closed_form(word, system):
+    """The basis of the two families by hand: blocks of the nilpotent
+    letter (x or a) stay below the degree, and in the xq family every
+    interior block has exponent 2 or more, since an interior x or q alone
+    would sit inside qxq or xqx."""
+    nilpotent, interior_min = ("x", 2) if system.label == "S" else ("a", 1)
+    blocks = word.blocks
+    return (all(exponent < system.nilpotency_degree
+                for letter, exponent in blocks if letter == nilpotent)
+            and all(exponent >= interior_min for _, exponent in blocks[1:-1]))
+
+
 def test_basis_words_have_the_closed_form():
-    # blocks of the nilpotent letter stay below n; interior blocks of the
-    # other letter stay at 2 or more
-    for word in enumerate_basis(6, S):
-        for index, (letter, exponent) in enumerate(word.blocks):
-            if letter == "x":
-                assert exponent < 3
-            elif 0 < index < len(word.blocks) - 1:
-                assert exponent >= 2
-        assert is_basis_word(word, S)
+    for system in FAMILIES:
+        closed_form = [word for word in canonical_words(10, system)
+                       if _has_the_closed_form(word, system)]
+        assert enumerate_basis(10, system) == closed_form, system
     assert not is_basis_word(parse_word("x^3"), S)
     assert not is_basis_word(parse_word("x q x"), S)
 
@@ -379,5 +399,10 @@ def test_system_from_label():
     assert system_from_label("R", 3).nilpotency_degree == 2
     with pytest.raises(ValueError):
         system_from_label("T", 3)
+    # R is a^(n-1) = 0, and the refusal is stated in the caller's n
+    for n in (1, 0):
+        with pytest.raises(ValueError,
+                           match=f"^presentation R needs n >= 2, not n = {n}$"):
+            system_from_label("R", n)
     with pytest.raises(ValueError):
         xq_system(1)
