@@ -35,11 +35,13 @@ coefficient tables of its nonzero digits; over GF(2) the table is a list
 of packed column masks, tested by the XOR basis of ``linalg``, so support
 length 7 (2^15 betas, 2^33 candidates) takes about 0.5 s and length 8
 (2^20 betas, 2^45 candidates) about 30 s on one core of a 2-core host.
-Over GF(p > 2) and the rationals the dense table keeps only the rows
-whose stacked coefficients (every right word's, and the target's) form a
-basis, which decides every beta alike, and over GF(p > 2) one beta per
-orbit of nonzero scalars is solved: GF(3) at length 4 takes about 6 ms
-and at length 5 about 0.25 s.
+Past GF(2) the table keeps only the rows whose stacked coefficients
+(every right word's, and the target's) form a basis, which decides every
+beta alike, and over GF(p > 2) one beta per orbit of nonzero scalars is
+tested.  Over GF(p) up to p = 13 the tables are ints of byte lanes, summed
+and tested by the ``PackedGF`` kernel of ``linalg``: GF(3) at length 5
+takes about 25 ms and at length 6 about 3 s.  The rationals and larger
+primes solve a dense table.
 """
 
 from __future__ import annotations
@@ -59,7 +61,7 @@ from functools import lru_cache, partial
 
 from .elements import Algebra, AlgebraElement, linear_combination
 from .fields import GF2, QQ
-from .linalg import gf2_basis, gf2_reduce, row_reduce, solve
+from .linalg import gf2_basis, gf2_reduce, packed_kernel, row_reduce, solve
 from .rewriting import (
     _RANKS,
     IDENTITY_WORD,
@@ -467,11 +469,78 @@ def _row_basis(tables, target, width: int, field) -> list[int]:
     M(beta) alpha = target is its stacked row mapped linearly by beta, so
     every other row is a fixed combination of kept ones and the kept rows
     decide every beta."""
+    kernel = packed_kernel(field)
+    if kernel is not None:
+        # a vector per stacked coefficient, over the rows, with row r at
+        # lane rows - 1 - r: row r is independent of the rows before it
+        # exactly when its lane is the top lane of some basis member
+        rows = len(target)
+        vectors = [0] * (len(tables) * width)
+        for j, table in enumerate(tables):
+            for r, i, c in table:
+                vectors[j * width + i] |= c << 8 * (rows - 1 - r)
+        vectors.append(kernel.pack(reversed(target)))
+        return sorted(rows - size for size in kernel.basis(vectors))
     stacked = [[field.zero] * len(target) for _ in range(len(tables) * width)]
     for j, table in enumerate(tables):
         for r, i, c in table:
             stacked[j * width + i][r] = c
     return row_reduce(stacked + [target], field)[1]
+
+
+def _consistency_test(tables, target, width: int, field):
+    """The function of beta that says whether M(beta) alpha = target has a
+    solution, where M(beta) is the sum of beta_j T_j over the tables, each
+    a list of (row, column, value) with ``width`` columns.
+
+    Over GF(2) each column is a bit mask over the rows, a sum XORs masks,
+    and ``gf2_basis`` decides.  Other fields keep only the ``_row_basis``
+    rows (18 of 58 at GF(3) L=4 n=3).  Over GF(p) for p <= 13 each table
+    is one int of byte lanes, column i at lane i * rows onwards, so a sum
+    is one multiply-add per nonzero digit, and the columns it slices into
+    go to the echelon basis of ``linalg.PackedGF``.  The rationals and
+    larger primes fill a dense table and call ``solve``.
+    """
+    if field == GF2:
+        masks = [[0] * width for _ in tables]
+        for table_masks, table in zip(masks, tables):
+            for r, i, _ in table:
+                table_masks[i] |= 1 << r
+        target_mask = sum(1 << r for r, value in enumerate(target) if value)
+
+        def consistent(beta):
+            columns = [0] * width
+            for table_masks, digit in zip(masks, beta):
+                if digit:
+                    columns = map(operator.xor, columns, table_masks)
+            return gf2_reduce(gf2_basis(columns), target_mask) == 0
+        return consistent
+    kept = {r: s for s, r in enumerate(_row_basis(tables, target, width, field))}
+    tables = [[(kept[r], i, c) for r, i, c in table if r in kept]
+              for table in tables]
+    target = [target[r] for r in kept]
+    kernel = packed_kernel(field)
+    if kernel is None:
+        def consistent(beta):
+            system = [[field.zero] * width for _ in kept]
+            for table, digit in zip(tables, beta):
+                if digit:
+                    for r, i, c in table:
+                        row = system[r]
+                        row[i] = field.add(row[i], field.mul(digit, c))
+            return solve(system, target, field) is not None
+        return consistent
+    rows = len(kept)
+    span = width * rows
+    wholes = [sum(c << 8 * (i * rows + r) for r, i, c in table) for table in tables]
+    target_vector = kernel.pack(target)
+
+    def consistent(beta):
+        lanes = kernel.combine(beta, wholes).to_bytes(span, "little")
+        columns = [int.from_bytes(lanes[start:start + rows], "little")
+                   for start in range(0, span, rows)]
+        return kernel.reduce(kernel.basis(columns), target_vector) == 0
+    return consistent
 
 
 def _scan_beta_block(n: int, field, lefts, rights, block: int,
@@ -485,11 +554,9 @@ def _scan_beta_block(n: int, field, lefts, rights, block: int,
     and with them one coefficient table per right word y: a row per word in
     the supports, a column per left word w.  With beta fixed, alpha * beta
     = 1 - xq is linear in alpha, so one consistency test against the sum
-    of the tables of beta's nonzero digits decides whether any alpha works.
-    Over GF(2) each column is a bit mask over the rows, the sum XORs masks,
-    and consistency comes from the packed kernel of ``linalg``.  Other
-    fields fill a dense table of the ``_row_basis`` rows alone (9 of 26 at
-    GF(3) L=3 n=3) and call ``solve`` on it.  Over GF(p > 2) the pool is
+    of the tables of beta's nonzero digits decides whether any alpha works
+    (``_consistency_test``: bit masks over GF(2), byte lanes over GF(p) up
+    to p = 13, a dense ``solve`` otherwise).  Over GF(p > 2) the pool is
     range(p), so a digit is its value, and M(c beta) = c M(beta): the block
     owns the scalar orbit of each beta it takes whose first nonzero digit
     is 1 and tests that beta alone; the orbit's other members may fall to
@@ -530,34 +597,7 @@ def _scan_beta_block(n: int, field, lefts, rights, block: int,
                for i, row_products in enumerate(products)
                for word, coefficient in row_products[j].terms().items()]
               for j in range(len(rights))]
-    if field == GF2:
-        masks = [[0] * len(lefts) for _ in tables]
-        for table_masks, table in zip(masks, tables):
-            for r, i, _ in table:
-                table_masks[i] |= 1 << r
-        target_mask = sum(1 << r for r, value in enumerate(target) if value)
-
-        def consistent(beta):
-            columns = [0] * len(lefts)
-            for table_masks, digit in zip(masks, beta):
-                if digit:
-                    columns = map(operator.xor, columns, table_masks)
-            return gf2_reduce(gf2_basis(columns), target_mask) == 0
-    else:
-        kept = {r: s for s, r in enumerate(
-            _row_basis(tables, target, len(lefts), field))}
-        tables = [[(kept[r], i, c) for r, i, c in table if r in kept]
-                  for table in tables]
-        target = [target[r] for r in kept]
-
-        def consistent(beta):
-            system = [[field.zero] * len(lefts) for _ in kept]
-            for table, digit in zip(tables, beta):
-                if digit:
-                    for r, i, c in table:
-                        row = system[r]
-                        row[i] = field.add(row[i], field.mul(digit, c))
-            return solve(system, target, field) is not None
+    consistent = _consistency_test(tables, target, len(lefts), field)
     beta_count = len(pool) ** len(rights)
     best = None
     for beta_index, beta in itertools.islice(enumerate(itertools.product(

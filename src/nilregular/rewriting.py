@@ -175,7 +175,9 @@ class Rule:
     rhs: str | None
 
     def __str__(self) -> str:
-        return f"{self.lhs} -> {self.rhs or 0}"
+        # None sends the word to zero, the empty string to the identity
+        rhs = "0" if self.rhs is None else self.rhs or "1"
+        return f"{self.lhs} -> {rhs}"
 
 
 @dataclass(frozen=True, eq=False)
@@ -455,6 +457,11 @@ def critical_pairs(system: RewriteSystem) -> Iterator[CriticalPair]:
                 yield CriticalPair(_word(Word, overlap), left, right)
 
 
+def _normal_form_text(result: Word | None) -> str:
+    """A normal form as the reports write it: 0 for a word that died."""
+    return "0" if result is None else str(result)
+
+
 def check_confluence(system: RewriteSystem, max_len: int = 8,
                      seed: int = 0) -> VerificationReport:
     """Resolve every critical pair, then rewrite every word of length
@@ -478,8 +485,8 @@ def check_confluence(system: RewriteSystem, max_len: int = 8,
             witness = {
                 "kind": "critical-pair",
                 "overlap": str(pair.overlap),
-                "left": str(pair.left.result),
-                "right": str(pair.right.result),
+                "left": _normal_form_text(pair.left.result),
+                "right": _normal_form_text(pair.right.result),
             }
             break
     if witness is None:
@@ -493,8 +500,8 @@ def check_confluence(system: RewriteSystem, max_len: int = 8,
                     witness = {
                         "kind": "strategy-dependence",
                         "word": str(word),
-                        "leftmost": str(base),
-                        "randomized": str(randomized),
+                        "leftmost": _normal_form_text(base),
+                        "randomized": _normal_form_text(randomized),
                     }
                     break
             if witness is not None:

@@ -17,7 +17,7 @@ from nilregular.analysis import (
     tau_form_of, type_i_word, type_ii_word)
 from nilregular.elements import Algebra, linear_combination
 from nilregular.fields import GF2, GF3, QQ, PrimeField
-from nilregular.linalg import solve
+from nilregular.linalg import PackedGF, row_reduce, solve
 from nilregular.rewriting import (
     Word, canonical_words, enumerate_basis, parse_word, reduce, xq_system)
 
@@ -682,6 +682,25 @@ def test_scan_from_any_counter_position_matches_the_brute_force_scan(
     assert analysis._scan_beta_block(*args) == _brute_force_scan(*args)
 
 
+# the byte-lane scan against the brute force at the primes 7 and 13, at
+# n = 2 and 3, over whole orders and blocks that start mid-counter
+PACKED_SCANS = ((PrimeField(7), 2, 2, 0, 1), (PrimeField(7), 2, 2, 1, 3),
+                (PrimeField(7), 3, 2, 1, 3), (PrimeField(13), 2, 1, 0, 1),
+                (PrimeField(13), 3, 1, 0, 1), (PrimeField(13), 3, 1, 1, 3))
+
+
+@pytest.mark.parametrize(
+    "field,n,max_word_len,block,blocks", PACKED_SCANS,
+    ids=[f"{f.name}-n{n}-L{length}-{block}" for f, n, length, block, _ in PACKED_SCANS])
+def test_packed_scan_matches_the_brute_force_scan(field, n, max_word_len, block,
+                                                  blocks):
+    system = xq_system(n)
+    lefts = left_shape_words(max_word_len, system)
+    rights = right_shape_words(max_word_len, system)
+    args = (n, field, lefts, rights, block, blocks)
+    assert analysis._scan_beta_block(*args) == _brute_force_scan(*args)
+
+
 @pytest.mark.parametrize("workers", (3, 13))
 def test_gf5_witness_is_the_same_across_worker_counts(in_process_pool, workers):
     # 5^3 betas in 3 or 4 blocks; the first hit, alpha 750 with beta 31 =
@@ -769,15 +788,34 @@ def test_n2_representatives_hit_only_with_alpha_leading_digit_1(field, count):
 
 # (field, max_word_len, block, blocks, solves) at n = 3.  Over GF(p) one
 # beta per orbit of nonzero scalars is solved, the one whose first nonzero
-# digit is 1: 26 / 2 of the 3^3 betas at GF(3) and 24 / 4 of the 5^2 at
-# GF(5).  Block 2 of 3 takes 2, 5, ..., 26, of which 5 = (0, 1, 2), 11, 14
-# and 17 = (1, 2, 2) in base 3 are representatives; 2 = (0, 0, 2), 8,
-# 20, 23 and 26 have first nonzero digit 2, and block 1 owns their
-# orbits.  Block 14 of 15 takes the representative 14 alone.  The rational grid is not
-# closed under scalars, so each of its betas is solved: 13 of the 5^2 in
-# block 0 of 2.
+# digit is 1: 26 / 2 of the 3^3 betas at GF(3), 24 / 4 of the 5^2 at GF(5)
+# and 288 / 16 of the 17^2 at GF(17).  Block 2 of 3 takes 2, 5, ..., 26, of
+# which 5 = (0, 1, 2), 11, 14 and 17 = (1, 2, 2) in base 3 are
+# representatives; 2 = (0, 0, 2), 8, 20, 23 and 26 have first nonzero digit
+# 2, and block 1 owns their orbits.  Block 14 of 15 takes the
+# representative 14 alone.  The rational grid is not closed under scalars,
+# so each of its betas is solved: 13 of the 5^2 in block 0 of 2.
 SOLVE_COUNTS = ((GF3, 2, 0, 1, 13), (GF3, 2, 2, 3, 4), (GF3, 2, 14, 15, 1),
-                (GF5, 1, 0, 1, 6), (QQ, 1, 0, 2, 13))
+                (GF5, 1, 0, 1, 6), (QQ, 1, 0, 2, 13), (PrimeField(17), 1, 0, 1, 18))
+
+
+def _counting_solves(monkeypatch, count):
+    """Route every consistency test of the scan through ``count``: the
+    packed kernel's ``reduce`` (once per test over GF(p <= 13)) and the
+    dense ``solve`` (once per test over the rationals and larger primes)
+    each call it with the name of their path."""
+    reduce = PackedGF.reduce
+
+    def counting_reduce(kernel, basis, vector):
+        count("packed")
+        return reduce(kernel, basis, vector)
+
+    def counting_solve(rows, rhs, field):
+        count("dense")
+        return solve(rows, rhs, field)
+
+    monkeypatch.setattr(PackedGF, "reduce", counting_reduce)
+    monkeypatch.setattr(analysis, "solve", counting_solve)
 
 
 @pytest.mark.parametrize(
@@ -786,16 +824,12 @@ SOLVE_COUNTS = ((GF3, 2, 0, 1, 13), (GF3, 2, 2, 3, 4), (GF3, 2, 14, 15, 1),
 def test_dense_scan_solves_once_per_scalar_orbit(
         monkeypatch, field, max_word_len, block, blocks, solves):
     calls = []
-
-    def counting_solve(rows, rhs, field):
-        calls.append(len(rows))
-        return solve(rows, rhs, field)
-
-    monkeypatch.setattr(analysis, "solve", counting_solve)
+    _counting_solves(monkeypatch, calls.append)
     lefts = left_shape_words(max_word_len, S)
     rights = right_shape_words(max_word_len, S)
     assert analysis._scan_beta_block(3, field, lefts, rights, block, blocks) is None
-    assert len(calls) == solves
+    path = "packed" if field in (GF3, GF5) else "dense"
+    assert calls == [path] * solves
 
 
 # n = 3 searches with no witness: 31 representatives among the 5^3 betas
@@ -810,21 +844,22 @@ BALANCED = ((GF5, 3, 31), (GF3, 4, 40))
 def test_blocks_share_the_representatives_evenly(
         in_process_pool, monkeypatch, field, max_word_len, representatives,
         workers):
-    # each block's solves, one per representative it owns, are counted as
-    # the block runs in this process; a run of consecutive representatives
-    # splits to within one per block, and there is a run per right word
+    # each block's consistency tests, one per representative it owns, are
+    # counted as the block runs in this process; a run of consecutive
+    # representatives splits to within one per block, and there is a run
+    # per right word
     solves = []
 
-    def counting_solve(rows, rhs, field):
+    def tally(path):
+        assert path == "packed"
         solves[-1] += 1
-        return solve(rows, rhs, field)
 
     def counting_map(executor, fn, *iterables):
         for args in zip(*iterables):
             solves.append(0)
             yield fn(*args)
 
-    monkeypatch.setattr(analysis, "solve", counting_solve)
+    _counting_solves(monkeypatch, tally)
     monkeypatch.setattr(concurrent.futures.ProcessPoolExecutor, "map", counting_map)
     report = search_unit_regular_witness(max_word_len=max_word_len,
                                          field=field, workers=workers)
@@ -907,6 +942,55 @@ def test_row_basis_keeps_every_betas_verdict(field, max_word_len, n,
     _, tables, target = _support_tables(n, field, lefts, rights)
     verdicts = _row_basis_verdicts(tables, target, len(lefts), field)
     assert (True in verdicts) == some_beta
+
+
+# (field, max_word_len, n); at n = 2 and length 4 some betas are
+# consistent and some are not, at n = 3 none is
+CONSISTENCY_CASES = ((GF2, 4, 2), (GF3, 4, 2), (PrimeField(7), 4, 2),
+                     (PrimeField(13), 4, 2), (QQ, 4, 2), (GF3, 4, 3),
+                     (PrimeField(7), 3, 3), (PrimeField(13), 2, 3),
+                     (PrimeField(17), 2, 3))
+
+
+@pytest.mark.parametrize(
+    "field,max_word_len,n", CONSISTENCY_CASES,
+    ids=[f"{f.name}-L{length}-n{n}" for f, length, n in CONSISTENCY_CASES])
+def test_consistency_test_matches_a_full_solve(field, max_word_len, n):
+    # every beta's verdict, from masks, byte lanes or the dense solve on
+    # the kept rows, equals a dense solve over every support row
+    system = xq_system(n)
+    lefts = left_shape_words(max_word_len, system)
+    rights = right_shape_words(max_word_len, system)
+    _, tables, target = _support_tables(n, field, lefts, rights)
+    consistent = analysis._consistency_test(tables, target, len(lefts), field)
+    pool, _ = field.coefficient_pool()
+    verdicts = set()
+    for beta in itertools.product(pool, repeat=len(rights)):
+        matrix = [[field.zero] * len(lefts) for _ in target]
+        for digit, table in zip(beta, tables):
+            for r, i, c in table:
+                matrix[r][i] = field.add(matrix[r][i], field.mul(digit, c))
+        full = solve(matrix, target, field) is not None
+        assert consistent(beta) == full, beta
+        verdicts.add(full)
+    assert verdicts == ({True, False} if n == 2 else {False})
+
+
+@pytest.mark.parametrize("field", [GF3, PrimeField(7), PrimeField(13)],
+                         ids=lambda f: f.name)
+@pytest.mark.parametrize("n,max_word_len", ((2, 4), (3, 3), (3, 5), (4, 4)))
+def test_packed_row_basis_keeps_the_dense_rows(field, n, max_word_len):
+    system = xq_system(n)
+    lefts = left_shape_words(max_word_len, system)
+    rights = right_shape_words(max_word_len, system)
+    _, tables, target = _support_tables(n, field, lefts, rights)
+    width = len(lefts)
+    stacked = [[field.zero] * len(target) for _ in range(len(tables) * width)]
+    for j, table in enumerate(tables):
+        for r, i, c in table:
+            stacked[j * width + i][r] = c
+    assert (analysis._row_basis(tables, target, width, field)
+            == row_reduce(stacked + [target], field)[1])
 
 
 def test_regularity_and_separativity_identities():

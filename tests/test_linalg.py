@@ -1,5 +1,5 @@
 """Elimination against brute force over small prime fields, and the packed
-GF(2) kernel against dense elimination."""
+GF(2) and GF(p) kernels against dense elimination."""
 
 import itertools
 import random
@@ -8,7 +8,8 @@ from fractions import Fraction
 import pytest
 
 from nilregular.fields import GF2, GF3, QQ, PrimeField
-from nilregular.linalg import gf2_basis, gf2_reduce, rank, row_reduce, solve
+from nilregular.linalg import (
+    PackedGF, gf2_basis, gf2_reduce, packed_kernel, rank, row_reduce, solve)
 
 
 def _span(rows, p) -> set:
@@ -134,3 +135,84 @@ def test_packed_gf2_matches_dense_elimination_up_to_60x16():
         else:
             rhs = [rng.randrange(2) for _ in range(height)]
         _check_against_dense(rows, rhs)
+
+
+PACKED_PRIMES = (3, 5, 7, 11, 13)
+
+
+def _lanes(values) -> int:
+    """A GF(p) vector as an int: entry j is byte j."""
+    return sum(value << 8 * j for j, value in enumerate(values))
+
+
+def _check_packed_against_dense(kernel, field, rows, rhs):
+    """The packed kernel agrees with dense elimination, used as the search
+    uses it: the basis of the packed rows has the rank's size, each member
+    has lanes in range(p) and top lane 1, and the packed right-hand side
+    reduces to 0 against the basis of the packed columns exactly when the
+    system is consistent."""
+    p = field.p
+    basis = kernel.basis(map(_lanes, rows))
+    assert len(basis) == rank(rows, field)
+    for size, member in basis.items():
+        lanes = list(member.to_bytes(size, "little"))
+        assert all(lane < p for lane in lanes) and lanes[-1] == 1
+    columns = kernel.basis(_lanes(column) for column in zip(*rows))
+    consistent = solve(rows, rhs, field) is not None
+    assert (kernel.reduce(columns, _lanes(rhs)) == 0) == consistent
+
+
+@pytest.mark.parametrize("p", PACKED_PRIMES)
+def test_packed_gfp_rank_and_membership_match_dense_elimination(p):
+    field = PrimeField(p)
+    kernel = PackedGF(p)
+    rng = random.Random(p)
+    for _ in range(200):
+        height, width = rng.randint(1, 40), rng.randint(1, 16)
+        density = rng.choice((0.05, 0.2, 0.5, 1.0))
+        rows = [[rng.randrange(1, p) if rng.random() < density else 0
+                 for _ in range(width)] for _ in range(height)]
+        if rng.random() < 0.5:
+            # a right-hand side in the column span
+            picks = [rng.randrange(p) for _ in range(width)]
+            rhs = [sum(a * b for a, b in zip(row, picks)) % p for row in rows]
+        else:
+            rhs = [rng.randrange(p) for _ in range(height)]
+        _check_packed_against_dense(kernel, field, rows, rhs)
+    # every entry p - 1: each elimination puts p (p - 1) on a lane
+    for height, width in ((1, 1), (5, 3), (3, 7), (12, 12)):
+        rows = [[p - 1] * width for _ in range(height)]
+        _check_packed_against_dense(kernel, field, rows, [p - 1] * height)
+        _check_packed_against_dense(kernel, field, rows, [1] + [0] * (height - 1))
+
+
+@pytest.mark.parametrize("p", PACKED_PRIMES)
+def test_packed_gfp_sums_past_one_batch_stay_exact(p):
+    # more terms than one normalising batch, mostly every lane and scalar
+    # p - 1, so that a lane left at p - 1 by one batch meets a whole batch
+    # of (p - 1)^2 terms
+    kernel = PackedGF(p)
+    rng = random.Random(100 + p)
+    for _ in range(200):
+        count = rng.randint(1, 3 * kernel.batch + 3)
+        width = rng.randint(1, 12)
+        vectors = [[p - 1 if rng.random() < 0.7 else rng.randrange(p)
+                    for _ in range(width)] for _ in range(count)]
+        scalars = [p - 1 if rng.random() < 0.7 else rng.randrange(p)
+                   for _ in range(count)]
+        expected = [sum(s * v[j] for s, v in zip(scalars, vectors)) % p
+                    for j in range(width)]
+        packed = kernel.combine(scalars, map(_lanes, vectors))
+        assert list(packed.to_bytes(width, "little")) == expected
+    full = kernel.combine([p - 1] * (2 * kernel.batch + 1), [_lanes([p - 1] * 4)] * (
+        2 * kernel.batch + 1))
+    assert list(full.to_bytes(4, "little")) == [(2 * kernel.batch + 1) % p] * 4
+
+
+def test_packed_kernel_refuses_primes_past_13():
+    for p in (17, 19, 4, 1, 0):
+        with pytest.raises(ValueError, match="byte lanes"):
+            PackedGF(p)
+    assert packed_kernel(PrimeField(17)) is None
+    assert packed_kernel(QQ) is None
+    assert packed_kernel(GF3).p == 3

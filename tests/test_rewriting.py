@@ -289,6 +289,13 @@ def test_rules_and_presentations_print_as_strings():
     assert (xq_system(3).letters, ab_system(2).letters) == ("xq", "ab")
 
 
+def test_an_empty_right_hand_side_prints_as_1():
+    # the empty word is the identity; only a right-hand side of None is 0
+    assert str(Rule("xq", "")) == "xq -> 1"
+    system = RewriteSystem("T", "xq", 1, (Rule("x", None), Rule("qx", "")))
+    assert str(system) == "T(x -> 0, qx -> 1)"
+
+
 def test_random_strategy_agrees_with_leftmost():
     rng = random.Random(11)
     for word in canonical_words(6, S):
@@ -379,6 +386,20 @@ def test_confluence_reports():
     assert report.passed
     assert report.status == "pass"
     assert check_confluence(R, max_len=6).passed
+
+
+def test_confluence_witnesses_write_a_zero_normal_form_as_0():
+    # xx -> 0 and xq -> q overlap in xxq, which goes to 0 one way and to q
+    # the other
+    pair = RewriteSystem("T", "xq", 2, (Rule("xx", None), Rule("xq", "q")))
+    assert check_confluence(pair, max_len=3).witness == {
+        "kind": "critical-pair", "overlap": "x^2 q", "left": "0", "right": "q"}
+    # x -> 0 and qx -> q share no overlap, but qx goes to 0 by the first
+    # rule and to q by the second
+    word = RewriteSystem("T", "xq", 1, (Rule("x", None), Rule("qx", "q")))
+    assert check_confluence(word, max_len=3).witness == {
+        "kind": "strategy-dependence", "word": "q x", "leftmost": "0",
+        "randomized": "q"}
 
 
 def test_confluence_holds_one_overlap_at_a_time():
