@@ -31,16 +31,15 @@ witness exhaustion directly.  With beta fixed, alpha * beta = 1 - xq is
 linear in alpha, so one exact consistency test per beta settles its
 whole alpha pool, and there are fewer right shape words than left ones
 (15 against 18 at length 7).  The search sums, per beta, the
-coefficient tables of its nonzero digits; over GF(2) the table is a list
-of packed column masks, tested by the XOR basis of ``linalg``, so support
-length 7 (2^15 betas, 2^33 candidates) takes about 0.5 s and length 8
-(2^20 betas, 2^45 candidates) about 30 s on one core of a 2-core host.
-Past GF(2) the table keeps only the rows whose stacked coefficients
-(every right word's, and the target's) form a basis, which decides every
-beta alike, and over GF(p > 2) one beta per orbit of nonzero scalars is
-tested.  Over GF(p) up to p = 13 the tables are ints of byte lanes, summed
-and tested by the ``PackedGF`` kernel of ``linalg``: GF(3) at length 5
-takes about 25 ms and at length 6 about 3 s.  The rationals and larger
+coefficient tables of its nonzero digits.  The table keeps only the rows
+whose stacked coefficients (every right word's, and the target's) form a
+basis, which decides every beta alike, and over GF(p > 2) one beta per
+orbit of nonzero scalars is tested.  The consistency test has two paths.
+Over GF(p) up to p = 13, GF(2) included, each table is one packed int
+for the field's ``linalg.packed_kernel`` (bits over GF(2), byte lanes
+past it).  On one core of a 2-core host GF(2) takes about 0.35 s at
+support length 7 (2^33 candidates) and 14 s at length 8 (2^45), GF(3)
+about 25 ms at length 5 and 3 s at length 6.  The rationals and larger
 primes solve a dense table.
 """
 
@@ -61,7 +60,7 @@ from functools import lru_cache, partial
 
 from .elements import Algebra, AlgebraElement, linear_combination
 from .fields import GF2, QQ
-from .linalg import gf2_basis, gf2_reduce, packed_kernel, row_reduce, solve
+from .linalg import packed_kernel, row_reduce, solve
 from .rewriting import (
     _RANKS,
     IDENTITY_WORD,
@@ -474,13 +473,15 @@ def _row_basis(tables, target, width: int, field) -> list[int]:
         # a vector per stacked coefficient, over the rows, with row r at
         # lane rows - 1 - r: row r is independent of the rows before it
         # exactly when its lane is the top lane of some basis member
+        bits = kernel.lane_bits
         rows = len(target)
         vectors = [0] * (len(tables) * width)
         for j, table in enumerate(tables):
             for r, i, c in table:
-                vectors[j * width + i] |= c << 8 * (rows - 1 - r)
-        vectors.append(kernel.pack(reversed(target)))
-        return sorted(rows - size for size in kernel.basis(vectors))
+                vectors[j * width + i] |= c << bits * (rows - 1 - r)
+        vectors.append(sum(c << bits * (rows - 1 - r)
+                           for r, c in enumerate(target) if c))
+        return sorted(rows - top for top in kernel.basis(vectors))
     stacked = [[field.zero] * len(target) for _ in range(len(tables) * width)]
     for j, table in enumerate(tables):
         for r, i, c in table:
@@ -493,53 +494,39 @@ def _consistency_test(tables, target, width: int, field):
     solution, where M(beta) is the sum of beta_j T_j over the tables, each
     a list of (row, column, value) with ``width`` columns.
 
-    Over GF(2) each column is a bit mask over the rows, a sum XORs masks,
-    and ``gf2_basis`` decides.  Other fields keep only the ``_row_basis``
-    rows (18 of 58 at GF(3) L=4 n=3).  Over GF(p) for p <= 13 each table
-    is one int of byte lanes, column i at lane i * rows onwards, so a sum
-    is one multiply-add per nonzero digit, and the columns it slices into
-    go to the echelon basis of ``linalg.PackedGF``.  The rationals and
-    larger primes fill a dense table and call ``solve``.
+    Two paths, both on the ``_row_basis`` rows only (18 of 58 at L=4 n=3
+    over GF(2) and GF(3)).  Over GF(p) for p <= 13 each table is one
+    vector of the field's ``linalg.packed_kernel``, column i at lane
+    i * rows onwards, so a sum is one ``combine`` (an XOR or a multiply-add
+    per nonzero digit), and the columns it splits into go to the kernel's
+    echelon basis.  The rationals and larger primes fill a dense table and
+    call ``solve``.
     """
-    if field == GF2:
-        masks = [[0] * width for _ in tables]
-        for table_masks, table in zip(masks, tables):
-            for r, i, _ in table:
-                table_masks[i] |= 1 << r
-        target_mask = sum(1 << r for r, value in enumerate(target) if value)
+    kept = {r: s for s, r in enumerate(_row_basis(tables, target, width, field))}
+    rows = len(kept)
+    kernel = packed_kernel(field)
+    if kernel is not None:
+        bits = kernel.lane_bits
+        wholes = [sum(c << bits * (i * rows + kept[r]) for r, i, c in table if r in kept)
+                  for table in tables]
+        target_vector = sum(target[r] << bits * s for r, s in kept.items())
 
         def consistent(beta):
-            columns = [0] * width
-            for table_masks, digit in zip(masks, beta):
-                if digit:
-                    columns = map(operator.xor, columns, table_masks)
-            return gf2_reduce(gf2_basis(columns), target_mask) == 0
+            columns = kernel.split(kernel.combine(beta, wholes), rows, width)
+            return kernel.reduce(kernel.basis(columns), target_vector) == 0
         return consistent
-    kept = {r: s for s, r in enumerate(_row_basis(tables, target, width, field))}
     tables = [[(kept[r], i, c) for r, i, c in table if r in kept]
               for table in tables]
     target = [target[r] for r in kept]
-    kernel = packed_kernel(field)
-    if kernel is None:
-        def consistent(beta):
-            system = [[field.zero] * width for _ in kept]
-            for table, digit in zip(tables, beta):
-                if digit:
-                    for r, i, c in table:
-                        row = system[r]
-                        row[i] = field.add(row[i], field.mul(digit, c))
-            return solve(system, target, field) is not None
-        return consistent
-    rows = len(kept)
-    span = width * rows
-    wholes = [sum(c << 8 * (i * rows + r) for r, i, c in table) for table in tables]
-    target_vector = kernel.pack(target)
 
     def consistent(beta):
-        lanes = kernel.combine(beta, wholes).to_bytes(span, "little")
-        columns = [int.from_bytes(lanes[start:start + rows], "little")
-                   for start in range(0, span, rows)]
-        return kernel.reduce(kernel.basis(columns), target_vector) == 0
+        system = [[field.zero] * width for _ in kept]
+        for table, digit in zip(tables, beta):
+            if digit:
+                for r, i, c in table:
+                    row = system[r]
+                    row[i] = field.add(row[i], field.mul(digit, c))
+        return solve(system, target, field) is not None
     return consistent
 
 
@@ -555,8 +542,9 @@ def _scan_beta_block(n: int, field, lefts, rights, block: int,
     the supports, a column per left word w.  With beta fixed, alpha * beta
     = 1 - xq is linear in alpha, so one consistency test against the sum
     of the tables of beta's nonzero digits decides whether any alpha works
-    (``_consistency_test``: bit masks over GF(2), byte lanes over GF(p) up
-    to p = 13, a dense ``solve`` otherwise).  Over GF(p > 2) the pool is
+    (``_consistency_test``: the packed kernel over GF(p) up to p = 13,
+    GF(2) included, a dense ``solve`` otherwise, both on the
+    ``_row_basis`` rows).  Over GF(p > 2) the pool is
     range(p), so a digit is its value, and M(c beta) = c M(beta): the block
     owns the scalar orbit of each beta it takes whose first nonzero digit
     is 1 and tests that beta alone; the orbit's other members may fall to
@@ -632,6 +620,8 @@ def search_unit_regular_witness(max_word_len: int = 3, field=GF2, n: int = 3,
     """
     if max_word_len < 0:
         raise ValueError("max_word_len must be nonnegative")
+    if workers < 1:
+        raise ValueError("workers must be positive")
     started = time.perf_counter()
     system = xq_system(n)
     lefts, rights = _shape_pools(max_word_len, system)

@@ -223,10 +223,11 @@ class AlgebraElement:
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("exponent must be a nonnegative integer")
-        result = self.algebra.one
-        for _ in range(exponent):
-            result = result * self
-        return result
+        if exponent == 0:
+            return self.algebra.one
+        # square and multiply: about 2 log2(exponent) products, not exponent
+        half = self ** (exponent // 2)
+        return half * half * self if exponent % 2 else half * half
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):

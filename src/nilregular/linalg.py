@@ -1,84 +1,96 @@
 """Exact linear algebra over the package's coefficient fields.
 
 ``rank`` and ``solve`` run one Gaussian elimination, ``row_reduce`` on
-lists of lists, for every field, GF(2) included.  Callers that already
-hold vectors packed into Python ints skip it.  GF(2) vectors carry one bit
-per coordinate (the GF(2) search scan and the faithfulness rank) and go
-into an XOR basis keyed by each member's highest set bit (``gf2_basis``,
-``gf2_reduce``).  GF(p) vectors for p <= 13 carry one byte lane per
-coordinate (the search scan over those primes) and go into an echelon
-basis keyed by each member's top lane (``PackedGF``).  Everything is
-exact (field elements, no floating point), so rank and solvability
-answers are never approximations.
+lists of lists, for every field.  Over GF(p) for p <= 13 the search scan
+and the faithfulness rank pack vectors into ints instead (a bit per
+coordinate over GF(2), a byte lane past it) for the field's one
+``packed_kernel``.  Everything is exact (field elements, no floating
+point), so rank and solvability answers are never approximations.
 """
 
 from __future__ import annotations
 
-
-def gf2_reduce(basis: dict[int, int], vector: int) -> int:
-    """What is left of a packed GF(2) vector after XOR-ing out basis
-    members; 0 exactly when the vector lies in the basis's span.
-
-    ``basis`` maps each member's bit length (its highest set bit plus one)
-    to the member, so every XOR clears the current highest bit and leaves
-    only lower ones.
-    """
-    while vector:
-        member = basis.get(vector.bit_length())
-        if member is None:
-            return vector
-        vector ^= member
-    return 0
+import itertools
+import operator
+from functools import reduce as fold
 
 
-def gf2_basis(vectors) -> dict[int, int]:
-    """An echelon basis of the span of packed GF(2) vectors, keyed by the
-    bit length of each member; its size is the rank."""
-    basis: dict[int, int] = {}
-    get = basis.get
-    # gf2_reduce inlined: this loop is the search's inner loop
-    for vector in vectors:
-        while vector:
-            top = vector.bit_length()
-            member = get(top)
-            if member is None:
-                basis[top] = vector
-                break
+class _PackedKernel:
+    """Vectors packed into Python ints, coordinate i in the lane
+    ``v >> lane_bits * i``; ``combine`` sums scalar multiples, ``basis``
+    and ``reduce`` keep an echelon basis keyed by top lane plus one."""
+
+    __slots__ = ()
+
+    def split(self, vector: int, size: int, count: int) -> list[int]:
+        """The ``count`` blocks of ``size`` lanes of a vector, lowest
+        first, each a vector of its own."""
+        bits = size * self.lane_bits
+        mask = (1 << bits) - 1
+        return [vector >> start & mask for start in range(0, bits * count, bits)]
+
+
+class PackedGF2(_PackedKernel):
+    """GF(2) vectors, one bit per coordinate.  A sum is an XOR, and XOR-ing
+    in the member keyed by a vector's bit length clears its highest bit."""
+
+    __slots__ = ()
+
+    lane_bits = 1
+
+    def combine(self, scalars, vectors) -> int:
+        """The XOR of the vectors of nonzero scalars."""
+        return fold(operator.xor, itertools.compress(vectors, scalars), 0)
+
+    def reduce(self, basis: dict[int, int], vector: int) -> int:
+        """What is left of a vector after XOR-ing out basis members; 0
+        exactly when the vector lies in the basis's span."""
+        # no key is 0, the bit length of 0
+        while (member := basis.get(vector.bit_length())) is not None:
             vector ^= member
-    return basis
+        return vector
+
+    def basis(self, vectors) -> dict[int, int]:
+        """An echelon basis of the span of vectors; its size is the rank."""
+        basis: dict[int, int] = {}
+        get = basis.get
+        # reduce inlined: this loop is the search's inner loop
+        for vector in vectors:
+            while (member := get(vector.bit_length())) is not None:
+                vector ^= member
+            if vector:
+                basis[vector.bit_length()] = vector
+        return basis
 
 
-class PackedGF:
-    """GF(p) vectors packed into Python ints, one byte lane per coordinate
-    (coordinate i is the byte ``(v >> 8 * i) & 255``, in ``range(p)``).
+class PackedGF(_PackedKernel):
+    """GF(p) vectors for odd p, one byte lane per coordinate, in range(p).
 
     Sums and scalings run on the whole int, and one ``bytes.translate``
     through a mod-p table brings every lane back below p at C speed.
     Elimination with a member of top lane 1 is ``v + (p - lead) * member``:
     each lane reaches at most (p - 1) + (p - 1)^2 = p (p - 1) before the
     translate, so the lanes never carry into each other while p (p - 1)
-    <= 255, that is for p in {2, 3, 5, 7, 11, 13}.  Larger primes raise.
+    <= 255, that is for p in {3, 5, 7, 11, 13}.  Other values raise.
     """
 
-    # the primes with p (p - 1) <= 255
-    PRIMES = frozenset((2, 3, 5, 7, 11, 13))
+    # the odd primes with p (p - 1) <= 255
+    PRIMES = frozenset((3, 5, 7, 11, 13))
 
     __slots__ = ("p", "mod", "inverse", "batch")
 
+    lane_bits = 8
+
     def __init__(self, p: int):
         if p not in self.PRIMES:
-            raise ValueError(f"GF({p}) does not fit byte lanes: "
-                             f"p must be a prime with p (p - 1) <= 255")
+            raise ValueError(f"GF({p}) does not fit byte lanes: p must be an "
+                             f"odd prime with p (p - 1) <= 255")
         self.p = p
         self.mod = (bytes(range(p)) * (256 // p + 1))[:256]
         self.inverse = [0] + [pow(a, p - 2, p) for a in range(1, p)]
         # a normalised lane holds at most p - 1, and each scaled term of a
         # sum adds at most (p - 1)^2 to it
         self.batch = (255 - (p - 1)) // (p - 1) ** 2
-
-    def pack(self, values) -> int:
-        """The packed vector of coordinates already in ``range(p)``."""
-        return int.from_bytes(bytes(values), "little")
 
     def normalize(self, vector: int) -> int:
         """Every lane of a carry-free sum reduced mod p."""
@@ -147,9 +159,11 @@ class PackedGF:
         return basis
 
 
-def packed_kernel(field) -> PackedGF | None:
-    """The byte-lane kernel of a prime field that fits one, else None."""
+def packed_kernel(field) -> PackedGF2 | PackedGF | None:
+    """The packed kernel of GF(p) for p <= 13, else None."""
     p = getattr(field, "p", None)
+    if p == 2:
+        return PackedGF2()
     return PackedGF(p) if p in PackedGF.PRIMES else None
 
 

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 from .elements import Algebra, AlgebraElement, linear_combination
 from .fields import GF2, QQ
-from .linalg import gf2_basis, rank, solve
+from .linalg import packed_kernel, rank, solve
 from .rewriting import (
     IDENTITY_WORD, Word, _check_alphabet, _word, ab_system, parse_word,
     xq_system)
@@ -300,25 +300,20 @@ def _rank(vectors: list[list[AlgebraElement]], field) -> int:
     """Rank of vectors, each the concatenation of the coefficient vectors
     of a list of elements (one slot per element, one column per word)."""
     columns: dict[tuple[int, Word], int] = {}
-    if field == GF2:
-        # every nonzero GF(2) coefficient is 1: pack each support as an int
-        return len(gf2_basis(
-            sum(1 << columns.setdefault((slot, word), len(columns))
+    kernel = packed_kernel(field)
+    if kernel is not None:
+        bits = kernel.lane_bits
+        return len(kernel.basis(
+            sum(coefficient << bits * columns.setdefault((slot, word), len(columns))
                 for slot, element in enumerate(elements)
-                for word in element.terms())
+                for word, coefficient in element.terms().items())
             for elements in vectors))
-    for elements in vectors:
-        for slot, element in enumerate(elements):
-            for word in element.support():
-                columns.setdefault((slot, word), len(columns))
-    rows = []
-    for elements in vectors:
-        row = [field.zero] * len(columns)
-        for slot, element in enumerate(elements):
-            for word, coefficient in element.terms().items():
-                row[columns[(slot, word)]] = coefficient
-        rows.append(row)
-    return rank(rows, field)
+    rows = [{columns.setdefault((slot, word), len(columns)): coefficient
+             for slot, element in enumerate(elements)
+             for word, coefficient in element.terms().items()}
+            for elements in vectors]
+    return rank([[row.get(j, field.zero) for j in range(len(columns))]
+                 for row in rows], field)
 
 
 def _corner_spot_check(model: MatrixModel, bound: int) -> dict | None:

@@ -17,7 +17,7 @@ from nilregular.analysis import (
     tau_form_of, type_i_word, type_ii_word)
 from nilregular.elements import Algebra, linear_combination
 from nilregular.fields import GF2, GF3, QQ, PrimeField
-from nilregular.linalg import PackedGF, row_reduce, solve
+from nilregular.linalg import PackedGF, PackedGF2, packed_kernel, row_reduce, solve
 from nilregular.rewriting import (
     Word, canonical_words, enumerate_basis, parse_word, reduce, xq_system)
 
@@ -413,6 +413,16 @@ def test_unit_regular_search_exhausts_gf2():
     assert report.witness is None
 
 
+@pytest.mark.parametrize("arguments,message", (
+    ({"max_word_len": -1}, "max_word_len must be nonnegative"),
+    ({"max_word_len": 2, "workers": 0}, "workers must be positive"),
+    ({"max_word_len": 2, "workers": -3}, "workers must be positive")),
+    ids=["negative-length", "zero-workers", "negative-workers"])
+def test_unit_regular_search_refuses_bad_bounds(arguments, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        search_unit_regular_witness(**arguments)
+
+
 def test_unit_regular_search_workers_agree():
     single = search_unit_regular_witness(max_word_len=2, field=GF3)
     fanned = search_unit_regular_witness(max_word_len=2, field=GF3, workers=2)
@@ -794,27 +804,30 @@ def test_n2_representatives_hit_only_with_alpha_leading_digit_1(field, count):
 # representatives; 2 = (0, 0, 2), 8, 20, 23 and 26 have first nonzero digit
 # 2, and block 1 owns their orbits.  Block 14 of 15 takes the
 # representative 14 alone.  The rational grid is not closed under scalars,
-# so each of its betas is solved: 13 of the 5^2 in block 0 of 2.
+# so each of its betas is solved: 13 of the 5^2 in block 0 of 2.  GF(2)
+# has no nonzero scalar but 1, so every nonzero beta is tested: the 2^3 - 1
+# at length 2, and of block 2 of 3 the betas 2 = (0, 1, 0) and 5 = (1, 0, 1).
 SOLVE_COUNTS = ((GF3, 2, 0, 1, 13), (GF3, 2, 2, 3, 4), (GF3, 2, 14, 15, 1),
-                (GF5, 1, 0, 1, 6), (QQ, 1, 0, 2, 13), (PrimeField(17), 1, 0, 1, 18))
+                (GF5, 1, 0, 1, 6), (QQ, 1, 0, 2, 13), (PrimeField(17), 1, 0, 1, 18),
+                (GF2, 2, 0, 1, 7), (GF2, 2, 2, 3, 2))
 
 
 def _counting_solves(monkeypatch, count):
     """Route every consistency test of the scan through ``count``: the
-    packed kernel's ``reduce`` (once per test over GF(p <= 13)) and the
-    dense ``solve`` (once per test over the rationals and larger primes)
-    each call it with the name of their path."""
-    reduce = PackedGF.reduce
+    packed kernels' ``reduce`` (once per test over GF(p <= 13), GF(2)
+    included) and the dense ``solve`` (once per test over the rationals
+    and larger primes) each call it with the name of their path."""
+    for kernel_type in (PackedGF, PackedGF2):
+        def counting_reduce(kernel, basis, vector, reduce=kernel_type.reduce):
+            count("packed")
+            return reduce(kernel, basis, vector)
 
-    def counting_reduce(kernel, basis, vector):
-        count("packed")
-        return reduce(kernel, basis, vector)
+        monkeypatch.setattr(kernel_type, "reduce", counting_reduce)
 
     def counting_solve(rows, rhs, field):
         count("dense")
         return solve(rows, rhs, field)
 
-    monkeypatch.setattr(PackedGF, "reduce", counting_reduce)
     monkeypatch.setattr(analysis, "solve", counting_solve)
 
 
@@ -828,7 +841,7 @@ def test_dense_scan_solves_once_per_scalar_orbit(
     lefts = left_shape_words(max_word_len, S)
     rights = right_shape_words(max_word_len, S)
     assert analysis._scan_beta_block(3, field, lefts, rights, block, blocks) is None
-    path = "packed" if field in (GF3, GF5) else "dense"
+    path = "dense" if packed_kernel(field) is None else "packed"
     assert calls == [path] * solves
 
 
@@ -914,7 +927,8 @@ def _row_basis_verdicts(tables, target, width, field) -> set:
 # (field, max_word_len, n, whether some alpha is consistent, whether some
 # beta is)
 ROW_BASIS_CASES = ((GF3, 4, 2, True, True), (GF3, 3, 3, False, False),
-                   (QQ, 2, 2, False, False))
+                   (QQ, 2, 2, False, False), (GF2, 4, 2, True, True),
+                   (GF2, 3, 3, False, False))
 
 
 ROW_BASIS_IDS = [f"{f.name}-L{length}-n{n}" for f, length, n, _, _ in ROW_BASIS_CASES]
@@ -976,7 +990,7 @@ def test_consistency_test_matches_a_full_solve(field, max_word_len, n):
     assert verdicts == ({True, False} if n == 2 else {False})
 
 
-@pytest.mark.parametrize("field", [GF3, PrimeField(7), PrimeField(13)],
+@pytest.mark.parametrize("field", [GF2, GF3, PrimeField(7), PrimeField(13)],
                          ids=lambda f: f.name)
 @pytest.mark.parametrize("n,max_word_len", ((2, 4), (3, 3), (3, 5), (4, 4)))
 def test_packed_row_basis_keeps_the_dense_rows(field, n, max_word_len):

@@ -1,5 +1,6 @@
 """Element arithmetic in normal form, parsing, and JSON round trips."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -20,6 +21,29 @@ def test_generators_satisfy_the_relations():
     assert X ** 3 == ALG.zero
     assert X ** 2 != ALG.zero
     assert X ** 0 == ALG.one
+
+
+def test_power_squares_and_multiplies(monkeypatch):
+    # every power up to 9 of a two-term element equals the repeated product
+    element = X + 2 * Q
+    expected = ALG.one
+    for exponent in range(10):
+        assert element ** exponent == expected
+        expected = expected * element
+    # x^1000 with n = 1001 is one word; multiplying 1000 times would take
+    # 1000 products
+    algebra = Algebra(xq_system(1001), GF3)
+    x = algebra.gen("x")
+    products = []
+    multiply = type(x).__mul__
+
+    def counting_mul(self, other):
+        products.append(other)
+        return multiply(self, other)
+
+    monkeypatch.setattr(type(x), "__mul__", counting_mul)
+    assert x ** 1000 == algebra.word("x^1000")
+    assert len(products) <= 2 * math.log2(1000) + 2
 
 
 def test_words_enter_in_normal_form():

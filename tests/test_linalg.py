@@ -9,7 +9,7 @@ import pytest
 
 from nilregular.fields import GF2, GF3, QQ, PrimeField
 from nilregular.linalg import (
-    PackedGF, gf2_basis, gf2_reduce, packed_kernel, rank, row_reduce, solve)
+    PackedGF, PackedGF2, packed_kernel, rank, row_reduce, solve)
 
 
 def _span(rows, p) -> set:
@@ -106,12 +106,13 @@ def _check_against_dense(rows, rhs):
     the search uses it: the XOR basis of the packed rows has the rank's
     size, and the packed right-hand side reduces to 0 against the basis of
     the packed columns exactly when the system is consistent."""
-    assert len(gf2_basis(map(_pack, rows))) == rank(rows, GF2)
+    kernel = packed_kernel(GF2)
+    assert len(kernel.basis(map(_pack, rows))) == rank(rows, GF2)
     width = len(rows[0])
     augmented = [row + [value] for row, value in zip(rows, rhs)]
     consistent = width not in row_reduce(augmented, GF2)[1]
-    columns = gf2_basis(_pack(column) for column in zip(*rows))
-    assert (gf2_reduce(columns, _pack(rhs)) == 0) == consistent
+    columns = kernel.basis(_pack(column) for column in zip(*rows))
+    assert (kernel.reduce(columns, _pack(rhs)) == 0) == consistent
     found = solve(rows, rhs, GF2)
     if not consistent:
         assert found is None
@@ -210,9 +211,37 @@ def test_packed_gfp_sums_past_one_batch_stay_exact(p):
 
 
 def test_packed_kernel_refuses_primes_past_13():
-    for p in (17, 19, 4, 1, 0):
+    # byte lanes serve the odd primes; GF(2) gets the bit kernel
+    for p in (17, 19, 4, 2, 1, 0):
         with pytest.raises(ValueError, match="byte lanes"):
             PackedGF(p)
     assert packed_kernel(PrimeField(17)) is None
     assert packed_kernel(QQ) is None
     assert packed_kernel(GF3).p == 3
+    assert isinstance(packed_kernel(GF2), PackedGF2)
+
+
+@pytest.mark.parametrize("p", (2,) + PACKED_PRIMES)
+def test_packed_kernels_combine_and_split_like_dense_vectors(p):
+    # a table of count columns of size coordinates each, one vector with
+    # column i at lane i * size onwards, summed with scalars and split into
+    # its columns, equals the dense mod-p sum column by column
+    kernel = packed_kernel(PrimeField(p))
+    bits = kernel.lane_bits
+
+    def packed(values):
+        return sum(value << bits * lane for lane, value in enumerate(values))
+
+    rng = random.Random(200 + p)
+    for _ in range(100):
+        size, count, terms = rng.randint(1, 12), rng.randint(1, 8), rng.randint(0, 6)
+        tables = [[[rng.randrange(p) for _ in range(size)] for _ in range(count)]
+                  for _ in range(terms)]
+        scalars = [rng.randrange(p) for _ in range(terms)]
+        wholes = [packed(itertools.chain.from_iterable(table)) for table in tables]
+        for table, whole in zip(tables, wholes):
+            assert kernel.split(whole, size, count) == list(map(packed, table))
+        expected = [[sum(s * table[i][r] for s, table in zip(scalars, tables)) % p
+                     for r in range(size)] for i in range(count)]
+        assert (kernel.split(kernel.combine(scalars, wholes), size, count)
+                == list(map(packed, expected)))

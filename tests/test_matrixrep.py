@@ -272,14 +272,15 @@ def test_phi_faithful_report():
 @pytest.mark.parametrize("n, max_len", [(3, 7), (4, 6)])
 def test_gf2_rank_of_the_images_matches_the_rational_rank(n, max_len):
     # verify_phi_faithful derives the rational verdict from the GF(2)
-    # rank; the dense rational elimination is the oracle
-    models = (MatrixModel(n, QQ), MatrixModel(n, GF2))
+    # rank; the dense rational elimination is the oracle.  GF(3) takes the
+    # byte-lane kernel's rank
+    models = (MatrixModel(n, QQ), MatrixModel(n, GF2), MatrixModel(n, GF3))
     for length in range(max_len + 1):
         words = models[0].source.basis_words(length)
         ranks = [_rank([[entry for row in model.phi(word).rows for entry in row]
                         for word in words], model.target.field)
                  for model in models]
-        assert ranks == [len(words), len(words)], (n, length)
+        assert ranks == [len(words)] * 3, (n, length)
 
 
 def test_phi_faithful_reports_a_dependent_gf2_image(monkeypatch):

@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from nilregular.elements import Algebra
 from nilregular.fields import GF2, GF3, QQ
-from nilregular.linalg import gf2_basis, gf2_reduce, row_reduce
+from nilregular.linalg import packed_kernel, row_reduce
 from nilregular.matrixrep import MatrixElement, MatrixModel
 from nilregular.rewriting import (
     RewriteSystem, Rule, Word, ab_system, canonical_words, concat_reduce,
@@ -125,11 +125,12 @@ def test_packed_gf2_rank_and_solve_agree_with_dense_elimination(system):
     def pack(entries):
         return sum(1 << j for j, value in enumerate(entries) if value)
 
-    assert len(gf2_basis(map(pack, rows))) == len(row_reduce(rows, GF2)[1])
+    kernel = packed_kernel(GF2)
+    assert len(kernel.basis(map(pack, rows))) == len(row_reduce(rows, GF2)[1])
     augmented = [row + [value] for row, value in zip(rows, rhs)]
     consistent = len(rows[0]) not in row_reduce(augmented, GF2)[1]
-    columns = gf2_basis(pack(column) for column in zip(*rows))
-    assert (gf2_reduce(columns, pack(rhs)) == 0) == consistent
+    columns = kernel.basis(pack(column) for column in zip(*rows))
+    assert (kernel.reduce(columns, pack(rhs)) == 0) == consistent
 
 
 # big numerators, and small denominators so that integral results are common
