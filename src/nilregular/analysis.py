@@ -475,10 +475,12 @@ def _row_basis(tables, target, width: int, field) -> list[int]:
         # exactly when its lane is the top lane of some basis member
         bits = kernel.lane_bits
         rows = len(target)
-        vectors = [0] * (len(tables) * width)
-        for j, table in enumerate(tables):
+        vectors = []
+        for table in tables:
+            columns = [0] * width
             for r, i, c in table:
-                vectors[j * width + i] |= c << bits * (rows - 1 - r)
+                columns[i] |= c << bits * (rows - 1 - r)
+            vectors += columns
         vectors.append(sum(c << bits * (rows - 1 - r)
                            for r, c in enumerate(target) if c))
         return sorted(rows - top for top in kernel.basis(vectors))
@@ -507,8 +509,16 @@ def _consistency_test(tables, target, width: int, field):
     kernel = packed_kernel(field)
     if kernel is not None:
         bits = kernel.lane_bits
-        wholes = [sum(c << bits * (i * rows + kept[r]) for r, i, c in table if r in kept)
-                  for table in tables]
+        # each row's lane within a column, None for a row not kept: a list
+        # index costs less than a dict test and lookup per entry
+        slot = [kept.get(r) for r in range(len(target))]
+        wholes = []
+        for table in tables:
+            whole = 0
+            for r, i, c in table:
+                if (s := slot[r]) is not None:
+                    whole |= c << bits * (i * rows + s)
+            wholes.append(whole)
         target_vector = sum(target[r] << bits * s for r, s in kept.items())
 
         def consistent(beta):

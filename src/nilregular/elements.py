@@ -288,6 +288,8 @@ def linear_combination(algebra: Algebra, pairs) -> AlgebraElement:
 
 
 _NUMBER = re.compile(r"(\d+)(?:\s*/\s*(\d+))?")
+_SPACE = re.compile(r"\s*")
+_SIGN = re.compile(r"[+-]")
 # CPython's default limit on int() of a digit string
 _MAX_DIGITS = 4300
 
@@ -300,21 +302,14 @@ def parse_element(text: str, algebra: Algebra) -> AlgebraElement:
     """
     field = algebra.field
     total: dict[Word, object] = {}
-    pos = 0
     size = len(text)
-
-    def skip_ws() -> None:
-        nonlocal pos
-        while pos < size and text[pos].isspace():
-            pos += 1
-
-    skip_ws()
+    pos = _SPACE.match(text).end()
     sign = 1
     if pos < size and text[pos] in "+-":
         sign = -1 if text[pos] == "-" else 1
         pos += 1
     while True:
-        skip_ws()
+        pos = _SPACE.match(text, pos).end()
         if pos >= size:
             raise WordSyntaxError("expected a term", pos)
         term_start = pos
@@ -326,11 +321,10 @@ def parse_element(text: str, algebra: Algebra) -> AlgebraElement:
                 if digits is not None and len(digits) > _MAX_DIGITS:
                     raise WordSyntaxError("coefficient has too many digits",
                                           match.start(group))
-            pos = match.end()
-            skip_ws()
+            pos = _SPACE.match(text, match.end()).end()
         word_start = pos
-        while pos < size and text[pos] not in "+-":
-            pos += 1
+        sign_match = _SIGN.search(text, pos)
+        pos = size if sign_match is None else sign_match.start()
         word_text = text[word_start:pos].strip()
         if coefficient_text is None and not word_text:
             raise WordSyntaxError("expected a coefficient or word", term_start)
@@ -351,7 +345,6 @@ def parse_element(text: str, algebra: Algebra) -> AlgebraElement:
         outcome = reduce(word, algebra.system)
         if not outcome.is_zero and coefficient != field.zero:
             _accumulate(total, outcome.result, coefficient, field)
-        skip_ws()
         if pos >= size:
             break
         sign = -1 if text[pos] == "-" else 1

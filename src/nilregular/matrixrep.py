@@ -3,9 +3,21 @@
 For n >= 3 the xq algebra embeds in 2x2 matrices over the free algebra
 R on a, b with a^(n-1) = 0, via
 
-    x  ->  X = [[a, 0], [1, 0]],      q  ->  Q = [[b, 1 - ba], [0, 0]],
+    x  ->  X = [[a, 0], [1, 0]],      q  ->  Q = [[b, 1 - ba], [0, 0]].
 
-and the image is the subalgebra of matrices whose (1,2) entry lies in the
+Both images are rank one: X = u_x v_x and Q = u_q v_q for the columns
+u_x = (a, 1)^T, u_q = (1, 0)^T and the rows v_x = (1, 0), v_q = (b, 1 - ba),
+and v_x u_x = a, v_q u_q = b, v_x u_q = v_q u_x = 1.  So a nonempty word
+l_1 ... l_k maps to
+
+    phi(l_1 ... l_k) = u_(l_1) m v_(l_k),
+
+where m is the word of R with an a for each adjacent xx and a b for each
+adjacent qq, in order.  phi(w) is 0 exactly when m holds a^(n-1), as it
+does when w holds x^n.  Each entry is one word of u times m times the at
+most two words of an entry of v, so an image takes no matrix products.
+
+The image is the subalgebra of matrices whose (1,2) entry lies in the
 right ideal I = R(1 - ba) and whose (2,2) entry lies in F + I.  Membership
 in those corners is decided by one small exact linear solve per entry.
 Appending ba to a basis word of R gives a basis word two letters longer
@@ -29,6 +41,7 @@ M2(F[b]) x F, where the map above acquires a kernel.
 from __future__ import annotations
 
 import random
+import re
 import time
 from dataclasses import dataclass
 
@@ -36,8 +49,8 @@ from .elements import Algebra, AlgebraElement, linear_combination
 from .fields import GF2, QQ
 from .linalg import packed_kernel, rank, solve
 from .rewriting import (
-    IDENTITY_WORD, Word, _check_alphabet, _word, ab_system, parse_word,
-    xq_system)
+    IDENTITY_WORD, Word, _check_alphabet, _word, ab_system, is_basis_word,
+    parse_word, xq_system)
 from .reports import VerificationReport, checklist_report, finish_report
 
 
@@ -47,13 +60,14 @@ class MatrixElement:
     __slots__ = ("algebra", "rows")
 
     def __init__(self, algebra: Algebra, rows):
-        entries = tuple(tuple(row) for row in rows)
-        if len(entries) != 2 or any(len(row) != 2 for row in entries):
+        entries = tuple(map(tuple, rows))
+        if list(map(len, entries)) != [2, 2]:
             raise ValueError("expected a 2x2 entry grid")
-        for row in entries:
-            for entry in row:
-                if not isinstance(entry, AlgebraElement) or entry.algebra != algebra:
-                    raise ValueError("entries must all live in the given algebra")
+        for entry in entries[0] + entries[1]:
+            # the identity test spares the equality call in the common case
+            if not isinstance(entry, AlgebraElement) or (
+                    entry.algebra is not algebra and entry.algebra != algebra):
+                raise ValueError("entries must all live in the given algebra")
         self.algebra = algebra
         self.rows = entries
 
@@ -99,17 +113,14 @@ class MatrixElement:
                 for i in (0, 1)))
         return NotImplemented
 
-    def scaled(self, scalar) -> "MatrixElement":
-        return MatrixElement(self.algebra, tuple(
-            tuple(entry * scalar for entry in row) for row in self.rows))
-
     def __pow__(self, exponent: int) -> "MatrixElement":
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("exponent must be a nonnegative integer")
-        result = MatrixElement.identity(self.algebra)
-        for _ in range(exponent):
-            result = result * self
-        return result
+        if exponent == 0:
+            return MatrixElement.identity(self.algebra)
+        # square and multiply: about 2 log2(exponent) products, not exponent
+        half = self ** (exponent // 2)
+        return half * half * self if exponent % 2 else half * half
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, MatrixElement):
@@ -128,6 +139,15 @@ class MatrixElement:
 
     def __repr__(self) -> str:
         return f"MatrixElement({self})"
+
+
+# X = u_x v_x and Q = u_q v_q: an entry of a column u is one word of R
+# (None for 0), an entry of a row v maps words of R to coefficients
+_COLUMNS = {"x": ("a", ""), "q": ("", None)}
+_ROWS = {"x": ({"": 1}, {}), "q": ({"b": 1}, {"": 1, "ba": -1})}
+# the letters that open a run; the others spell m, with x -> a and q -> b
+_RUN_START = re.compile(r"(?<!x)x|(?<!q)q")
+_X_TO_A = str.maketrans("xq", "ab")
 
 
 class DegreeBoundExceeded(ValueError):
@@ -161,24 +181,42 @@ class MatrixModel:
         a = self.target.gen("a")
         b = self.target.gen("b")
         zero, one = self.target.zero, self.target.one
-        self.x_image = MatrixElement(self.target, ((a, zero), (one, zero)))
-        self.q_image = MatrixElement(self.target, ((b, one - b * a), (zero, zero)))
         self._one_minus_ba = one - b * a
-        # Trie of word prefixes seen so far: letter -> (image of the
-        # prefix, longer prefixes), so words sharing a prefix share its
-        # products.
-        self._prefixes = (MatrixElement.identity(self.target), {})
+        self.x_image = MatrixElement(self.target, ((a, zero), (one, zero)))
+        self.q_image = MatrixElement(self.target, ((b, self._one_minus_ba), (zero, zero)))
+        coerce = self.target.field.coerce
+        # the rows v of _ROWS with their coefficients in the field
+        self._rows = {letter: tuple({s: coerce(c) for s, c in v.items()} for v in row)
+                      for letter, row in _ROWS.items()}
+        # word_image's closed form rests on these factorizations
+        for letter, image in (("x", self.x_image), ("q", self.q_image)):
+            column = [[self._entry(t, "", {"": coerce(1)}), zero]
+                      for t in _COLUMNS[letter]]
+            row = [[self._entry("", "", v) for v in self._rows[letter]], [zero, zero]]
+            if (MatrixElement(self.target, column)
+                    * MatrixElement(self.target, row) != image):
+                raise RuntimeError(f"u_{letter} v_{letter} is not the image of {letter}")
 
     def word_image(self, word) -> MatrixElement:
+        """u_(first letter) m v_(last letter): see the module docstring."""
         word = word if isinstance(word, Word) else parse_word(word)
         _check_alphabet(word, self.source.system)
-        image, longer = self._prefixes
-        for letter in word:
-            if letter not in longer:
-                generator = self.x_image if letter == "x" else self.q_image
-                longer[letter] = (image * generator, {})
-            image, longer = longer[letter]
-        return image
+        if not word:
+            return MatrixElement.identity(self.target)
+        middle = _RUN_START.sub("", word).translate(_X_TO_A)
+        return MatrixElement(self.target, [
+            [self._entry(t, middle, v) for v in self._rows[word[-1]]]
+            for t in _COLUMNS[word[0]]])
+
+    def _entry(self, left: str | None, middle: str, right: dict) -> AlgebraElement:
+        """left middle right in R, left a word (None for 0) and right a map
+        from words to coefficients.  R's relation a^(n-1) = 0 sends a word
+        to 0, so each word left middle s is a basis word of R or is 0."""
+        if left is None:
+            return self.target.zero
+        return AlgebraElement(self.target, {
+            _word(Word, text): c for s, c in right.items()
+            if is_basis_word(text := left + middle + s, self.target.system)})
 
     def phi(self, value) -> MatrixElement:
         """Image of an element (or word) of the xq algebra."""
@@ -186,10 +224,11 @@ class MatrixModel:
             return self.word_image(value)
         if value.algebra != self.source:
             raise ValueError("phi expects an element of this model's xq algebra")
-        total = MatrixElement.zero(self.target)
-        for word, coefficient in value.terms().items():
-            total = total + self.word_image(word).scaled(coefficient)
-        return total
+        images = [(c, self.word_image(w).rows) for w, c in value.terms().items()]
+        return MatrixElement(self.target, [
+            [linear_combination(self.target, ((c, rows[i][j]) for c, rows in images))
+             for j in (0, 1)]
+            for i in (0, 1)])
 
     def membership(self, matrix: MatrixElement,
                    degree_bound: int | None = None) -> TMembership:

@@ -134,6 +134,9 @@ def concat(u: Word, v: Word) -> Word:
 
 
 _WORD_TOKEN = re.compile(r"([xqab])(?:\s*\^\s*(\d+))?|1|\s+")
+# text of letters, 1s and blanks only, which is valid as it stands
+_PLAIN_WORD = re.compile(r"[xqab1\s]*")
+_POWER = re.compile(r"([xqab])\s*\^\s*(\d+)")
 _MAX_EXPONENT_DIGITS = len(str(MAX_EXPONENT))
 
 
@@ -143,8 +146,28 @@ def parse_word(text: str) -> Word:
     Whitespace is ignored and juxtaposition means product, so ``q^3x^2q``
     parses the same.  Raises :class:`WordSyntaxError` on anything else,
     and on a word of more than ``MAX_EXPONENT`` letters.
+
+    Valid text is checked and expanded by whole-text regex and string
+    passes; only text with a fault is scanned token by token, to locate it.
     """
-    runs: list[str] = []
+    # other text is valid when its tokens cover it, so that deleting them
+    # leaves nothing
+    if _PLAIN_WORD.fullmatch(text) or not _WORD_TOKEN.sub("", text):
+        powers = _POWER.findall(text)
+        # checked before int(), which refuses over 4,300 digits
+        exponents = [int(digits) for _, digits in powers
+                     if len(digits) <= _MAX_EXPONENT_DIGITS]
+        length = sum(map(text.count, "xqab")) - len(powers) + sum(exponents)
+        if len(exponents) == len(powers) and all(exponents) and length <= MAX_EXPONENT:
+            if powers:
+                text = _POWER.sub(lambda power: power[1] * int(power[2]), text)
+            return _word(Word, "".join(text.split()).replace("1", ""))
+    _locate_word_fault(text)
+    raise RuntimeError("the token scan found no fault in rejected word text")
+
+
+def _locate_word_fault(text: str) -> None:
+    """Scan word text token by token and raise at its first fault."""
     length = 0
     pos = 0
     while pos < len(text):
@@ -153,7 +176,6 @@ def parse_word(text: str) -> Word:
             raise WordSyntaxError("unexpected character", pos)
         letter, digits = match.groups()
         if letter is not None:
-            # checked before int(), which refuses over 4,300 digits
             if digits and len(digits) > _MAX_EXPONENT_DIGITS:
                 raise WordSyntaxError("exponent too large", pos)
             exponent = int(digits) if digits else 1
@@ -162,9 +184,7 @@ def parse_word(text: str) -> Word:
             length += exponent
             if length > MAX_EXPONENT:
                 raise WordSyntaxError("word too long", pos)
-            runs.append(letter * exponent)
         pos = match.end()
-    return _word(Word, "".join(runs))
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,7 @@
 """The 2x2 matrix realization: images, membership, obstructions."""
 
+import itertools
+import math
 import random
 
 import pytest
@@ -13,7 +15,7 @@ from nilregular.matrixrep import (
     check_determinant_obstruction, det2, n2_variant_check, pi_eval,
     verify_phi_faithful)
 from nilregular.rewriting import (
-    IDENTITY_WORD, Word, ab_system, parse_word, xq_system)
+    IDENTITY_WORD, Word, ab_system, parse_word, reduce, xq_system)
 
 MODEL = MatrixModel(3, QQ)
 R = MODEL.target
@@ -38,6 +40,45 @@ def test_golden_word_images():
     assert str(MODEL.phi(parse_word("q^2 x"))) == "[[b, 0], [0, 0]]"
     assert str(MODEL.phi(S_ALG.parse("1 - q x"))) == "[[0, 0], [0, 1]]"
     assert str(MODEL.phi("x q")) == "[[a b, a - a b a], [b, 1 - b a]]"
+
+
+def _product_images(model, max_len):
+    """Every word over {x, q} of length <= max_len, normal or not, with its
+    image as the left-to-right product of x_image and q_image: the way
+    word_image computed it before the closed form."""
+    images = {"": MatrixElement.identity(model.target)}
+    for length in range(1, max_len + 1):
+        for letters in itertools.product("xq", repeat=length):
+            word = "".join(letters)
+            generator = model.x_image if word[-1] == "x" else model.q_image
+            images[word] = images[word[:-1]] * generator
+    return images
+
+
+@pytest.mark.parametrize("field", [QQ, GF2, GF3], ids=["rational", "gf2", "gf3"])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_word_image_matches_the_product_of_generator_images(n, field):
+    model = MatrixModel(n, field)
+    images = _product_images(model, 8)
+    assert len(images) == 2 ** 9 - 1
+    for word, product in images.items():
+        assert model.word_image(Word(word)) == product, (n, word)
+    # an image dies exactly when the word's normal form does
+    assert all(product.is_zero == reduce(Word(word), model.source.system).is_zero
+               for word, product in images.items()), n
+
+
+@pytest.mark.parametrize("table, letter, value", [
+    ("_ROWS", "q", ({"": 1, "ba": -1}, {"b": 1})),
+    ("_ROWS", "x", ({"": 1}, {"": 1})),
+    ("_COLUMNS", "x", ("", "")),
+], ids=["v_q-swapped", "v_x-extra-entry", "u_x-without-a"])
+def test_a_wrong_factorization_is_refused(monkeypatch, table, letter, value):
+    # word_image's closed form rests on u_l v_l being the image of l; the
+    # model checks that with matrix products, not with assert
+    monkeypatch.setitem(getattr(matrixrep, table), letter, value)
+    with pytest.raises(RuntimeError, match=f"is not the image of {letter}"):
+        MatrixModel(3, QQ)
 
 
 def test_phi_rejects_foreign_elements():
@@ -250,12 +291,33 @@ def test_matrix_arithmetic():
     assert X - X == MatrixElement.zero(R)
     assert X + (-X) == MatrixElement.zero(R)
     assert X * MatrixElement.identity(R) == X
-    assert X.scaled(QQ.coerce(2)) - X == X
+    assert X + X - X == X
     with pytest.raises(ValueError):
         X ** -1
     other = MatrixModel(3, GF2).x_image
     with pytest.raises(ValueError):
         X + other
+
+
+def test_matrix_power_squares_and_multiplies(monkeypatch):
+    # every power up to 9 of a sum of both images equals the repeated product
+    element = MODEL.x_image + MODEL.q_image
+    expected = MatrixElement.identity(R)
+    for exponent in range(10):
+        assert element ** exponent == expected
+        expected = expected * element
+    products = []
+    multiply = MatrixElement.__mul__
+
+    def counting_mul(self, other):
+        products.append(other)
+        return multiply(self, other)
+
+    monkeypatch.setattr(MatrixElement, "__mul__", counting_mul)
+    assert (MODEL.x_image ** 1000).is_zero
+    assert len(products) <= 2 * math.log2(1000) + 2
+    with pytest.raises(ValueError):
+        MODEL.x_image ** 2.0
 
 
 def test_phi_faithful_report():

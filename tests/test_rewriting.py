@@ -7,6 +7,7 @@ import gc
 import itertools
 import pickle
 import random
+import re
 import time
 import tracemalloc
 
@@ -186,6 +187,50 @@ def test_parse_word_error_positions():
         assert excinfo.value.position == len(tokens[0]) + 1
     assert parse_word(f"q^{MAX_EXPONENT - 1} x").blocks \
         == (("q", MAX_EXPONENT - 1), ("x", 1))
+
+
+def _scanned_word(text):
+    """parse_word as a scan of one token at a time: the word, or the
+    (reason, position) of the first fault.  This is parse_word before it
+    checked and expanded valid text with whole-text passes."""
+    token = re.compile(r"([xqab])(?:\s*\^\s*(\d+))?|1|\s+")
+    runs, length, pos = [], 0, 0
+    while pos < len(text):
+        match = token.match(text, pos)
+        if match is None:
+            return "unexpected character", pos
+        letter, digits = match.groups()
+        if letter is not None:
+            if digits and len(digits) > len(str(MAX_EXPONENT)):
+                return "exponent too large", pos
+            exponent = int(digits) if digits else 1
+            if exponent == 0:
+                return "exponent must be a positive integer", pos
+            length += exponent
+            if length > MAX_EXPONENT:
+                return "word too long", pos
+            runs.append(letter * exponent)
+        pos = match.end()
+    return "".join(runs)
+
+
+def test_parse_word_matches_a_token_scan():
+    rng = random.Random(11)
+    pieces = ["x", "q", "a", "b", "1", "^", " ", "\t", "\u00a0", "\x1c", "0",
+              "2", "11", "z", "+", "^0", "^00000003", f"^{MAX_EXPONENT}",
+              f"^{MAX_EXPONENT - 1}", "^" + "9" * 8]
+    outcomes = set()
+    for _ in range(20000):
+        text = "".join(rng.choice(pieces) for _ in range(rng.randint(0, 10)))
+        expected = _scanned_word(text)
+        try:
+            outcome = str.__str__(parse_word(text))
+        except WordSyntaxError as error:
+            outcome = (error.reason, error.position)
+        assert outcome == expected, repr(text)
+        outcomes.add(outcome[0] if isinstance(outcome, tuple) else "word")
+    assert outcomes == {"word", "unexpected character", "exponent too large",
+                        "exponent must be a positive integer", "word too long"}
 
 
 def test_lex_order_q_above_x_and_prefix_below_extension():
