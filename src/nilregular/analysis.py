@@ -22,9 +22,15 @@ lex-largest member tau drive the impossibility searches:
 so tau cannot cancel out of the expansion, while 1 - xq contains no word
 beginning in q.  The checkers below verify the three-form classification
 and the uniqueness bound exhaustively at small size and on randomized
-families.  A sweep enumerates its shape pools once, and ``build_c_set``
+families.  A sweep enumerates its shape pools once.  ``build_c_set``
 computes the shape verdict of each word once per process (a bounded
-cache), checking only the side and distinctness on every call.
+cache) and checks the side and distinctness on every call, except for
+the words a sweep draws from its own pools, which are shape words and
+distinct by construction.  The occurrences of a support pair are built
+once (a bounded cache), each with its rank in the word order and its
+match as tau: an occurrence is classified only when its word is tau, so
+its match depends on the occurrence alone.  Picking tau is a max over
+the stored ranks, and classifying it reads the stored matches.
 
 The search covers every coefficient assignment over a finite field to
 witness exhaustion directly.  With beta fixed, alpha * beta = 1 - xq is
@@ -49,6 +55,7 @@ from __future__ import annotations
 # process submodule, and with it multiprocessing, only on first use, so
 # importing nilregular, a single-block search, reduce and basis never do
 import concurrent.futures
+import dataclasses
 import itertools
 import operator
 import os
@@ -116,7 +123,14 @@ def type_ii_word(w, y, system: RewriteSystem) -> ReductionOutcome:
 
 @dataclass(frozen=True, slots=True)
 class COccurrence:
-    """One expansion monomial that landed in the C-set."""
+    """One expansion monomial that landed in the C-set.
+
+    Whether an occurrence is classified depends on the rest of its C-set,
+    but how it classifies does not: it is classified only when its word
+    is the largest, so its match is a function of the occurrence alone.
+    Both that match and the word's rank in the word order are computed
+    once, when the occurrence is built, and are left out of equality and
+    repr."""
 
     word: Word
     left: Word
@@ -124,6 +138,16 @@ class COccurrence:
     kind: str  # "type-I" or "type-II"
     sign: int  # +1 for type I, -1 for type II
     steps: int = 0  # rule applications that reduced the monomial
+    # Word.lex_key of the word
+    rank: str = dataclasses.field(init=False, compare=False, repr=False)
+    # the occurrence classified as one of tau; None if it fits no form, or
+    # if a side is the identity
+    tau_match: TauOccurrence | None = dataclasses.field(
+        init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "rank", self.word.translate(_RANKS))
+        object.__setattr__(self, "tau_match", _match_as_tau(self))
 
 
 @dataclass(frozen=True)
@@ -149,10 +173,12 @@ class CSet:
         return tuple(occ for occ in self.occurrences if occ.word == word)
 
 
-@lru_cache(maxsize=None)
+# room for every pair of the length-12 shape pools, 94 x 77 = 7,238
+@lru_cache(maxsize=8192)
 def _pair_contributions(system: RewriteSystem, w: Word,
                         y: Word) -> tuple[COccurrence, ...]:
-    """The C-members among the monomials (xq)^e1 w (qx)^e2 y (xq)^e3.
+    """The C-members among the monomials (xq)^e1 w (qx)^e2 y (xq)^e3, each
+    with its rank and its match as tau.
 
     The sign of a member is (-1)^e2.  Reduction keeps the first and last
     letter of a nonzero word, so the six terms with e1 = 1 (first letter
@@ -180,12 +206,21 @@ def _shape_end(system: RewriteSystem, word: Word) -> str | None:
     return word[0] if word[0] == word[-1] else None
 
 
+class _PoolWords(list):
+    """Distinct words of one side's shape pool, as ``_iter_families`` draws
+    them; ``_checked_side`` takes them unchecked."""
+
+    __slots__ = ()
+
+
 def _checked_side(words, side: str, system: RewriteSystem) -> list[Word]:
     """Accepts words or word text, distinct, each 1 or a basis word that
     begins and ends in q for the left shape (1, q, q^2, q z q), in x for
     the right shape (1, x, x^2, x z x).  The shape verdict of a word is
     computed once per process; the side and distinctness are checked on
-    every call."""
+    every call, except for the sweeps' own pool words."""
+    if type(words) is _PoolWords:
+        return words
     end = "q" if side == "left" else "x"
     checked = []
     seen = set()
@@ -209,8 +244,9 @@ def build_c_set(left_words, right_words, system: RewriteSystem) -> CSet:
     """
     lefts = _checked_side(left_words, "left", system)
     rights = _checked_side(right_words, "right", system)
-    return CSet(tuple(itertools.chain.from_iterable(
-        _pair_contributions(system, w, y) for w in lefts for y in rights)), system)
+    pairs = itertools.product(lefts, rights)
+    return CSet(tuple(itertools.chain.from_iterable(itertools.starmap(
+        partial(_pair_contributions, system), pairs))), system)
 
 
 @dataclass(frozen=True)
@@ -241,22 +277,13 @@ def find_tau(c_set: CSet) -> Word:
     """The lex-largest word of a nonempty C-set.  At n = 3 every basis word
     from q to x has the :class:`TauForm`, so the off-form error fires only
     on a hand-built C-set holding a non-basis word."""
-    return _tau_and_form(c_set)[0]
-
-
-def _tau_and_form(c_set: CSet) -> tuple[Word, TauForm | None]:
-    """``find_tau``'s word with the form it parsed (None unless n = 3)."""
     if c_set.is_empty:
         raise ValueError("the C-set is empty; there is no largest word")
-    # the order of Word.lex_key, with no Python frame per occurrence
-    tau = max(map(operator.attrgetter("word"), c_set.occurrences),
-              key=operator.methodcaller("translate", _RANKS))
-    if c_set.system.nilpotency_degree != 3:
-        return tau, None
-    form = tau_form_of(tau)
-    if form is None:
+    # the stored Word.lex_key, with no Python frame per occurrence
+    tau = max(c_set.occurrences, key=operator.attrgetter("rank")).word
+    if c_set.system.nilpotency_degree == 3 and tau_form_of(tau) is None:
         raise RuntimeError(f"largest C-word {tau} off-form")
-    return tau, form
+    return tau
 
 
 @dataclass(frozen=True)
@@ -347,6 +374,21 @@ def _match_form3(w: Word, y: Word, tau: Word, form: TauForm) -> TauOccurrence | 
     return TauOccurrence(w, y, form=3, r=r, variant="interior")
 
 
+def _match_as_tau(occ: COccurrence) -> TauOccurrence | None:
+    """How an occurrence classifies if its word is tau: form 3 for type II,
+    form 1 for type I without reduction, form 2 with it.  None for a word
+    off the :class:`TauForm` and for a pair with the identity."""
+    w, y, tau = occ.left, occ.right, occ.word
+    form = tau_form_of(tau)
+    if form is None or w.is_identity or y.is_identity:
+        return None
+    if occ.kind == "type-II":
+        return _match_form3(w, y, tau, form)
+    if occ.steps == 0:
+        return _match_form1(w, y)
+    return _match_form2(w, y, tau, form)
+
+
 def classify_tau_occurrences(c_set: CSet) -> TauClassification:
     """Classify every occurrence of the largest word tau of a C-set.
 
@@ -355,30 +397,26 @@ def classify_tau_occurrences(c_set: CSet) -> TauClassification:
     y != 1 (in the cancellation context the identity pairs are ruled out
     separately), so for standalone inputs the classifier states its
     restriction instead of guessing.  Such a pair reaches tau at most
-    once, since its type I word is a shape word and never a C-word.
+    once, since its type I word is a shape word and never a C-word.  Each
+    occurrence carries its match, computed when it was built.
     """
     if c_set.system.nilpotency_degree != 3:
         raise ValueError("the tau classification is specific to n = 3")
-    tau, form = _tau_and_form(c_set)
+    tau = find_tau(c_set)
     occurrences: list[TauOccurrence] = []
     violations: list[dict] = []
     skipped: list[tuple[Word, Word]] = []
-    for occ in c_set.occurrences_of(tau):
+    for occ in c_set.occurrences:
+        if occ.word != tau:
+            continue
         w, y = occ.left, occ.right
         if w.is_identity or y.is_identity:
             skipped.append((w, y))
-            continue
-        if occ.kind == "type-II":
-            matched = _match_form3(w, y, tau, form)
-        elif occ.steps == 0:
-            matched = _match_form1(w, y)
-        else:
-            matched = _match_form2(w, y, tau, form)
-        if matched is None:
+        elif occ.tau_match is None:
             violations.append({"left": str(w), "right": str(y),
                                "kind": occ.kind, "steps": occ.steps})
         else:
-            occurrences.append(matched)
+            occurrences.append(occ.tau_match)
     return TauClassification(tau, occurrences, violations, skipped)
 
 
@@ -404,16 +442,18 @@ def _iter_families(exhaustive_len: int, random_len: int, random_trials: int,
     families drawn from the larger pools."""
     lefts, rights = _shape_pools(exhaustive_len, system)
     for l_mask in range(1 << len(lefts)):
-        chosen_left = [w for i, w in enumerate(lefts) if l_mask >> i & 1]
+        chosen_left = _PoolWords(w for i, w in enumerate(lefts) if l_mask >> i & 1)
         for r_mask in range(1 << len(rights)):
-            chosen_right = [y for i, y in enumerate(rights) if r_mask >> i & 1]
+            chosen_right = _PoolWords(y for i, y in enumerate(rights)
+                                      if r_mask >> i & 1)
             yield chosen_left, chosen_right
     left_pool, right_pool = _shape_pools(random_len, system)
     rng = random.Random(seed)
     for _ in range(random_trials):
         left_size = rng.randint(1, min(5, len(left_pool)))
         right_size = rng.randint(1, min(5, len(right_pool)))
-        yield rng.sample(left_pool, left_size), rng.sample(right_pool, right_size)
+        yield (_PoolWords(rng.sample(left_pool, left_size)),
+               _PoolWords(rng.sample(right_pool, right_size)))
 
 
 def _sweep_tau_families(check: str, exhaustive_len: int, random_len: int,

@@ -8,9 +8,9 @@ import pytest
 
 from nilregular import analysis
 from nilregular.analysis import (
-    COccurrence, TauForm, _iter_families, _match_form1, _match_form2, _match_form3,
-    _pair_contributions, _tau_witness, build_c_set, check_primeness_bounded,
-    check_regularity_identities, check_separativity_identities,
+    COccurrence, CSet, TauForm, _iter_families, _match_form1, _match_form2,
+    _match_form3, _pair_contributions, _tau_witness, build_c_set,
+    check_primeness_bounded, check_regularity_identities, check_separativity_identities,
     check_tau_forms_families, check_tau_uniqueness_families, check_types_lemma,
     classify_tau_occurrences, closing_argument_margin, find_tau,
     left_shape_words, right_shape_words, search_unit_regular_witness,
@@ -135,6 +135,26 @@ def test_text_and_word_input_get_the_same_shape_verdict(text, letters):
 def test_analysis_caches_are_bounded():
     assert analysis._shape_end.cache_info().maxsize is not None
     assert tau_form_of.cache_info().maxsize is not None
+    # bounded, with room for every pair of the length-12 shape pools
+    pairs = len(left_shape_words(12, S)) * len(right_shape_words(12, S))
+    assert pairs == 94 * 77
+    assert pairs <= _pair_contributions.cache_info().maxsize < 2 * pairs
+
+
+@pytest.mark.parametrize("random_len", (6, 7, 8))
+def test_pool_words_pass_the_full_side_check(random_len):
+    # the sweeps' own pool words skip the side check; a plain list of the
+    # same words gets the full check, which must accept them unchanged
+    families = 0
+    for exhaustive_len, seed in itertools.product((2, 3), (0, 1, 2)):
+        for lefts, rights in _iter_families(exhaustive_len, random_len, 200,
+                                            seed, S):
+            families += 1
+            for words, side in ((lefts, "left"), (rights, "right")):
+                assert type(words) is analysis._PoolWords
+                assert analysis._checked_side(words, side, S) is words
+                assert analysis._checked_side(list(words), side, S) == words
+    assert families == 3 * (2**6 + 2**7) + 6 * 200
 
 
 def test_find_tau_and_form_parse():
@@ -339,6 +359,73 @@ def test_classification_from_the_c_set_matches_the_pairwise_oracle():
             == _pairwise_classification(lefts, rights, tau), (lefts, rights)
     assert families == 64 + 1050
     assert classified > 1000
+
+
+def _hand_built_c_set(lefts, rights):
+    """The C-set of the pairs, from occurrence records built directly from
+    the eight-monomial expansion, not by ``_pair_contributions``."""
+    return CSet(tuple(occ for w in lefts for y in rights
+                      for occ in _eight_monomial_members(w, y)), S)
+
+
+def test_hand_built_c_sets_classify_like_built_ones():
+    classified = 0
+    for lefts, rights in _oracle_families():
+        built = build_c_set(lefts, rights, S)
+        hand_built = _hand_built_c_set(lefts, rights)
+        assert hand_built == built
+        if built.is_empty:
+            continue
+        classified += 1
+        expected, got = (classify_tau_occurrences(c_set)
+                         for c_set in (built, hand_built))
+        assert (got.tau, got.occurrences, got.violations,
+                got.skipped_identity_pairs) \
+            == (expected.tau, expected.occurrences, expected.violations,
+                expected.skipped_identity_pairs), (lefts, rights)
+    assert classified > 1000
+
+
+def test_hand_built_off_form_tau_is_refused():
+    # q x q^2 x is not a basis word (xqx = x), so it has no TauForm
+    word = parse_word("q x q^2 x")
+    occurrence = COccurrence(word, parse_word("q"), parse_word("x q^2 x"),
+                             "type-I", 1)
+    smaller = COccurrence(parse_word("q x"), parse_word("q"), parse_word("x"),
+                          "type-I", 1)
+    assert occurrence.tau_match is None
+    for c_set in (CSet((occurrence,), S), CSet((smaller, occurrence), S)):
+        with pytest.raises(RuntimeError, match=r"^largest C-word q x q\^2 x off-form$"):
+            classify_tau_occurrences(c_set)
+    # below a larger on-form word it is never tau and never refused
+    larger = COccurrence(parse_word("q^2 x"), parse_word("q^2"), parse_word("x"),
+                         "type-I", 1)
+    classification = classify_tau_occurrences(CSet((occurrence, larger), S))
+    assert str(classification.tau) == "q^2 x"
+    assert [occ.form for occ in classification.occurrences] == [1]
+
+
+def _type_i_occurrence(left, right):
+    w, y = parse_word(left), parse_word(right)
+    outcome = type_i_word(w, y, S)
+    return COccurrence(outcome.result, w, y, "type-I", 1, outcome.steps)
+
+
+def test_form2_with_b2_needs_a_later_q_group_above_2():
+    # (q, x q^2 x) reduces onto q^2 x with b = 2 and no later q-group; a
+    # real C-set never has it as tau, since the pair's type II word
+    # q^2 x^2 q^2 x is larger, so only a hand-built C-set reaches the clause
+    lone = _type_i_occurrence("q", "x q^2 x")
+    assert (str(lone.word), lone.steps) == ("q^2 x", 1)
+    classification = classify_tau_occurrences(CSet((lone,), S))
+    assert classification.occurrences == []
+    assert classification.violations == [
+        {"left": "q", "right": "x q^2 x", "kind": "type-I", "steps": 1}]
+    # with a later q^3 the same seam is a form-2 occurrence
+    later = _type_i_occurrence("q", "x q^2 x^2 q^3 x")
+    assert str(later.word) == "q^2 x^2 q^3 x"
+    [occurrence] = classify_tau_occurrences(CSet((later,), S)).occurrences
+    assert (occurrence.form, occurrence.r, occurrence.a, occurrence.b) == (2, 1, 1, 2)
 
 
 def test_classification_needs_n3():
