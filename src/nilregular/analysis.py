@@ -36,16 +36,20 @@ The search covers every coefficient assignment over a finite field to
 witness exhaustion directly.  With beta fixed, alpha * beta = 1 - xq is
 linear in alpha, so one exact consistency test per beta settles its
 whole alpha pool, and there are fewer right shape words than left ones
-(15 against 18 at length 7).  The search sums, per beta, the
-coefficient tables of its nonzero digits.  The table keeps only the rows
+(15 against 18 at length 7).  The coefficient tables come from word
+expansions over the integers, each distinct coefficient mapped into the
+field once: 1 - qx is idempotent, so each product is (1-xq) w (1-qx)
+times y (1-xq), at most eight word products, and the scan builds no
+``AlgebraElement``.  The search sums, per beta, the coefficient tables
+of its nonzero digits.  The table keeps only the rows
 whose stacked coefficients (every right word's, and the target's) form a
 basis, which decides every beta alike, and over GF(p > 2) one beta per
 orbit of nonzero scalars is tested.  The consistency test has two paths.
 Over GF(p) up to p = 13, GF(2) included, each table is one packed int
 for the field's ``linalg.packed_kernel`` (bits over GF(2), byte lanes
-past it).  On one core of a 2-core host GF(2) takes about 0.35 s at
-support length 7 (2^33 candidates) and 14 s at length 8 (2^45), GF(3)
-about 25 ms at length 5 and 3 s at length 6.  The rationals and larger
+past it).  On one core of a 2-core host GF(2) takes about 0.3 s at
+support length 7 (2^33 candidates) and 15 s at length 8 (2^45), GF(3)
+about 22 ms at length 5 and 2.1 s at length 6.  The rationals and larger
 primes solve a dense table.
 """
 
@@ -65,7 +69,7 @@ import time
 from dataclasses import dataclass
 from functools import lru_cache, partial
 
-from .elements import Algebra, AlgebraElement, linear_combination
+from .elements import Algebra, AlgebraElement
 from .fields import GF2, QQ
 from .linalg import packed_kernel, row_reduce, solve
 from .rewriting import (
@@ -85,6 +89,7 @@ from .rewriting import (
 from .reports import EXHAUSTED, VerificationReport, checklist_report, finish_report
 
 _QX_WORD = Word("qx")
+_XQ_WORD = Word("xq")
 
 
 def _as_word(value) -> Word:
@@ -580,6 +585,64 @@ def _consistency_test(tables, target, width: int, field):
     return consistent
 
 
+def _search_tables(n: int, field, lefts, rights) -> tuple[list, list, list]:
+    """(words, target, tables) for the scan: the support words in row
+    order, 1 - xq over them, and per right word y the nonzero (row,
+    column, value) entries of (1-xq) w (1-qx) * (1-qx) y (1-xq), a column
+    per left word w.
+
+    1 - qx is idempotent, since qxqx reduces to qx by xqx -> x, so each
+    product is framed(w) = (1-xq) w (1-qx), of at most four normal words,
+    times y (1-xq), of at most two, expanded as words over the integers.
+    The rules are monomial, so the field's products are these mapped into
+    it, one ``field.coerce`` per distinct coefficient; an entry zero in
+    the field is dropped.  Rows are numbered by first appearance, the
+    words of 1 - xq first.
+    """
+    system = xq_system(n)
+
+    def expand(left: dict, right: dict) -> dict:
+        total: dict[Word, int] = {}
+        for u, a in left.items():
+            for v, b in right.items():
+                word = concat_reduce(u, v, system).result
+                if word is not None:
+                    total[word] = total.get(word, 0) + a * b
+        return total
+
+    left_frame = {IDENTITY_WORD: 1, _XQ_WORD: -1}
+    right_frame = {IDENTITY_WORD: 1, _QX_WORD: -1}
+    framed = [expand(expand(left_frame, {w: 1}), right_frame) for w in lefts]
+    tails = [expand({y: 1}, left_frame) for y in rights]
+    values: dict[int, object] = {}
+    row_of = {word: r for r, word in enumerate(left_frame)}
+    tables: list[list] = [[] for _ in rights]
+    for i, head in enumerate(framed):
+        for tail, table in zip(tails, tables):
+            for word, coefficient in expand(head, tail).items():
+                if coefficient not in values:
+                    values[coefficient] = field.coerce(coefficient)
+                value = values[coefficient]
+                if value != field.zero:
+                    table.append((row_of.setdefault(word, len(row_of)), i, value))
+    target = ([field.coerce(c) for c in left_frame.values()]
+              + [field.zero] * (len(row_of) - len(left_frame)))
+    return list(row_of), target, tables
+
+
+def _solves(alpha, rows, target, field) -> bool:
+    """Whether alpha solves M alpha = target, ``rows`` holding each row
+    of M as its (column, value) entries; stops at the first row off."""
+    for row, expected in zip(rows, target):
+        total = field.zero
+        for i, c in row:
+            if alpha[i]:
+                total = field.add(total, field.mul(alpha[i], c))
+        if total != expected:
+            return False
+    return True
+
+
 def _scan_beta_block(n: int, field, lefts, rights, block: int,
                      blocks: int) -> tuple | None:
     """(index, alpha, beta) for the witness of least global candidate
@@ -587,14 +650,15 @@ def _scan_beta_block(n: int, field, lefts, rights, block: int,
     owns, or None.  Block ``block`` of ``blocks`` takes every
     ``blocks``-th beta of the index order, from index ``block`` on.
 
-    The products (1-xq) w (1-qx) * (1-qx) y (1-xq) are built once per call,
-    and with them one coefficient table per right word y: a row per word in
-    the supports, a column per left word w.  With beta fixed, alpha * beta
-    = 1 - xq is linear in alpha, so one consistency test against the sum
-    of the tables of beta's nonzero digits decides whether any alpha works
-    (``_consistency_test``: the packed kernel over GF(p) up to p = 13,
-    GF(2) included, a dense ``solve`` otherwise, both on the
-    ``_row_basis`` rows).  Over GF(p > 2) the pool is
+    The tables come once per call from integer word expansions
+    (``_search_tables``; 1 - qx is idempotent, so each product is
+    (1-xq) w (1-qx) * y (1-xq)): one coefficient table per right word y,
+    a row per word in the supports, a column per left word w.  With beta
+    fixed, alpha * beta = 1 - xq is linear in alpha, so one consistency
+    test against the sum of the tables of beta's nonzero digits decides
+    whether any alpha works (``_consistency_test``: the packed kernel
+    over GF(p) up to p = 13, GF(2) included, a dense ``solve`` otherwise,
+    both on the ``_row_basis`` rows).  Over GF(p > 2) the pool is
     range(p), so a digit is its value, and M(c beta) = c M(beta): the block
     owns the scalar orbit of each beta it takes whose first nonzero digit
     is 1 and tests that beta alone; the orbit's other members may fall to
@@ -603,10 +667,10 @@ def _scan_beta_block(n: int, field, lefts, rights, block: int,
     to within one, so the blocks' representative counts differ by at most
     len(rights).  Over GF(2) and the rationals' grid it owns and tests
     every beta it takes.  For a consistent beta the alphas of that beta
-    alone are walked in index order up to the first hit or the least
-    index found so far; over the rationals the solution may miss the grid,
-    and the walk then comes up empty.  The rest of an orbit cannot hold a
-    smaller hit.  No rule turns a nonempty word into 1, so the empty
+    alone are walked in index order, on M(beta) over every row, up to the
+    first hit or the least index found so far; over the rationals the
+    solution may miss the grid, and the walk then comes up empty.  The
+    rest of an orbit cannot hold a smaller hit.  No rule turns a nonempty word into 1, so the empty
     word's coefficient of alpha * beta is u_1 v_1, the product of the
     leading digits, and 1 - xq makes it 1.  A hit of a representative
     (v_1 = 1) thus has alpha leading digit 1, while the hits of c beta are
@@ -614,27 +678,8 @@ def _scan_beta_block(n: int, field, lefts, rights, block: int,
     the most significant of alpha's index, and alpha's index outweighs
     beta's in the candidate index.
     """
-    algebra = Algebra(xq_system(n), field)
-    x = algebra.gen("x")
-    q = algebra.gen("q")
-    left_frame = algebra.one - x * q
-    right_frame = algebra.one - q * x
-    alpha_units = [left_frame * algebra.word(w) * right_frame for w in lefts]
-    beta_units = [right_frame * algebra.word(y) * left_frame for y in rights]
-    products = [[a_unit * b_unit for b_unit in beta_units]
-                for a_unit in alpha_units]
+    _, target, tables = _search_tables(n, field, lefts, rights)
     pool, exhaustive = field.coefficient_pool()
-    # rows are the support words, numbered by first appearance
-    row_of: dict[Word, int] = {}
-    for element in itertools.chain([left_frame], *products):
-        for word in element.terms():
-            row_of.setdefault(word, len(row_of))
-    target = [left_frame.coeff(word) for word in row_of]
-    # each right word's table, kept as its nonzero (row, column, value)
-    tables = [[(row_of[word], i, coefficient)
-               for i, row_products in enumerate(products)
-               for word, coefficient in row_products[j].terms().items()]
-              for j in range(len(rights))]
     consistent = _consistency_test(tables, target, len(lefts), field)
     beta_count = len(pool) ** len(rights)
     best = None
@@ -644,14 +689,20 @@ def _scan_beta_block(n: int, field, lefts, rights, block: int,
             continue
         if not consistent(beta):
             continue
-        columns = [linear_combination(algebra, zip(beta, row_products))
-                   for row_products in products]
+        # M(beta), each row as a map from column to value
+        matrix: list[dict] = [{} for _ in target]
+        for digit, table in zip(beta, tables):
+            if digit:
+                for r, i, c in table:
+                    row = matrix[r]
+                    row[i] = field.add(row.get(i, field.zero), field.mul(digit, c))
+        rows = [tuple(row.items()) for row in matrix]
         for alpha_index, alpha in enumerate(
                 itertools.product(pool, repeat=len(lefts))):
             index = alpha_index * beta_count + beta_index
             if best is not None and index >= best[0]:
                 break
-            if linear_combination(algebra, zip(alpha, columns)) == left_frame:
+            if _solves(alpha, rows, target, field):
                 best = index, alpha, beta
                 break
     return best

@@ -14,9 +14,10 @@ rewriting terminates, and all critical pairs resolve (see
 29, 1978) every word has a unique normal form and the irreducible words
 form a linear basis: the words in which no rule's left-hand side
 occurs, which :func:`enumerate_basis` grows from the rules alone.  The
-normal form is therefore reached by any strategy, and :func:`reduce`
-uses a stack: letters move one at a time onto an output that is always
-irreducible, so a new redex can only be a suffix of it.  A parallel
+normal form is therefore reached by any strategy.  :func:`reduce`
+returns a word in which no left-hand side occurs as it is, and reduces
+any other on a stack: letters move one at a time onto an output that is
+always irreducible, so a new redex can only be a suffix of it.  A parallel
 stack holds the length of the run each output letter ends, so x^n = 0 or
 a^m = 0 costs one comparison at any degree, and xqx and qxq a
 three-letter suffix slice: reduction is linear in the length of the word
@@ -297,10 +298,11 @@ def _check_alphabet(word: Word, system: RewriteSystem) -> None:
 @lru_cache(maxsize=None)
 def _rules_by_last_letter(system: RewriteSystem) -> dict[str, tuple]:
     """(length, lhs as a list, rhs reversed for pushing) of each rule,
-    grouped by the last letter of its left-hand side; a power rule's lhs is
+    grouped by the last letter of its left-hand side, longest left-hand
+    side first (in list order among equal lengths); a power rule's lhs is
     None, since the length of the output's trailing run decides it."""
     table: dict[str, list] = {letter: [] for letter in system.letters}
-    for rule in system.rules:
+    for rule in sorted(system.rules, key=lambda rule: -len(rule.lhs)):
         lhs = list(rule.lhs) if rule.lhs.strip(rule.lhs[-1]) else None
         rhs = None if rule.rhs is None else rule.rhs[::-1]
         table[rule.lhs[-1]].append((len(rule.lhs), lhs, rhs))
@@ -311,13 +313,20 @@ def _stack_reduce(word: Word, system: RewriteSystem) -> ReductionOutcome:
     """Push the letters of ``word`` one at a time onto an output that
     stays irreducible; ``word`` itself is returned if no rule applies.
 
-    After each push, only a suffix of the output can be a redex, and at
-    most one rule matches there since no left-hand side contains another.
-    A match is deleted and its right-hand side goes back onto the pending
-    letters.  Every step shortens the word, so there are at most len(word)
-    steps, and the pushes are the word's letters plus the re-pushed
-    right-hand sides.  The redex found is always the leftmost one of
-    output + pending, so the steps are those of leftmost rewriting.
+    After each push, only a suffix of the output can be a redex, and the
+    rules ending in the pushed letter are tried longest left-hand side
+    first, so of the redexes that end there the one found starts
+    leftmost.  A match is deleted and its right-hand side goes back onto
+    the pending letters.  Every step shortens the word, so there are at
+    most len(word) steps, and the pushes are the word's letters plus the
+    re-pushed right-hand sides.
+
+    The redex found is the leftmost one of output + pending, so the steps
+    are those of leftmost rewriting, whenever each left-hand side occurs
+    inside another only as a suffix (as in both families, where none
+    occurs inside another at all): a redex that started further left and
+    ended past the pushed letter would hold the one found other than as
+    a suffix, and none ends before it, the output being irreducible.
     """
     rules = _rules_by_last_letter(system)
     # runs[i] is the length of the run of output[i]'s letter ending at i,
@@ -352,11 +361,15 @@ def _stack_reduce(word: Word, system: RewriteSystem) -> ReductionOutcome:
 def reduce(word: Word, system: RewriteSystem, rng: random.Random | None = None) -> ReductionOutcome:
     """Rewrite ``word`` to its normal form.
 
-    By default a stack reducer does it in time linear in the length of the
-    word (see the module docstring).  Pass ``rng`` to apply redexes chosen
-    at random instead; that strategy rescans the word after every step and
-    serves :func:`check_confluence` and the tests as an independent oracle.
+    By default a word in which no left-hand side occurs comes back as it
+    is, with 0 steps, and any other goes to a stack reducer, linear in the
+    length of the word (see the module docstring).  Pass ``rng`` to apply
+    redexes chosen at random instead; that strategy rescans the word after
+    every step and serves :func:`check_confluence` and the tests as an
+    independent oracle.
     """
+    if rng is None and is_basis_word(word, system):
+        return ReductionOutcome(word, 0)
     _check_alphabet(word, system)
     if rng is None:
         return _stack_reduce(word, system)
@@ -486,7 +499,8 @@ def check_confluence(system: RewriteSystem, max_len: int = 8,
                      seed: int = 0) -> VerificationReport:
     """Resolve every critical pair, then rewrite every word of length
     <= max_len under five randomized strategies and compare against the
-    stack reducer's result, which is the leftmost-first one (a witness
+    stack reducer's result, which is the leftmost-first one whenever each
+    left-hand side occurs inside another only as a suffix (a witness
     reports it under ``leftmost``)."""
     started = time.perf_counter()
     orders_per_word = 5

@@ -617,6 +617,33 @@ def _frame_products(n, field, lefts, rights):
                                  for a_unit in alpha_units]
 
 
+@pytest.mark.parametrize("n", (2, 3, 4, 5))
+@pytest.mark.parametrize("field", (GF2, GF3, PrimeField(5), PrimeField(17), QQ),
+                         ids=lambda f: f.name)
+def test_search_tables_hold_the_element_products(field, n):
+    # the scan's tables come from integer word expansions; mapped into the
+    # field they are the products of the framed elements, entry by entry,
+    # and the target is 1 - xq over the same rows
+    system = xq_system(n)
+    for max_word_len in range(5 if field == GF2 else 4):
+        lefts = left_shape_words(max_word_len, system)
+        rights = right_shape_words(max_word_len, system)
+        words, target, tables = analysis._search_tables(n, field, lefts, rights)
+        _, left_frame, products = _frame_products(n, field, lefts, rights)
+        assert len(set(words)) == len(words) == len(target)
+        assert words[:2] == ["", "xq"]
+        assert {word: c for word, c in zip(words, target) if c != field.zero} \
+            == left_frame.terms()
+        for j, table in enumerate(tables):
+            assert all(c != field.zero for _, _, c in table)
+            columns = [{} for _ in lefts]
+            for r, i, c in table:
+                assert words[r] not in columns[i]
+                columns[i][words[r]] = c
+            assert columns == [row_products[j].terms() for row_products in products], \
+                (max_word_len, j)
+
+
 def _brute_force_scan(n, field, lefts, rights, block, blocks):
     """The oracle: multiply out every alpha with every beta that the block
     owns, in global index order, and return (index, alpha, beta) for the

@@ -284,6 +284,53 @@ def test_reduce_matches_the_leftmost_oracle():
     assert reduce(parse_word("x^2 q^2 x"), PROBE) == ReductionOutcome(None, 2)
 
 
+def _nests_only_as_suffixes(rules):
+    """Whether each left-hand side occurs inside every other only as a
+    suffix, the condition under which the stack reducer is leftmost."""
+    for inner, outer in itertools.permutations([rule.lhs for rule in rules], 2):
+        for start in range(len(outer) - len(inner)):
+            if outer.startswith(inner, start):
+                return False
+    return True
+
+
+def _random_presentations(rng, count):
+    """``count`` presentations of 1-3 rules over xq or ab, each left-hand
+    side 1-3 letters long and each right-hand side zero or strictly
+    shorter, drawn until that many meet the suffix condition."""
+    found = []
+    while len(found) < count:
+        letters = rng.choice(["xq", "ab"])
+        rules = []
+        for _ in range(rng.randint(1, 3)):
+            lhs = "".join(rng.choices(letters, k=rng.randint(1, 3)))
+            rhs = (None if rng.random() < 0.3 else
+                   "".join(rng.choices(letters, k=rng.randrange(len(lhs)))))
+            rules.append(Rule(lhs, rhs))
+        if _nests_only_as_suffixes(rules):
+            found.append(RewriteSystem("T", letters, 0, tuple(rules)))
+    return found
+
+
+def test_reduce_is_leftmost_when_left_hand_sides_nest_only_as_suffixes():
+    # longest left-hand side first among the rules ending at the pushed
+    # letter: with x -> 0 listed before qx -> q, the leftmost redex of qx
+    # is qx itself, which gives q, not the x that gives 0
+    system = RewriteSystem("T", "xq", 1, (Rule("x", None), Rule("qx", "q")))
+    assert reduce(Word("qx"), system) == ReductionOutcome(Word("q"), 1)
+    for system in _random_presentations(random.Random(25), 400):
+        for word in canonical_words(6, system):
+            assert reduce(word, system) == _leftmost_reduce(word, system), (system, word)
+
+
+def test_basis_words_come_back_unchanged_with_no_steps():
+    for system in (S, R, PROBE):
+        for word in enumerate_basis(8, system):
+            outcome = reduce(word, system)
+            assert outcome == ReductionOutcome(word, 0), (system, word)
+            assert outcome.result is word
+
+
 def test_concat_reduce_matches_reduce_of_the_concatenation():
     for system in FAMILIES:
         basis = enumerate_basis(6, system)
@@ -439,12 +486,12 @@ def test_confluence_witnesses_write_a_zero_normal_form_as_0():
     pair = RewriteSystem("T", "xq", 2, (Rule("xx", None), Rule("xq", "q")))
     assert check_confluence(pair, max_len=3).witness == {
         "kind": "critical-pair", "overlap": "x^2 q", "left": "0", "right": "q"}
-    # x -> 0 and qx -> q share no overlap, but qx goes to 0 by the first
-    # rule and to q by the second
+    # x -> 0 and qx -> q share no overlap, but qx goes to q by its
+    # leftmost redex, qx itself, and to 0 by the x inside it
     word = RewriteSystem("T", "xq", 1, (Rule("x", None), Rule("qx", "q")))
     assert check_confluence(word, max_len=3).witness == {
-        "kind": "strategy-dependence", "word": "q x", "leftmost": "0",
-        "randomized": "q"}
+        "kind": "strategy-dependence", "word": "q x", "leftmost": "q",
+        "randomized": "0"}
 
 
 def test_confluence_holds_one_overlap_at_a_time():
