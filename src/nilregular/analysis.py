@@ -40,7 +40,8 @@ whole alpha pool, and there are fewer right shape words than left ones
 expansions over the integers, each distinct coefficient mapped into the
 field once: 1 - qx is idempotent, so each product is (1-xq) w (1-qx)
 times y (1-xq), at most eight word products, and the scan builds no
-``AlgebraElement``.  The search sums, per beta, the coefficient tables
+``AlgebraElement``; a hit alone is multiplied out in the algebra before
+it is reported.  The search sums, per beta, the coefficient tables
 of its nonzero digits.  The table keeps only the rows
 whose stacked coefficients (every right word's, and the target's) form a
 basis, which decides every beta alike, and over GF(p > 2) one beta per
@@ -69,7 +70,7 @@ import time
 from dataclasses import dataclass
 from functools import lru_cache, partial
 
-from .elements import Algebra, AlgebraElement
+from .elements import Algebra, AlgebraElement, linear_combination
 from .fields import GF2, QQ
 from .linalg import packed_kernel, row_reduce, solve
 from .rewriting import (
@@ -585,11 +586,11 @@ def _consistency_test(tables, target, width: int, field):
     return consistent
 
 
-def _search_tables(n: int, field, lefts, rights) -> tuple[list, list, list]:
-    """(words, target, tables) for the scan: the support words in row
-    order, 1 - xq over them, and per right word y the nonzero (row,
-    column, value) entries of (1-xq) w (1-qx) * (1-qx) y (1-xq), a column
-    per left word w.
+def _search_tables(n: int, field, lefts, rights) -> tuple[list, list]:
+    """(target, tables) for the scan, a row per word in the supports:
+    1 - xq over the rows, and per right word y the nonzero (row, column,
+    value) entries of (1-xq) w (1-qx) * (1-qx) y (1-xq), a column per
+    left word w.
 
     1 - qx is idempotent, since qxqx reduces to qx by xqx -> x, so each
     product is framed(w) = (1-xq) w (1-qx), of at most four normal words,
@@ -627,7 +628,7 @@ def _search_tables(n: int, field, lefts, rights) -> tuple[list, list, list]:
                     table.append((row_of.setdefault(word, len(row_of)), i, value))
     target = ([field.coerce(c) for c in left_frame.values()]
               + [field.zero] * (len(row_of) - len(left_frame)))
-    return list(row_of), target, tables
+    return target, tables
 
 
 def _solves(alpha, rows, target, field) -> bool:
@@ -678,7 +679,7 @@ def _scan_beta_block(n: int, field, lefts, rights, block: int,
     the most significant of alpha's index, and alpha's index outweighs
     beta's in the candidate index.
     """
-    _, target, tables = _search_tables(n, field, lefts, rights)
+    target, tables = _search_tables(n, field, lefts, rights)
     pool, exhaustive = field.coefficient_pool()
     consistent = _consistency_test(tables, target, len(lefts), field)
     beta_count = len(pool) ** len(rights)
@@ -708,6 +709,22 @@ def _scan_beta_block(n: int, field, lefts, rights, block: int,
     return best
 
 
+def _confirm_witness(n: int, field, lefts, rights, alpha, beta) -> None:
+    """Multiply the scan's hit out in the algebra, apart from the integer
+    tables that found it, and raise RuntimeError unless
+    (1-xq) alpha (1-qx) * (1-qx) beta (1-xq) = 1 - xq."""
+    algebra = Algebra(xq_system(n), field)
+    x = algebra.gen("x")
+    q = algebra.gen("q")
+    left_frame = algebra.one - x * q
+    right_frame = algebra.one - q * x
+    left = linear_combination(algebra, zip(alpha, map(algebra.word, lefts)))
+    right = linear_combination(algebra, zip(beta, map(algebra.word, rights)))
+    product = left_frame * left * right_frame * (right_frame * right * left_frame)
+    if product != left_frame:
+        raise RuntimeError(f"scan hit alpha={alpha}, beta={beta} gives {product}, not 1 - xq")
+
+
 def search_unit_regular_witness(max_word_len: int = 3, field=GF2, n: int = 3,
                                 workers: int = 1) -> VerificationReport:
     """Exhaust every (alpha, beta) with supports drawn from the shape words
@@ -717,7 +734,9 @@ def search_unit_regular_witness(max_word_len: int = 3, field=GF2, n: int = 3,
     Over a finite field the enumeration is complete and the report status
     is "exhausted" when nothing is found; over the rationals only a small
     coefficient grid is scanned and the parameters say so.  A hit would be
-    a counterexample, reported as a failure with the witness attached.
+    a counterexample, reported as a failure with the witness attached,
+    once alpha * beta is multiplied out in the algebra and found to be
+    1 - xq (RuntimeError otherwise).
     """
     if max_word_len < 0:
         raise ValueError("max_word_len must be nonnegative")
@@ -760,6 +779,7 @@ def search_unit_regular_witness(max_word_len: int = 3, field=GF2, n: int = 3,
         examined = total
     else:
         witness_index, alpha, beta = hit
+        _confirm_witness(n, field, lefts, rights, alpha, beta)
         witness = {
             "alpha_coefficients": {str(w): field.to_str(c)
                                    for w, c in zip(lefts, alpha)},

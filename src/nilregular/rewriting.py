@@ -14,10 +14,9 @@ rewriting terminates, and all critical pairs resolve (see
 29, 1978) every word has a unique normal form and the irreducible words
 form a linear basis: the words in which no rule's left-hand side
 occurs, which :func:`enumerate_basis` grows from the rules alone.  The
-normal form is therefore reached by any strategy.  :func:`reduce`
-returns a word in which no left-hand side occurs as it is, and reduces
-any other on a stack: letters move one at a time onto an output that is
-always irreducible, so a new redex can only be a suffix of it.  A parallel
+normal form is therefore reached by any strategy, and :func:`reduce`
+uses a stack: letters move one at a time onto an output that is always
+irreducible, so a new redex can only be a suffix of it.  A parallel
 stack holds the length of the run each output letter ends, so x^n = 0 or
 a^m = 0 costs one comparison at any degree, and xqx and qxq a
 three-letter suffix slice: reduction is linear in the length of the word
@@ -361,15 +360,11 @@ def _stack_reduce(word: Word, system: RewriteSystem) -> ReductionOutcome:
 def reduce(word: Word, system: RewriteSystem, rng: random.Random | None = None) -> ReductionOutcome:
     """Rewrite ``word`` to its normal form.
 
-    By default a word in which no left-hand side occurs comes back as it
-    is, with 0 steps, and any other goes to a stack reducer, linear in the
-    length of the word (see the module docstring).  Pass ``rng`` to apply
-    redexes chosen at random instead; that strategy rescans the word after
-    every step and serves :func:`check_confluence` and the tests as an
-    independent oracle.
+    By default a stack reducer does it in time linear in the length of the
+    word (see the module docstring).  Pass ``rng`` to apply redexes chosen
+    at random instead; that strategy rescans the word after every step and
+    serves :func:`check_confluence` and the tests as an independent oracle.
     """
-    if rng is None and is_basis_word(word, system):
-        return ReductionOutcome(word, 0)
     _check_alphabet(word, system)
     if rng is None:
         return _stack_reduce(word, system)

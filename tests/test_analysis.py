@@ -3,6 +3,7 @@
 import concurrent.futures
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -572,8 +573,14 @@ def test_unit_regular_search_merges_blocks_by_least_index(
         assert blocks == 3
         return hits[block]
 
+    # the hits are made up, so the check that multiplies a hit out in the
+    # algebra only records which one it is handed
+    confirmed = []
     monkeypatch.setattr(analysis, "_scan_beta_block", scan)
+    monkeypatch.setattr(analysis, "_confirm_witness",
+                        lambda *args: confirmed.append(args[-2:]))
     report = search_unit_regular_witness(max_word_len=2, field=GF3, workers=3)
+    assert confirmed == [((0, 0, 2), (2, 0, 2))]
     assert report.status == "fail"
     assert report.candidates_examined == 2 * 3 ** 3 + 20 + 1
     assert report.witness == {
@@ -623,25 +630,42 @@ def _frame_products(n, field, lefts, rights):
 def test_search_tables_hold_the_element_products(field, n):
     # the scan's tables come from integer word expansions; mapped into the
     # field they are the products of the framed elements, entry by entry,
-    # and the target is 1 - xq over the same rows
+    # and the target is 1 - xq over the same rows.  Rows carry no words, so
+    # each row is matched by its content: the target's value and every
+    # (column, right word) entry, against the same of each support word
     system = xq_system(n)
     for max_word_len in range(5 if field == GF2 else 4):
         lefts = left_shape_words(max_word_len, system)
         rights = right_shape_words(max_word_len, system)
-        words, target, tables = analysis._search_tables(n, field, lefts, rights)
+        target, tables = analysis._search_tables(n, field, lefts, rights)
         _, left_frame, products = _frame_products(n, field, lefts, rights)
-        assert len(set(words)) == len(words) == len(target)
-        assert words[:2] == ["", "xq"]
-        assert {word: c for word, c in zip(words, target) if c != field.zero} \
-            == left_frame.terms()
+        rows = [{"target": c} if c != field.zero else {} for c in target]
         for j, table in enumerate(tables):
-            assert all(c != field.zero for _, _, c in table)
-            columns = [{} for _ in lefts]
             for r, i, c in table:
-                assert words[r] not in columns[i]
-                columns[i][words[r]] = c
-            assert columns == [row_products[j].terms() for row_products in products], \
-                (max_word_len, j)
+                assert c != field.zero
+                assert (i, j) not in rows[r]
+                rows[r][i, j] = c
+        expected = {word: {"target": c} for word, c in left_frame.terms().items()}
+        for i, row_products in enumerate(products):
+            for j, product in enumerate(row_products):
+                for word, c in product.terms().items():
+                    expected.setdefault(word, {})[i, j] = c
+        assert Counter(map(_frozen, rows)) == Counter(map(_frozen, expected.values())), \
+            max_word_len
+
+
+def _frozen(row: dict) -> frozenset:
+    return frozenset(row.items())
+
+
+def test_a_scan_hit_that_does_not_multiply_out_raises(monkeypatch):
+    # a hit is multiplied out in the algebra before it is reported, so a
+    # scan defect cannot pass off a wrong witness as a counterexample
+    def wrong_hit(n, field, lefts, rights, block, blocks):
+        return 0, (0,) * len(lefts), (0,) * len(rights)
+    monkeypatch.setattr(analysis, "_scan_beta_block", wrong_hit)
+    with pytest.raises(RuntimeError, match="not 1 - xq"):
+        search_unit_regular_witness(max_word_len=1, field=GF2, n=3)
 
 
 def _brute_force_scan(n, field, lefts, rights, block, blocks):
