@@ -16,10 +16,15 @@ form a linear basis: the words in which no rule's left-hand side
 occurs, which :func:`enumerate_basis` grows from the rules alone.  The
 normal form is therefore reached by any strategy, and :func:`reduce`
 uses a stack: letters move one at a time onto an output that is always
-irreducible, so a new redex can only be a suffix of it.  A parallel
-stack holds the length of the run each output letter ends, so x^n = 0 or
-a^m = 0 costs one comparison at any degree, and xqx and qxq a
-three-letter suffix slice: reduction is linear in the length of the word
+irreducible, so a new redex can only be a suffix of it.  The stack holds
+the states of an Aho-Corasick automaton over the left-hand sides, one per
+output letter, so a push is one table lookup, and the state names the
+longest left-hand side the push completes; that redex is the leftmost one
+whenever each left-hand side occurs inside another only as a suffix, as
+in both families.  A power rule such as x^n = 0 that outgrows every
+other rule by two letters or more is not unrolled into n states: its
+chain stops in a state that loops on x, and only pushes into that state
+count the run.  Reduction is therefore linear in the length of the word
 at every nilpotency degree.
 
 A :class:`Word` is the string of its letters, so hashing, equality and
@@ -295,30 +300,73 @@ def _check_alphabet(word: Word, system: RewriteSystem) -> None:
 
 
 @lru_cache(maxsize=None)
-def _rules_by_last_letter(system: RewriteSystem) -> dict[str, tuple]:
-    """(length, lhs as a list, rhs reversed for pushing) of each rule,
-    grouped by the last letter of its left-hand side, longest left-hand
-    side first (in list order among equal lengths); a power rule's lhs is
-    None, since the length of the output's trailing run decides it."""
-    table: dict[str, list] = {letter: [] for letter in system.letters}
-    for rule in sorted(system.rules, key=lambda rule: -len(rule.lhs)):
-        lhs = list(rule.lhs) if rule.lhs.strip(rule.lhs[-1]) else None
-        rhs = None if rule.rhs is None else rule.rhs[::-1]
-        table[rule.lhs[-1]].append((len(rule.lhs), lhs, rhs))
-    return {letter: tuple(rules) for letter, rules in table.items()}
+def _automaton(system: RewriteSystem) -> tuple:
+    """The Aho-Corasick automaton of the left-hand sides, as the tuple
+    (table, match, last, cut, floor, power) that :func:`_stack_reduce`
+    reads.
+
+    A state is a node of the trie of the left-hand sides, numbered from
+    the root, 0.  ``table[letter][state]`` is the state of the longest
+    suffix of the state's string plus the letter that is a node.
+    ``match[state]`` is None, or the length and the reversed right-hand
+    side (None for zero) of the longest left-hand side that is a suffix
+    of the state's string, the first listed among equal ones.  Every
+    letter is a child of the root, so the string of the state after a
+    push ends in the pushed letter, and ``last[state]``, its last letter,
+    spells the output.
+
+    A power rule c^k at least two letters longer than every other
+    left-hand side (L letters at most) would cost k states.  Its chain
+    stops at ``cut``, the state of c^(L+1) .. c^(k-1): it loops on c,
+    leaves on another letter as c^L does, and its match entry is the
+    power rule, which applies once the run, counted by the reducer from
+    ``floor`` = L + 1, reaches ``power`` = k.  Without such a rule
+    ``cut`` is -1, no state.
+    """
+    rules = system.rules
+    *others, longest = sorted(rules, key=lambda rule: len(rule.lhs))
+    floor = max((len(rule.lhs) for rule in others), default=0) + 1
+    power = len(longest.lhs)
+    cuts = power > floor and not longest.lhs.strip(longest.lhs[0])
+    depth = floor if cuts else power
+    nodes = set(system.letters).union(
+        rule.lhs[:end] for rule in rules for end in range(1, min(len(rule.lhs), depth) + 1))
+    strings = [""] + sorted(nodes, key=lambda node: (len(node), node))
+    state = {node: index for index, node in enumerate(strings)}
+
+    def longest_suffix(text: str) -> int:
+        return next(state[text[start:]] for start in range(len(text) + 1)
+                    if text[start:] in state)
+
+    table = {letter: [longest_suffix(node + letter) for node in strings]
+             for letter in system.letters}
+    cut = state[longest.lhs[:floor]] if cuts else -1
+    match = []
+    for index, node in enumerate(strings):
+        rule = longest if index == cut else max(
+            (rule for rule in rules if node.endswith(rule.lhs)),
+            key=lambda rule: len(rule.lhs), default=None)
+        match.append(None if rule is None else (
+            len(rule.lhs), None if rule.rhs is None else rule.rhs[::-1]))
+    last = [node[-1:] for node in strings]
+    return table, match, last, cut, floor, power
 
 
 def _stack_reduce(word: Word, system: RewriteSystem) -> ReductionOutcome:
     """Push the letters of ``word`` one at a time onto an output that
     stays irreducible; ``word`` itself is returned if no rule applies.
 
-    After each push, only a suffix of the output can be a redex, and the
-    rules ending in the pushed letter are tried longest left-hand side
-    first, so of the redexes that end there the one found starts
+    The output is kept as the stack of the states of :func:`_automaton`
+    after each of its letters, so a push is one table lookup.  After a
+    push only a suffix of the output can be a redex, and the state's
+    match entry names the longest left-hand side that ends there, so of
+    the redexes that end at the pushed letter the one found starts
     leftmost.  A match is deleted and its right-hand side goes back onto
     the pending letters.  Every step shortens the word, so there are at
     most len(word) steps, and the pushes are the word's letters plus the
-    re-pushed right-hand sides.
+    re-pushed right-hand sides.  Only a push into the cut state of a long
+    power rule takes a slower path, which counts the run in ``runs``,
+    keyed by stack depth.
 
     The redex found is the leftmost one of output + pending, so the steps
     are those of leftmost rewriting, whenever each left-hand side occurs
@@ -327,34 +375,39 @@ def _stack_reduce(word: Word, system: RewriteSystem) -> ReductionOutcome:
     ended past the pushed letter would hold the one found other than as
     a suffix, and none ends before it, the output being irreducible.
     """
-    rules = _rules_by_last_letter(system)
-    # runs[i] is the length of the run of output[i]'s letter ending at i,
-    # and run, last mirror the tops of both stacks; the sentinel "" at the
-    # bottom keeps them nonempty
-    output = [""]
-    runs = [0]
-    run, last = 0, ""
+    table, match, last, cut, floor, power = _automaton(system)
+    # the root at the bottom keeps the stack nonempty
+    states = [0]
+    top = 0
+    runs = {}
     pending = list(word[::-1])
     steps = 0
     while pending:
-        letter = pending.pop()
-        run = run + 1 if letter == last else 1
-        last = letter
-        output.append(letter)
-        runs.append(run)
-        for size, lhs, rhs in rules[letter]:
-            if run >= size if lhs is None else output[-size:] == lhs:
-                del output[-size:]
-                del runs[-size:]
-                run, last = runs[-1], output[-1]
-                steps += 1
-                if rhs is None:
-                    return ReductionOutcome(None, steps)
-                pending.extend(rhs)
-                break
+        state = table[pending.pop()][top]
+        found = match[state]
+        if found is None:
+            states.append(state)
+            top = state
+            continue
+        if state == cut:
+            depth = len(states)
+            run = runs[depth - 1] + 1 if top == cut else floor
+            if run < power:
+                runs[depth] = run
+                states.append(state)
+                top = state
+                continue
+        size, rhs = found
+        steps += 1
+        if rhs is None:
+            return ReductionOutcome(None, steps)
+        # the pushed letter is not on the stack, so size - 1 come off
+        del states[len(states) + 1 - size:]
+        top = states[-1]
+        pending.extend(rhs)
     if not steps:
         return ReductionOutcome(word, 0)
-    return ReductionOutcome(_word(Word, "".join(output)), steps)
+    return ReductionOutcome(_word(Word, "".join(map(last.__getitem__, states[1:]))), steps)
 
 
 def reduce(word: Word, system: RewriteSystem, rng: random.Random | None = None) -> ReductionOutcome:
@@ -494,9 +547,10 @@ def check_confluence(system: RewriteSystem, max_len: int = 8,
                      seed: int = 0) -> VerificationReport:
     """Resolve every critical pair, then rewrite every word of length
     <= max_len under five randomized strategies and compare against the
-    stack reducer's result, which is the leftmost-first one whenever each
-    left-hand side occurs inside another only as a suffix (a witness
-    reports it under ``leftmost``)."""
+    stack reducer's result.  A witness reports that result under
+    ``leftmost`` when each left-hand side occurs inside another only as a
+    suffix, where it is the leftmost-first one, and under ``stack``
+    otherwise."""
     started = time.perf_counter()
     orders_per_word = 5
     parameters = {
@@ -519,6 +573,10 @@ def check_confluence(system: RewriteSystem, max_len: int = 8,
             }
             break
     if witness is None:
+        lhs = [rule.lhs for rule in system.rules]
+        strategy = ("stack" if any(inner in outer[:-1] for inner, outer
+                                   in itertools.permutations(lhs, 2))
+                    else "leftmost")
         rng = random.Random(seed)
         for word in canonical_words(max_len, system):
             base = reduce(word, system).result
@@ -529,7 +587,7 @@ def check_confluence(system: RewriteSystem, max_len: int = 8,
                     witness = {
                         "kind": "strategy-dependence",
                         "word": str(word),
-                        "leftmost": _normal_form_text(base),
+                        strategy: _normal_form_text(base),
                         "randomized": _normal_form_text(randomized),
                     }
                     break

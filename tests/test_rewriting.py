@@ -21,6 +21,7 @@ from nilregular.rewriting import (
     WordSyntaxError, ab_system, canonical_words, check_confluence, concat,
     concat_reduce, critical_pairs, enumerate_basis, is_basis_word, parse_word,
     reduce, system_from_label, xq_system)
+from nilregular.rewriting import _automaton
 
 S = xq_system(3)
 R = ab_system(2)
@@ -323,6 +324,54 @@ def test_reduce_is_leftmost_when_left_hand_sides_nest_only_as_suffixes():
             assert reduce(word, system) == _leftmost_reduce(word, system), (system, word)
 
 
+def _presentations_with_long_powers(rng, count):
+    """``count`` presentations that meet the suffix condition, each with a
+    power rule of 4-8 letters and 1-3 rules of 1-3 letters, in random
+    order, and now and then a left-hand side listed twice with another
+    right-hand side."""
+    found = []
+    while len(found) < count:
+        letters = rng.choice(["xq", "ab"])
+        rules = [Rule(rng.choice(letters) * rng.randint(4, 8), None)]
+        for _ in range(rng.randint(1, 3)):
+            rules.append(Rule("".join(rng.choices(letters, k=rng.randint(1, 3))), None))
+        if rng.random() < 0.3:
+            rules.append(Rule(rng.choice(rules).lhs, None))
+        rng.shuffle(rules)
+        rules = [Rule(rule.lhs, None if rng.random() < 0.3 else
+                      "".join(rng.choices(letters, k=rng.randrange(len(rule.lhs)))))
+                 for rule in rules]
+        if _nests_only_as_suffixes(rules):
+            found.append(RewriteSystem("T", letters, 0, tuple(rules)))
+    return found
+
+
+def test_reduce_is_leftmost_with_long_power_rules():
+    # the first listed of two equal left-hand sides wins, as in leftmost
+    # rewriting, where the rules are tried in list order at each start
+    for rhs, expected in (("q", ReductionOutcome(Word("q"), 1)),
+                          (None, ReductionOutcome(None, 1))):
+        system = RewriteSystem("T", "xq", 0, (Rule("xxq", rhs), Rule("xxq", "x")))
+        assert reduce(Word("xxq"), system) == expected
+    rng = random.Random(26)
+    systems = _presentations_with_long_powers(rng, 300)
+    # most power rules outgrow the other rules by two letters or more, so
+    # their chains are cut and runs past the cut take the counting path
+    assert sum(_automaton(system)[3] >= 0 for system in systems) > 200
+    for system in systems:
+        for _ in range(40):
+            word = Word("".join(rng.choice(system.letters) * rng.randint(1, 9)
+                                for _ in range(rng.randint(1, 6))))
+            assert reduce(word, system) == _leftmost_reduce(word, system), (system, word)
+
+
+def test_a_long_power_rule_is_not_unrolled():
+    # the chain of x^n = 0 stops at the state of x^4 .. x^(n-1), so the
+    # automaton does not grow with n
+    sizes = {n: len(_automaton(xq_system(n))[1]) for n in (5, 100, 10**6)}
+    assert sizes == {5: 10, 100: 10, 10**6: 10}
+
+
 def test_basis_words_come_back_unchanged_with_no_steps():
     for system in (S, R, PROBE):
         for word in enumerate_basis(8, system):
@@ -355,7 +404,7 @@ def test_long_words_reduce():
 
 def test_reduction_is_linear_at_a_large_degree():
     # a suffix slice per pushed x would cost up to n letters each, so
-    # minutes here; the run-length stack makes x^n = 0 one comparison
+    # minutes here; the cut chain of x^n = 0 counts the run instead
     system = xq_system(10**6)
     started = time.perf_counter()
     outcome = reduce(Word("x" * 200000), system)
@@ -364,8 +413,9 @@ def test_reduction_is_linear_at_a_large_degree():
     system = xq_system(10**4)
     irreducible = Word("x" * 9999 + "qq" + "xx")
     assert reduce(irreducible, system) == ReductionOutcome(irreducible, 0)
-    # each xqx -> x cuts the output back into the x-run, and the run stack,
-    # cut with it, must count the re-pushed x as the 9,999th, not the first
+    # each xqx -> x cuts the output back into the x-run, and the run count
+    # kept by stack depth must count the re-pushed x as the 9,999th, not
+    # the first
     assert reduce(Word("x" * 9999 + "qxqx"), system) \
         == ReductionOutcome(Word("x" * 9999), 2)
     assert reduce(Word("x" * 9999 + "qxx"), system) == ReductionOutcome(None, 2)
@@ -491,6 +541,18 @@ def test_confluence_witnesses_write_a_zero_normal_form_as_0():
     word = RewriteSystem("T", "xq", 1, (Rule("x", None), Rule("qx", "q")))
     assert check_confluence(word, max_len=3).witness == {
         "kind": "strategy-dependence", "word": "q x", "leftmost": "q",
+        "randomized": "0"}
+
+
+def test_confluence_witnesses_name_the_stack_outside_the_suffix_condition():
+    # q occurs inside qx as a prefix, so the stack reducer is not leftmost
+    # there: it deletes the q of qx as soon as it is pushed and gets x,
+    # while the leftmost redex, qx itself, gives 0
+    system = RewriteSystem("T", "xq", 1, (Rule("qx", None), Rule("q", "")))
+    assert reduce(Word("qx"), system) == ReductionOutcome(Word("x"), 1)
+    assert _leftmost_reduce(Word("qx"), system) == ReductionOutcome(None, 1)
+    assert check_confluence(system, max_len=3).witness == {
+        "kind": "strategy-dependence", "word": "q x", "stack": "x",
         "randomized": "0"}
 
 
