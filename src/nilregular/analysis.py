@@ -33,25 +33,26 @@ its match depends on the occurrence alone.  Picking tau is a max over
 the stored ranks, and classifying it reads the stored matches.
 
 The search covers every coefficient assignment over a finite field to
-witness exhaustion directly.  With beta fixed, alpha * beta = 1 - xq is
-linear in alpha, so one exact consistency test per beta settles its
+witness exhaustion directly, and reads the same pair records.
+(1-xq) x = 0 and q (1-xq) = 0, so (1-xq) w (1-qx) y (1-xq) is
+(1-xq) (wy - wqxy) (1-xq), and (1-xq) T (1-xq) is 1 - xq for T = 1,
+T - xqT - Txq + xqTxq for a word T from q to x, and 0 for any other word.
+Hence alpha * beta = 1 - xq exactly when u_1 v_1 = 1 and, for every
+C-word, the signed sum of u_w v_y over its occurrences is 0: the tables
+hold a row for the identity word and a row per C-word, and the scan
+builds no ``AlgebraElement``; a hit alone is multiplied out in the
+algebra before it is reported.  With beta fixed, alpha * beta = 1 - xq
+is linear in alpha, so one exact consistency test per beta settles its
 whole alpha pool, and there are fewer right shape words than left ones
-(15 against 18 at length 7).  The coefficient tables come from word
-expansions over the integers, each distinct coefficient mapped into the
-field once: 1 - qx is idempotent, so each product is (1-xq) w (1-qx)
-times y (1-xq), at most eight word products, and the scan builds no
-``AlgebraElement``; a hit alone is multiplied out in the algebra before
-it is reported.  The search sums, per beta, the coefficient tables
-of its nonzero digits.  The table keeps only the rows
-whose stacked coefficients (every right word's, and the target's) form a
-basis, which decides every beta alike, and over GF(p > 2) one beta per
-orbit of nonzero scalars is tested.  The consistency test has two paths.
-Over GF(p) up to p = 13, GF(2) included, each table is one packed int
-for the field's ``linalg.packed_kernel`` (bits over GF(2), byte lanes
-past it).  On one core of a 2-core host GF(2) takes about 0.3 s at
-support length 7 (2^33 candidates) and 15 s at length 8 (2^45), GF(3)
-about 22 ms at length 5 and 2.1 s at length 6.  The rationals and larger
-primes solve a dense table.
+(15 against 18 at length 7).  The search sums, per beta, the coefficient
+tables of its nonzero digits, and over GF(p > 2) one beta per orbit of
+nonzero scalars is tested.  The consistency test has two paths.  Over
+GF(p) up to p = 13, GF(2) included, each table is one packed int for the
+field's ``linalg.packed_kernel`` (bits over GF(2), byte lanes past it).
+On one core of a 2-core host GF(2) takes about 0.3 s at support length 7
+(2^33 candidates) and 15 s at length 8 (2^45), GF(3) about 22 ms at
+length 5 and 2.1 s at length 6.  The rationals and larger primes solve a
+dense table.
 """
 
 from __future__ import annotations
@@ -72,7 +73,7 @@ from functools import lru_cache, partial
 
 from .elements import Algebra, AlgebraElement, linear_combination
 from .fields import GF2, QQ
-from .linalg import packed_kernel, row_reduce, solve
+from .linalg import packed_kernel, solve
 from .rewriting import (
     _RANKS,
     IDENTITY_WORD,
@@ -90,7 +91,6 @@ from .rewriting import (
 from .reports import EXHAUSTED, VerificationReport, checklist_report, finish_report
 
 _QX_WORD = Word("qx")
-_XQ_WORD = Word("xq")
 
 
 def _as_word(value) -> Word:
@@ -508,75 +508,32 @@ def check_tau_uniqueness_families(exhaustive_len: int = 3, random_len: int = 6,
                                random_trials, seed)
 
 
-def _row_basis(tables, target, width: int, field) -> list[int]:
-    """The rows, picked greedily from the first, whose stacked coefficients
-    (T_1[r] | ... | T_m[r] | target[r]) span every row's.  Row r of
-    M(beta) alpha = target is its stacked row mapped linearly by beta, so
-    every other row is a fixed combination of kept ones and the kept rows
-    decide every beta."""
-    kernel = packed_kernel(field)
-    if kernel is not None:
-        # a vector per stacked coefficient, over the rows, with row r at
-        # lane rows - 1 - r: row r is independent of the rows before it
-        # exactly when its lane is the top lane of some basis member
-        bits = kernel.lane_bits
-        rows = len(target)
-        vectors = []
-        for table in tables:
-            columns = [0] * width
-            for r, i, c in table:
-                columns[i] |= c << bits * (rows - 1 - r)
-            vectors += columns
-        vectors.append(sum(c << bits * (rows - 1 - r)
-                           for r, c in enumerate(target) if c))
-        return sorted(rows - top for top in kernel.basis(vectors))
-    stacked = [[field.zero] * len(target) for _ in range(len(tables) * width)]
-    for j, table in enumerate(tables):
-        for r, i, c in table:
-            stacked[j * width + i][r] = c
-    return row_reduce(stacked + [target], field)[1]
-
-
 def _consistency_test(tables, target, width: int, field):
     """The function of beta that says whether M(beta) alpha = target has a
     solution, where M(beta) is the sum of beta_j T_j over the tables, each
     a list of (row, column, value) with ``width`` columns.
 
-    Two paths, both on the ``_row_basis`` rows only (18 of 58 at L=4 n=3
-    over GF(2) and GF(3)).  Over GF(p) for p <= 13 each table is one
-    vector of the field's ``linalg.packed_kernel``, column i at lane
-    i * rows onwards, so a sum is one ``combine`` (an XOR or a multiply-add
-    per nonzero digit), and the columns it splits into go to the kernel's
-    echelon basis.  The rationals and larger primes fill a dense table and
-    call ``solve``.
+    Over GF(p) for p <= 13 each table is one vector of the field's
+    ``linalg.packed_kernel``, column i at lane i * rows onwards, so a sum
+    is one ``combine`` (an XOR or a multiply-add per nonzero digit), and
+    the columns it splits into go to the kernel's echelon basis.  The
+    rationals and larger primes fill a dense table and call ``solve``.
     """
-    kept = {r: s for s, r in enumerate(_row_basis(tables, target, width, field))}
-    rows = len(kept)
+    rows = len(target)
     kernel = packed_kernel(field)
     if kernel is not None:
         bits = kernel.lane_bits
-        # each row's lane within a column, None for a row not kept: a list
-        # index costs less than a dict test and lookup per entry
-        slot = [kept.get(r) for r in range(len(target))]
-        wholes = []
-        for table in tables:
-            whole = 0
-            for r, i, c in table:
-                if (s := slot[r]) is not None:
-                    whole |= c << bits * (i * rows + s)
-            wholes.append(whole)
-        target_vector = sum(target[r] << bits * s for r, s in kept.items())
+        wholes = [sum(c << bits * (i * rows + r) for r, i, c in table)
+                  for table in tables]
+        target_vector = sum(c << bits * r for r, c in enumerate(target))
 
         def consistent(beta):
             columns = kernel.split(kernel.combine(beta, wholes), rows, width)
             return kernel.reduce(kernel.basis(columns), target_vector) == 0
         return consistent
-    tables = [[(kept[r], i, c) for r, i, c in table if r in kept]
-              for table in tables]
-    target = [target[r] for r in kept]
 
     def consistent(beta):
-        system = [[field.zero] * width for _ in kept]
+        system = [[field.zero] * width for _ in target]
         for table, digit in zip(tables, beta):
             if digit:
                 for r, i, c in table:
@@ -587,48 +544,34 @@ def _consistency_test(tables, target, width: int, field):
 
 
 def _search_tables(n: int, field, lefts, rights) -> tuple[list, list]:
-    """(target, tables) for the scan, a row per word in the supports:
-    1 - xq over the rows, and per right word y the nonzero (row, column,
-    value) entries of (1-xq) w (1-qx) * (1-qx) y (1-xq), a column per
-    left word w.
+    """(target, tables) for the scan: a row for the identity word, with
+    target 1, then a row per C-word of the supports, with target 0; per
+    right word y the (row, column, value) entries of its pairs, a column
+    per left word w.
 
-    1 - qx is idempotent, since qxqx reduces to qx by xqx -> x, so each
-    product is framed(w) = (1-xq) w (1-qx), of at most four normal words,
-    times y (1-xq), of at most two, expanded as words over the integers.
-    The rules are monomial, so the field's products are these mapped into
-    it, one ``field.coerce`` per distinct coefficient; an entry zero in
-    the field is dropped.  Rows are numbered by first appearance, the
-    words of 1 - xq first.
+    (1-xq) x = 0 and q (1-xq) = 0, so (1-xq) w (1-qx) y (1-xq) is
+    (1-xq) (wy - wqxy) (1-xq), and (1-xq) T (1-xq) is 1 - xq for T = 1,
+    T - xqT - Txq + xqTxq for a word T from q to x, and 0 for any other
+    word.  Those four are distinct basis words, with four different pairs
+    of first and last letters, and Txq and xqTxq vanish together.  So
+    alpha * beta = 1 - xq exactly when u_1 v_1 = 1 and, for every C-word,
+    the signed sum of u_w v_y over its occurrences is 0.  The entries are
+    1 for the pair (1, 1) on the identity row and each C-occurrence's sign
+    from ``_pair_contributions``, mapped into the field; rows after the
+    first are numbered by first appearance.
     """
     system = xq_system(n)
-
-    def expand(left: dict, right: dict) -> dict:
-        total: dict[Word, int] = {}
-        for u, a in left.items():
-            for v, b in right.items():
-                word = concat_reduce(u, v, system).result
-                if word is not None:
-                    total[word] = total.get(word, 0) + a * b
-        return total
-
-    left_frame = {IDENTITY_WORD: 1, _XQ_WORD: -1}
-    right_frame = {IDENTITY_WORD: 1, _QX_WORD: -1}
-    framed = [expand(expand(left_frame, {w: 1}), right_frame) for w in lefts]
-    tails = [expand({y: 1}, left_frame) for y in rights]
-    values: dict[int, object] = {}
-    row_of = {word: r for r, word in enumerate(left_frame)}
+    value = {1: field.coerce(1), -1: field.coerce(-1)}
+    row_of = {IDENTITY_WORD: 0}
     tables: list[list] = [[] for _ in rights]
-    for i, head in enumerate(framed):
-        for tail, table in zip(tails, tables):
-            for word, coefficient in expand(head, tail).items():
-                if coefficient not in values:
-                    values[coefficient] = field.coerce(coefficient)
-                value = values[coefficient]
-                if value != field.zero:
-                    table.append((row_of.setdefault(word, len(row_of)), i, value))
-    target = ([field.coerce(c) for c in left_frame.values()]
-              + [field.zero] * (len(row_of) - len(left_frame)))
-    return target, tables
+    for i, w in enumerate(lefts):
+        for y, table in zip(rights, tables):
+            if w.is_identity and y.is_identity:
+                table.append((0, i, value[1]))
+            for occ in _pair_contributions(system, w, y):
+                table.append((row_of.setdefault(occ.word, len(row_of)), i,
+                              value[occ.sign]))
+    return [value[1]] + [field.zero] * (len(row_of) - 1), tables
 
 
 def _solves(alpha, rows, target, field) -> bool:
@@ -651,15 +594,14 @@ def _scan_beta_block(n: int, field, lefts, rights, block: int,
     owns, or None.  Block ``block`` of ``blocks`` takes every
     ``blocks``-th beta of the index order, from index ``block`` on.
 
-    The tables come once per call from integer word expansions
-    (``_search_tables``; 1 - qx is idempotent, so each product is
-    (1-xq) w (1-qx) * y (1-xq)): one coefficient table per right word y,
-    a row per word in the supports, a column per left word w.  With beta
-    fixed, alpha * beta = 1 - xq is linear in alpha, so one consistency
-    test against the sum of the tables of beta's nonzero digits decides
-    whether any alpha works (``_consistency_test``: the packed kernel
-    over GF(p) up to p = 13, GF(2) included, a dense ``solve`` otherwise,
-    both on the ``_row_basis`` rows).  Over GF(p > 2) the pool is
+    The tables come once per call from the support pairs' C-occurrences
+    (``_search_tables``): one coefficient table per right word y, a row
+    for the identity word and one per C-word, a column per left word w.
+    With beta fixed, alpha * beta = 1 - xq is linear in alpha, so one
+    consistency test against the sum of the tables of beta's nonzero
+    digits decides whether any alpha works (``_consistency_test``: the
+    packed kernel over GF(p) up to p = 13, GF(2) included, a dense
+    ``solve`` otherwise).  Over GF(p > 2) the pool is
     range(p), so a digit is its value, and M(c beta) = c M(beta): the block
     owns the scalar orbit of each beta it takes whose first nonzero digit
     is 1 and tests that beta alone; the orbit's other members may fall to

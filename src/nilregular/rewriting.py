@@ -155,9 +155,9 @@ def parse_word(text: str) -> Word:
     Valid text is checked and expanded by whole-text regex and string
     passes; only text with a fault is scanned token by token, to locate it.
     """
-    # other text is valid when its tokens cover it, so that deleting them
-    # leaves nothing
-    if _PLAIN_WORD.fullmatch(text) or not _WORD_TOKEN.sub("", text):
+    # other text is valid when it is power tokens and plain text, so that
+    # deleting its powers leaves plain text
+    if _PLAIN_WORD.fullmatch(text) or _PLAIN_WORD.fullmatch(_POWER.sub("", text)):
         powers = _POWER.findall(text)
         # checked before int(), which refuses over 4,300 digits
         exponents = [int(digits) for _, digits in powers

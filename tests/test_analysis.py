@@ -18,7 +18,7 @@ from nilregular.analysis import (
     tau_form_of, type_i_word, type_ii_word)
 from nilregular.elements import Algebra, linear_combination
 from nilregular.fields import GF2, GF3, QQ, PrimeField
-from nilregular.linalg import PackedGF, PackedGF2, packed_kernel, row_reduce, solve
+from nilregular.linalg import PackedGF, PackedGF2, packed_kernel, solve
 from nilregular.rewriting import (
     Word, canonical_words, enumerate_basis, parse_word, reduce, xq_system)
 
@@ -628,11 +628,14 @@ def _frame_products(n, field, lefts, rights):
 @pytest.mark.parametrize("field", (GF2, GF3, PrimeField(5), PrimeField(17), QQ),
                          ids=lambda f: f.name)
 def test_search_tables_hold_the_element_products(field, n):
-    # the scan's tables come from integer word expansions; mapped into the
-    # field they are the products of the framed elements, entry by entry,
-    # and the target is 1 - xq over the same rows.  Rows carry no words, so
-    # each row is matched by its content: the target's value and every
-    # (column, right word) entry, against the same of each support word
+    # (1-xq) w (1-qx) y (1-xq) = (1-xq) (wy - wqxy) (1-xq), and
+    # (1-xq) T (1-xq) is 1 - xq for T = 1, T - xqT - Txq + xqTxq for a word
+    # T from q to x, and 0 for any other word.  So the tables' rows, with
+    # their targets, are the products' rows at the identity and at the
+    # words from q to x, and every other product row is minus the
+    # identity's (at xq) or, up to sign, the row of the word T it frames.
+    # The tables' rows carry no words, so they are matched by content: the
+    # target's value and every (column, right word) entry
     system = xq_system(n)
     for max_word_len in range(5 if field == GF2 else 4):
         lefts = left_shape_words(max_word_len, system)
@@ -650,12 +653,47 @@ def test_search_tables_hold_the_element_products(field, n):
             for j, product in enumerate(row_products):
                 for word, c in product.terms().items():
                     expected.setdefault(word, {})[i, j] = c
-        assert Counter(map(_frozen, rows)) == Counter(map(_frozen, expected.values())), \
+        kept = {word: row for word, row in expected.items()
+                if word.is_identity or (word.startswith("q") and word.endswith("x"))}
+        assert Counter(map(_frozen, rows)) == Counter(map(_frozen, kept.values())), \
             max_word_len
+        for word, row in expected.items():
+            if word in kept:
+                continue
+            head, tail = word.startswith("x"), word.endswith("q")
+            assert word.startswith("xq" * head) and word.endswith("xq" * tail), word
+            framed = Word(word[2 * head:len(word) - 2 * tail])
+            assert framed.is_identity == (word == "xq"), word
+            sign = -1 if head != tail or framed.is_identity else 1
+            assert row == {key: c if sign == 1 else field.neg(c)
+                           for key, c in expected.get(framed, {}).items()}, word
 
 
 def _frozen(row: dict) -> frozenset:
     return frozenset(row.items())
+
+
+@pytest.mark.parametrize("max_len,families_with_c_words", ((3, 104), (4, 942)))
+def test_tau_has_one_entry_in_the_search_table(max_len, families_with_c_words):
+    # in every family of the n = 3 pools with a C-word, tau occurs once, so
+    # its coefficient in alpha * beta is +-u_w v_y for one pair and cannot
+    # cancel.  A pair gives its type I word sign +1 and its type II word
+    # sign -1, so a table row whose one entry is tau's occurrence is tau's
+    families = 0
+    for lefts, rights in _iter_families(max_len, 0, 0, 0, S):
+        c_set = build_c_set(lefts, rights, S)
+        if c_set.is_empty:
+            continue
+        families += 1
+        (occurrence,) = c_set.occurrences_of(find_tau(c_set))
+        target, tables = analysis._search_tables(3, QQ, lefts, rights)
+        rows = [{} for _ in target]
+        for j, table in enumerate(tables):
+            for r, i, c in table:
+                rows[r][lefts[i], rights[j]] = c
+        assert {(occurrence.left, occurrence.right): occurrence.sign} in rows, \
+            (lefts, rights)
+    assert families == families_with_c_words
 
 
 def test_a_scan_hit_that_does_not_multiply_out_raises(monkeypatch):
@@ -1023,77 +1061,18 @@ def test_blocks_share_the_representatives_evenly(
 
 
 def _support_tables(n, field, lefts, rights):
-    """Each left word's table, (row, column, value) over the support words
-    with a column per right word, each right word's table as the scan
-    builds it, with a column per left word, and the target 1 - xq over the
-    same rows."""
+    """(tables, target) over every word of the element products: per right
+    word the (row, column, value) entries of its products, a column per
+    left word, and 1 - xq over the same rows."""
     _, left_frame, products = _frame_products(n, field, lefts, rights)
     row_of = {}
     for element in itertools.chain([left_frame], *products):
         for word in element.terms():
             row_of.setdefault(word, len(row_of))
-    left_tables = [[(row_of[word], j, coefficient)
-                    for j, product in enumerate(row_products)
-                    for word, coefficient in product.terms().items()]
-                   for row_products in products]
-    right_tables = [[(r, i, c) for i, table in enumerate(left_tables)
-                     for r, column, c in table if column == j]
-                    for j in range(len(rights))]
-    return left_tables, right_tables, [left_frame.coeff(word) for word in row_of]
-
-
-def _row_basis_verdicts(tables, target, width, field) -> set:
-    """Check that the kept rows decide every coefficient vector over the
-    tables exactly as all rows do; return the verdicts seen."""
-    kept = analysis._row_basis(tables, target, width, field)
-    assert kept == sorted(kept) and len(kept) < len(target)
-    pool, _ = field.coefficient_pool()
-    verdicts = set()
-    for vector in itertools.product(pool, repeat=len(tables)):
-        matrix = [[field.zero] * width for _ in target]
-        for scalar, table in zip(vector, tables):
-            for r, column, c in table:
-                matrix[r][column] = field.add(matrix[r][column], field.mul(scalar, c))
-        full = solve(matrix, target, field) is not None
-        on_kept = solve([matrix[r] for r in kept], [target[r] for r in kept],
-                        field) is not None
-        assert on_kept == full, vector
-        verdicts.add(full)
-    return verdicts
-
-
-# (field, max_word_len, n, whether some alpha is consistent, whether some
-# beta is)
-ROW_BASIS_CASES = ((GF3, 4, 2, True, True), (GF3, 3, 3, False, False),
-                   (QQ, 2, 2, False, False), (GF2, 4, 2, True, True),
-                   (GF2, 3, 3, False, False))
-
-
-ROW_BASIS_IDS = [f"{f.name}-L{length}-n{n}" for f, length, n, _, _ in ROW_BASIS_CASES]
-
-
-@pytest.mark.parametrize("field,max_word_len,n,some_alpha,some_beta",
-                         ROW_BASIS_CASES, ids=ROW_BASIS_IDS)
-def test_row_basis_keeps_every_alphas_verdict(field, max_word_len, n,
-                                              some_alpha, some_beta):
-    system = xq_system(n)
-    lefts = left_shape_words(max_word_len, system)
-    rights = right_shape_words(max_word_len, system)
-    tables, _, target = _support_tables(n, field, lefts, rights)
-    verdicts = _row_basis_verdicts(tables, target, len(rights), field)
-    assert (True in verdicts) == some_alpha
-
-
-@pytest.mark.parametrize("field,max_word_len,n,some_alpha,some_beta",
-                         ROW_BASIS_CASES, ids=ROW_BASIS_IDS)
-def test_row_basis_keeps_every_betas_verdict(field, max_word_len, n,
-                                             some_alpha, some_beta):
-    system = xq_system(n)
-    lefts = left_shape_words(max_word_len, system)
-    rights = right_shape_words(max_word_len, system)
-    _, tables, target = _support_tables(n, field, lefts, rights)
-    verdicts = _row_basis_verdicts(tables, target, len(lefts), field)
-    assert (True in verdicts) == some_beta
+    tables = [[(row_of[word], i, c) for i, row_products in enumerate(products)
+               for word, c in row_products[j].terms().items()]
+              for j in range(len(rights))]
+    return tables, [left_frame.coeff(word) for word in row_of]
 
 
 # (field, max_word_len, n); at n = 2 and length 4 some betas are
@@ -1108,13 +1087,16 @@ CONSISTENCY_CASES = ((GF2, 4, 2), (GF3, 4, 2), (PrimeField(7), 4, 2),
     "field,max_word_len,n", CONSISTENCY_CASES,
     ids=[f"{f.name}-L{length}-n{n}" for f, length, n in CONSISTENCY_CASES])
 def test_consistency_test_matches_a_full_solve(field, max_word_len, n):
-    # every beta's verdict, from masks, byte lanes or the dense solve on
-    # the kept rows, equals a dense solve over every support row
+    # every beta's verdict, from masks, byte lanes or the dense solve, on
+    # the rows of every support word and on the scan's identity and C-word
+    # rows alike, equals a dense solve over every support row
     system = xq_system(n)
     lefts = left_shape_words(max_word_len, system)
     rights = right_shape_words(max_word_len, system)
-    _, tables, target = _support_tables(n, field, lefts, rights)
+    tables, target = _support_tables(n, field, lefts, rights)
     consistent = analysis._consistency_test(tables, target, len(lefts), field)
+    c_target, c_tables = analysis._search_tables(n, field, lefts, rights)
+    on_c_words = analysis._consistency_test(c_tables, c_target, len(lefts), field)
     pool, _ = field.coefficient_pool()
     verdicts = set()
     for beta in itertools.product(pool, repeat=len(rights)):
@@ -1123,26 +1105,9 @@ def test_consistency_test_matches_a_full_solve(field, max_word_len, n):
             for r, i, c in table:
                 matrix[r][i] = field.add(matrix[r][i], field.mul(digit, c))
         full = solve(matrix, target, field) is not None
-        assert consistent(beta) == full, beta
+        assert consistent(beta) == on_c_words(beta) == full, beta
         verdicts.add(full)
     assert verdicts == ({True, False} if n == 2 else {False})
-
-
-@pytest.mark.parametrize("field", [GF2, GF3, PrimeField(7), PrimeField(13)],
-                         ids=lambda f: f.name)
-@pytest.mark.parametrize("n,max_word_len", ((2, 4), (3, 3), (3, 5), (4, 4)))
-def test_packed_row_basis_keeps_the_dense_rows(field, n, max_word_len):
-    system = xq_system(n)
-    lefts = left_shape_words(max_word_len, system)
-    rights = right_shape_words(max_word_len, system)
-    _, tables, target = _support_tables(n, field, lefts, rights)
-    width = len(lefts)
-    stacked = [[field.zero] * len(target) for _ in range(len(tables) * width)]
-    for j, table in enumerate(tables):
-        for r, i, c in table:
-            stacked[j * width + i][r] = c
-    assert (analysis._row_basis(tables, target, width, field)
-            == row_reduce(stacked + [target], field)[1])
 
 
 def test_regularity_and_separativity_identities():

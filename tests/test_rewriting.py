@@ -21,7 +21,7 @@ from nilregular.rewriting import (
     WordSyntaxError, ab_system, canonical_words, check_confluence, concat,
     concat_reduce, critical_pairs, enumerate_basis, is_basis_word, parse_word,
     reduce, system_from_label, xq_system)
-from nilregular.rewriting import _automaton
+from nilregular.rewriting import _PLAIN_WORD, _POWER, _WORD_TOKEN, _automaton
 
 S = xq_system(3)
 R = ab_system(2)
@@ -232,6 +232,23 @@ def test_parse_word_matches_a_token_scan():
         outcomes.add(outcome[0] if isinstance(outcome, tuple) else "word")
     assert outcomes == {"word", "unexpected character", "exponent too large",
                         "exponent must be a positive integer", "word too long"}
+
+
+@pytest.mark.parametrize("text", [
+    "x^", "x^0", "1x^2q", "x ^2 ^3", "^2", "x^3^2", "1^2", "x^ 3", "q ^ 3 z"])
+def test_power_removal_agrees_with_the_token_cover(text):
+    # parse_word takes text as valid when deleting its power tokens leaves
+    # letters, 1s and blanks; the oracle is that its tokens cover it
+    rng = random.Random(text)
+    texts = [text] + ["".join(rng.choices("xqab1^ 09z", k=rng.randint(0, 12)))
+                      for _ in range(2000)]
+    verdicts = set()
+    for candidate in texts:
+        covered = not _WORD_TOKEN.sub("", candidate)
+        assert bool(_PLAIN_WORD.fullmatch(_POWER.sub("", candidate))) == covered, \
+            repr(candidate)
+        verdicts.add(covered)
+    assert verdicts == {True, False}
 
 
 def test_lex_order_q_above_x_and_prefix_below_extension():
