@@ -18,7 +18,7 @@ from nilregular.analysis import (
     tau_form_of, type_i_word, type_ii_word)
 from nilregular.elements import Algebra, linear_combination
 from nilregular.fields import GF2, GF3, QQ, PrimeField
-from nilregular.linalg import PackedGF, PackedGF2, packed_kernel, solve
+from nilregular.linalg import PackedGF, PackedGF2, packed_kernel, row_reduce, solve
 from nilregular.rewriting import (
     Word, canonical_words, enumerate_basis, parse_word, reduce, xq_system)
 
@@ -1108,6 +1108,114 @@ def test_consistency_test_matches_a_full_solve(field, max_word_len, n):
         assert consistent(beta) == on_c_words(beta) == full, beta
         verdicts.add(full)
     assert verdicts == ({True, False} if n == 2 else {False})
+
+
+def _per_left_word(tables, width: int) -> list:
+    """Tables with a column per left word, one per right word, turned into
+    tables with a column per right word, one per left word."""
+    turned = [[] for _ in range(width)]
+    for j, table in enumerate(tables):
+        for r, i, c in table:
+            turned[i].append((r, j, c))
+    return turned
+
+
+def _row_basis_verdicts(support, scan, width, field) -> set:
+    """Check that the scan's rows, the identity word's and the C-words',
+    decide every coefficient vector over the tables exactly as every
+    support word's row does; return the verdicts seen.  ``support`` and
+    ``scan`` are (tables, target) pairs with the same columns."""
+    assert len(scan[1]) < len(support[1])
+    pool, _ = field.coefficient_pool()
+    verdicts = set()
+    for vector in itertools.product(pool, repeat=len(support[0])):
+        found = []
+        for tables, target in (support, scan):
+            matrix = [[field.zero] * width for _ in target]
+            for scalar, table in zip(vector, tables):
+                for r, column, c in table:
+                    matrix[r][column] = field.add(matrix[r][column],
+                                                  field.mul(scalar, c))
+            found.append(solve(matrix, target, field) is not None)
+        assert found[0] == found[1], vector
+        verdicts.add(found[0])
+    return verdicts
+
+
+# (field, max_word_len, n, whether some alpha is consistent, whether some
+# beta is)
+ROW_BASIS_CASES = ((GF3, 4, 2, True, True), (GF3, 3, 3, False, False),
+                   (QQ, 2, 2, False, False), (GF2, 4, 2, True, True),
+                   (GF2, 3, 3, False, False))
+
+
+ROW_BASIS_IDS = [f"{f.name}-L{length}-n{n}" for f, length, n, _, _ in ROW_BASIS_CASES]
+
+
+@pytest.mark.parametrize("field,max_word_len,n,some_alpha,some_beta",
+                         ROW_BASIS_CASES, ids=ROW_BASIS_IDS)
+def test_row_basis_keeps_every_alphas_verdict(field, max_word_len, n,
+                                              some_alpha, some_beta):
+    system = xq_system(n)
+    lefts = left_shape_words(max_word_len, system)
+    rights = right_shape_words(max_word_len, system)
+    tables, target = _support_tables(n, field, lefts, rights)
+    c_target, c_tables = analysis._search_tables(n, field, lefts, rights)
+    verdicts = _row_basis_verdicts(
+        (_per_left_word(tables, len(lefts)), target),
+        (_per_left_word(c_tables, len(lefts)), c_target), len(rights), field)
+    assert (True in verdicts) == some_alpha
+
+
+@pytest.mark.parametrize("field,max_word_len,n,some_alpha,some_beta",
+                         ROW_BASIS_CASES, ids=ROW_BASIS_IDS)
+def test_row_basis_keeps_every_betas_verdict(field, max_word_len, n,
+                                             some_alpha, some_beta):
+    system = xq_system(n)
+    lefts = left_shape_words(max_word_len, system)
+    rights = right_shape_words(max_word_len, system)
+    tables, target = _support_tables(n, field, lefts, rights)
+    c_target, c_tables = analysis._search_tables(n, field, lefts, rights)
+    verdicts = _row_basis_verdicts((tables, target), (c_tables, c_target),
+                                   len(lefts), field)
+    assert (True in verdicts) == some_beta
+
+
+def _packed_rows(tables, target, width, kernel) -> list[int]:
+    """Each row of the stacked system (T_1[r] | ... | T_m[r] | target[r])
+    as one packed vector, table j's column i at lane j * width + i."""
+    bits = kernel.lane_bits
+    rows = [0] * len(target)
+    for j, table in enumerate(tables):
+        for r, i, c in table:
+            rows[r] |= c << bits * (j * width + i)
+    end = bits * len(tables) * width
+    return [row | c << end for row, c in zip(rows, target)]
+
+
+@pytest.mark.parametrize("field", [GF2, GF3, PrimeField(7), PrimeField(13)],
+                         ids=lambda f: f.name)
+@pytest.mark.parametrize("n,max_word_len", ((2, 4), (3, 3), (3, 5), (4, 4)))
+def test_packed_row_basis_keeps_the_dense_rows(field, n, max_word_len):
+    # the scan's rows, the identity word's and the C-words', span the
+    # stacked support rows: the packed kernel's echelon basis of the scan's
+    # rows has the rank of a dense row reduction of every support row, and
+    # every support row reduces to 0 against it
+    system = xq_system(n)
+    lefts = left_shape_words(max_word_len, system)
+    rights = right_shape_words(max_word_len, system)
+    width = len(lefts)
+    tables, target = _support_tables(n, field, lefts, rights)
+    c_target, c_tables = analysis._search_tables(n, field, lefts, rights)
+    kernel = packed_kernel(field)
+    basis = kernel.basis(_packed_rows(c_tables, c_target, width, kernel))
+    stacked = [[field.zero] * (len(tables) * width) + [c] for c in target]
+    for j, table in enumerate(tables):
+        for r, i, c in table:
+            stacked[r][j * width + i] = c
+    assert len(basis) == len(row_reduce(stacked, field)[1]) <= len(c_target)
+    assert not any(kernel.reduce(basis, row)
+                   for row in _packed_rows(tables, target, width, kernel))
 
 
 def test_regularity_and_separativity_identities():
