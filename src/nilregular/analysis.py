@@ -42,20 +42,25 @@ C-word, the signed sum of u_w v_y over its occurrences is 0: the tables
 hold a row for the identity word and a row per C-word, and the scan
 builds no ``AlgebraElement``; a hit alone is multiplied out in the
 algebra before it is reported.  With beta fixed, alpha * beta = 1 - xq
-is linear in alpha, so one exact consistency test per beta settles its
+is linear in alpha, so an exact consistency test on beta settles its
 whole alpha pool, and there are fewer right shape words than left ones
-(15 against 18 at length 7).  The search sums, per beta, the coefficient
-tables of its nonzero digits, and over GF(p > 2) one beta per orbit of
-nonzero scalars is tested.  The consistency test has two paths.  Over
+(15 against 18 at length 7).  The search walks the betas as a tree of
+prefixes, a digit per right word, and tests each prefix on the rows it
+settles, the rows whose entries all lie in the tables of its digits: a
+prefix that fails there fails for every beta that extends it, and the
+last level's rows are every row.  Over GF(p > 2) one beta per orbit of
+nonzero scalars is walked.  The consistency test has two paths.  Over
 GF(p) up to p = 13, GF(2) included, each table is one packed int for the
-field's ``linalg.packed_kernel`` (bits over GF(2), byte lanes past it).
-On one core of a 2-core host GF(2) takes about 0.3 s at support length 7
-(2^33 candidates) and 15 s at length 8 (2^45), GF(3) about 22 ms at
-length 5 and 2.1 s at length 6.  The rationals and larger primes solve a
-dense table.
+field's ``linalg.packed_kernel`` (bits over GF(2), byte lanes past it);
+the rationals and larger primes solve a dense table.  At n = 3, cold
+through the CLI on a 2-core host, GF(2) exhausts support length 8 (2^45
+candidates) in about 22 ms and length 9 (2^63) in about 0.12 s, GF(3)
+length 7 (3^33) in about 21 ms.
 """
 
 from __future__ import annotations
+
+import collections
 
 # the package, not ProcessPoolExecutor: concurrent.futures loads its
 # process submodule, and with it multiprocessing, only on first use, so
@@ -587,51 +592,109 @@ def _solves(alpha, rows, target, field) -> bool:
     return True
 
 
+def _prefix_tests(tables, target, width: int, field) -> list:
+    """Entry k tests a prefix of k digits of beta on the rows it settles,
+    or is None when no row settles at k.
+
+    Row r of M(beta) involves only the tables with an entry in r, so the
+    prefix of beta up to the last of them fixes it: r settles at level 1 +
+    that table's index.  The rows are renumbered by the level that settles
+    them, so the rows settled by level k are the first ones, and the test
+    at k is ``_consistency_test`` on those rows and the first k tables.
+    """
+    levels = [1] * len(target)
+    for j, table in enumerate(tables):
+        for r, _, _ in table:
+            levels[r] = j + 1
+    order = sorted(range(len(target)), key=levels.__getitem__)
+    position = {r: new for new, r in enumerate(order)}
+    tables = [[(position[r], i, c) for r, i, c in table] for table in tables]
+    target = [target[r] for r in order]
+    tests = [None] * (len(tables) + 1)
+    settled = 0
+    for level, count in sorted(collections.Counter(levels).items()):
+        settled += count
+        tests[level] = _consistency_test(
+            [[entry for entry in table if entry[0] < settled]
+             for table in tables[:level]], target[:settled], width, field)
+    return tests
+
+
+def _consistent_betas(tables, target, width: int, field, block: int, blocks: int):
+    """(index, beta) for each beta that block ``block`` of ``blocks`` owns
+    and whose system M(beta) alpha = target is consistent, in index order.
+
+    The betas are the leaves of a tree of prefixes, a level per right word,
+    walked depth first with the digits in pool order; the first digit is
+    the most significant, so the leaves come in index order.  A prefix is
+    tested on the rows it settles (``_prefix_tests``) and, if it fails,
+    so does every beta that extends it.  The last level's rows are every
+    row, so the betas that survive are exactly the consistent ones.  The
+    leaves a block owns are those of index ``block`` mod ``blocks``, and
+    it tests no other leaf.  Over GF(p > 2) M(c beta) = c M(beta), so a
+    prefix of zeros extends by 0 or 1 only and the leaves are the betas of
+    first nonzero digit 1, one per scalar orbit; the identity word's row
+    settles at the first level and makes the identity digit 1.
+    """
+    tests = _prefix_tests(tables, target, width, field)
+    pool, exhaustive = field.coefficient_pool()
+    base = len(pool)
+    # the stack pops the last child pushed first, so the children go on
+    # in reverse; the last two are the digits 0 and 1
+    children = [(position, (digit,)) for position, digit in enumerate(pool)][::-1]
+    depth = len(tables)
+    stack = [(0, ())]
+    while stack:
+        index, prefix = stack.pop()
+        level = len(prefix)
+        if level == depth and index % blocks != block:
+            continue
+        test = tests[level]
+        if test is not None and not test(prefix):
+            continue
+        if level == depth:
+            yield index, prefix
+            continue
+        stack.extend((index * base + position, prefix + digit) for position, digit
+                     in (children if any(prefix) or not exhaustive else children[-2:]))
+
+
 def _scan_beta_block(n: int, field, lefts, rights, block: int,
                      blocks: int) -> tuple | None:
     """(index, alpha, beta) for the witness of least global candidate
     index alpha_index * beta_count + beta_index whose beta this block
-    owns, or None.  Block ``block`` of ``blocks`` takes every
-    ``blocks``-th beta of the index order, from index ``block`` on.
+    owns, or None.  Block ``block`` of ``blocks`` owns every
+    ``blocks``-th beta of the index order, from index ``block`` on, and
+    over GF(p > 2) the scalar orbit of each of them whose first nonzero
+    digit is 1.
 
     The tables come once per call from the support pairs' C-occurrences
     (``_search_tables``): one coefficient table per right word y, a row
     for the identity word and one per C-word, a column per left word w.
-    With beta fixed, alpha * beta = 1 - xq is linear in alpha, so one
-    consistency test against the sum of the tables of beta's nonzero
-    digits decides whether any alpha works (``_consistency_test``: the
-    packed kernel over GF(p) up to p = 13, GF(2) included, a dense
-    ``solve`` otherwise).  Over GF(p > 2) the pool is
-    range(p), so a digit is its value, and M(c beta) = c M(beta): the block
-    owns the scalar orbit of each beta it takes whose first nonzero digit
-    is 1 and tests that beta alone; the orbit's other members may fall to
-    any block.  The representatives whose leading 1 sits at one digit are
-    a run of consecutive indices, and a block takes its share of each run
-    to within one, so the blocks' representative counts differ by at most
-    len(rights).  Over GF(2) and the rationals' grid it owns and tests
-    every beta it takes.  For a consistent beta the alphas of that beta
-    alone are walked in index order, on M(beta) over every row, up to the
-    first hit or the least index found so far; over the rationals the
-    solution may miss the grid, and the walk then comes up empty.  The
-    rest of an orbit cannot hold a smaller hit.  No rule turns a nonempty word into 1, so the empty
-    word's coefficient of alpha * beta is u_1 v_1, the product of the
-    leading digits, and 1 - xq makes it 1.  A hit of a representative
-    (v_1 = 1) thus has alpha leading digit 1, while the hits of c beta are
-    the alpha / c, with leading digit 1 / c != 1.  The leading digit is
-    the most significant of alpha's index, and alpha's index outweighs
-    beta's in the candidate index.
+    With beta fixed, alpha * beta = 1 - xq is linear in alpha, so
+    consistency decides whether any alpha works; ``_consistent_betas``
+    walks the prefixes of beta and yields the consistent betas the block
+    owns, one per scalar orbit over GF(p > 2).  The tests run on the
+    packed kernel over GF(p) up to p = 13, GF(2) included, and a dense
+    ``solve`` otherwise (``_consistency_test``).  For a consistent beta
+    the alphas of that beta alone are walked in index order, on M(beta)
+    over every row, up to the first hit or the least index found so far;
+    over the rationals the solution may miss the grid, and the walk then
+    comes up empty.  The rest of an orbit cannot hold a smaller hit.  No
+    rule turns a nonempty word into 1, so the empty word's coefficient of
+    alpha * beta is u_1 v_1, the product of the leading digits, and 1 - xq
+    makes it 1.  A hit of a representative (v_1 = 1) thus has alpha
+    leading digit 1, while the hits of c beta are the alpha / c, with
+    leading digit 1 / c != 1.  The leading digit is the most significant
+    of alpha's index, and alpha's index outweighs beta's in the candidate
+    index.
     """
     target, tables = _search_tables(n, field, lefts, rights)
-    pool, exhaustive = field.coefficient_pool()
-    consistent = _consistency_test(tables, target, len(lefts), field)
+    pool, _ = field.coefficient_pool()
     beta_count = len(pool) ** len(rights)
     best = None
-    for beta_index, beta in itertools.islice(enumerate(itertools.product(
-            pool, repeat=len(rights))), block, None, blocks):
-        if exhaustive and next(filter(None, beta), None) != 1:
-            continue
-        if not consistent(beta):
-            continue
+    for beta_index, beta in _consistent_betas(tables, target, len(lefts), field,
+                                              block, blocks):
         # M(beta), each row as a map from column to value
         matrix: list[dict] = [{} for _ in target]
         for digit, table in zip(beta, tables):

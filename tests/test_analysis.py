@@ -594,9 +594,21 @@ def test_unit_regular_search_rational_grid_is_flagged():
     assert report.status == "exhausted"
 
 
+def _assert_no_beta_survives(field, max_word_len, n):
+    # a table fault that lets betas through would have the search walk
+    # every alpha of each; the first surviving beta fails the test at once
+    system = xq_system(n)
+    lefts = left_shape_words(max_word_len, system)
+    rights = right_shape_words(max_word_len, system)
+    target, tables = analysis._search_tables(n, field, lefts, rights)
+    survivors = analysis._consistent_betas(tables, target, len(lefts), field, 0, 1)
+    assert next(survivors, None) is None
+
+
 def test_unit_regular_search_exhausts_gf2_at_length_5():
     # 2^9 alphas against 2^7 betas: each beta's system is inconsistent, so
     # no alpha is walked
+    _assert_no_beta_survives(GF2, 5, 3)
     report = search_unit_regular_witness(max_word_len=5, field=GF2)
     assert report.status == "exhausted"
     assert report.candidates_examined == 65_536
@@ -604,11 +616,32 @@ def test_unit_regular_search_exhausts_gf2_at_length_5():
 
 
 def test_unit_regular_search_exhausts_gf2_at_length_7():
-    # 2^18 alphas against 2^15 betas, one packed consistency test per beta
+    # 2^18 alphas against 2^15 betas, every prefix of beta pruned before
+    # its last digit
+    _assert_no_beta_survives(GF2, 7, 3)
     report = search_unit_regular_witness(max_word_len=7, field=GF2)
     assert report.status == "exhausted"
     assert report.candidates_examined == 2 ** 33
     assert report.parameters["analytic_candidate_count"] == 2 ** 33
+
+
+# (field, max_word_len, n, left words, right words): bounds that a test
+# of every beta could not reach, 3^15, 2^28 and 2^32 betas
+STRETCHED_SEARCHES = ((GF3, 7, 3, 18, 15), (GF2, 9, 3, 35, 28), (GF2, 8, 4, 35, 32))
+
+
+@pytest.mark.parametrize(
+    "field,max_word_len,n,lefts,rights", STRETCHED_SEARCHES,
+    ids=[f"{f.name}-L{length}-n{n}" for f, length, n, _, _ in STRETCHED_SEARCHES])
+def test_unit_regular_search_exhausts_stretched_bounds(field, max_word_len, n,
+                                                       lefts, rights):
+    _assert_no_beta_survives(field, max_word_len, n)
+    report = search_unit_regular_witness(max_word_len=max_word_len, field=field, n=n)
+    assert report.status == "exhausted"
+    assert len(report.parameters["left_words"]) == lefts
+    assert len(report.parameters["right_words"]) == rights
+    assert report.candidates_examined == field.p ** (lefts + rights)
+    assert report.parameters["analytic_candidate_count"] == field.p ** (lefts + rights)
 
 
 def _frame_products(n, field, lefts, rights):
@@ -972,20 +1005,26 @@ def test_n2_representatives_hit_only_with_alpha_leading_digit_1(field, count):
             assert alpha[0] == 1
 
 
-# (field, max_word_len, block, blocks, solves) at n = 3.  Over GF(p) one
-# beta per orbit of nonzero scalars is solved, the one whose first nonzero
-# digit is 1: 26 / 2 of the 3^3 betas at GF(3), 24 / 4 of the 5^2 at GF(5)
-# and 288 / 16 of the 17^2 at GF(17).  Block 2 of 3 takes 2, 5, ..., 26, of
-# which 5 = (0, 1, 2), 11, 14 and 17 = (1, 2, 2) in base 3 are
-# representatives; 2 = (0, 0, 2), 8, 20, 23 and 26 have first nonzero digit
-# 2, and block 1 owns their orbits.  Block 14 of 15 takes the
-# representative 14 alone.  The rational grid is not closed under scalars,
-# so each of its betas is solved: 13 of the 5^2 in block 0 of 2.  GF(2)
-# has no nonzero scalar but 1, so every nonzero beta is tested: the 2^3 - 1
-# at length 2, and of block 2 of 3 the betas 2 = (0, 1, 0) and 5 = (1, 0, 1).
-SOLVE_COUNTS = ((GF3, 2, 0, 1, 13), (GF3, 2, 2, 3, 4), (GF3, 2, 14, 15, 1),
-                (GF5, 1, 0, 1, 6), (QQ, 1, 0, 2, 13), (PrimeField(17), 1, 0, 1, 18),
-                (GF2, 2, 0, 1, 7), (GF2, 2, 2, 3, 2))
+# (field, max_word_len, block, blocks, tests per level) at n = 3.  The
+# identity word's row, u_1 v_1 = 1, settles at level 1 with the top row
+# q^(k+1) x, -u_(q^k) v_1 = 0, where q^k is the longest power of q among
+# the left words: only y = 1 reaches either.  At level 2 the rows q^(j+1) x,
+# u_(q^(j+1)) v_x - u_(q^j) v_1 = 0 for j < k, settle, and up to length 3,
+# where the left words are the powers of q, they force u_(q^k), ...,
+# u_q and then u_1 to 0 whenever v_1 != 0.  So level 1 tests (0) and (1)
+# over GF(p), where a prefix of zeros extends by 0 or 1 only, and every
+# digit over the rational grid; only a nonzero digit passes.  Level 2
+# tests each passing digit followed by every digit of the pool, and each
+# fails: 3 at GF(3), 2 at GF(2), 5 at GF(5) and 17 at GF(17).  At length 2
+# the last level, 3, is never reached, so every block tests the same
+# prefixes.  At length 1 level 2 is the last, and a block tests only the
+# leaves it owns: over GF(p) the p representatives (1, d), all in the one
+# block, and over the grid the 4 x 5 leaves (a, d), a != 0, of index
+# 5 a + d, of which block 0 of 2 owns the 10 of even index.
+SOLVE_COUNTS = ((GF3, 2, 0, 1, (2, 3, 0)), (GF3, 2, 2, 3, (2, 3, 0)),
+                (GF3, 2, 14, 15, (2, 3, 0)), (GF5, 1, 0, 1, (2, 5)),
+                (QQ, 1, 0, 2, (5, 10)), (PrimeField(17), 1, 0, 1, (2, 17)),
+                (GF2, 2, 0, 1, (2, 2, 0)), (GF2, 2, 2, 3, (2, 2, 0)))
 
 
 def _counting_solves(monkeypatch, count):
@@ -1007,57 +1046,109 @@ def _counting_solves(monkeypatch, count):
     monkeypatch.setattr(analysis, "solve", counting_solve)
 
 
+def _recording_prefix_tests(monkeypatch, record):
+    """Route every prefix the scan tests through ``record``; a test of
+    level k is built on the first k tables and takes k digits."""
+    build = analysis._consistency_test
+
+    def recording_build(tables, target, width, field):
+        test = build(tables, target, width, field)
+
+        def recording_test(prefix):
+            assert len(prefix) == len(tables)
+            record(prefix)
+            return test(prefix)
+        return recording_test
+
+    monkeypatch.setattr(analysis, "_consistency_test", recording_build)
+
+
+def _per_level(prefixes, depth: int) -> tuple:
+    """How many of the prefixes have each length from 1 to depth."""
+    lengths = Counter(map(len, prefixes))
+    return tuple(lengths[level] for level in range(1, depth + 1))
+
+
+def _assert_representatives(field, leaves):
+    # over GF(p > 2) a block tests one beta per orbit of nonzero scalars,
+    # the one whose first nonzero digit is 1
+    if field.coefficient_pool()[1] and field != GF2:
+        assert all(next(filter(None, beta), None) == 1 for beta in leaves), leaves
+
+
 @pytest.mark.parametrize(
-    "field,max_word_len,block,blocks,solves", SOLVE_COUNTS,
+    "field,max_word_len,block,blocks,tests", SOLVE_COUNTS,
     ids=[f"{f.name}-L{length}-{block}" for f, length, block, _, _ in SOLVE_COUNTS])
 def test_dense_scan_solves_once_per_scalar_orbit(
-        monkeypatch, field, max_word_len, block, blocks, solves):
-    calls = []
-    _counting_solves(monkeypatch, calls.append)
+        monkeypatch, field, max_word_len, block, blocks, tests):
+    paths = []
+    tested = []
+    _counting_solves(monkeypatch, paths.append)
+    _recording_prefix_tests(monkeypatch, tested.append)
     lefts = left_shape_words(max_word_len, S)
     rights = right_shape_words(max_word_len, S)
-    assert analysis._scan_beta_block(3, field, lefts, rights, block, blocks) is None
+
+    def last_level(block, blocks):
+        tested.clear()
+        assert analysis._scan_beta_block(3, field, lefts, rights, block, blocks) is None
+        return [beta for beta in tested if len(beta) == len(rights)]
+
+    leaves = last_level(block, blocks)
     path = "dense" if packed_kernel(field) is None else "packed"
-    assert calls == [path] * solves
+    assert paths == [path] * len(tested)
+    assert _per_level(tested, len(rights)) == tests
+    _assert_representatives(field, leaves)
+    # the blocks' leaves partition the leaves of one block
+    one_block = last_level(0, 1)
+    _assert_representatives(field, one_block)
+    assert Counter(itertools.chain.from_iterable(
+        last_level(other, blocks) for other in range(blocks))) == Counter(one_block)
 
 
-# n = 3 searches with no witness: 31 representatives among the 5^3 betas
-# of GF(5) L=3 and 40 among the 3^4 of GF(3) L=4
-BALANCED = ((GF5, 3, 31), (GF3, 4, 40))
+# n = 3 searches with no witness, GF(5) L=3 (left words 1, q, q^2, q^3)
+# and GF(3) L=4, with the tests per level of each block.  Level 1 tests
+# (0) and (1), and (1) passes.  At GF(5) the powers of q force every (1, d)
+# to fail at level 2 (as in SOLVE_COUNTS).  At GF(3) L=4 two of the three
+# (1, d) pass level 2 and their six extensions fail at level 3.  The
+# blocks split the betas by index only at the last level, which no prefix
+# reaches here, so every block walks the whole pruned tree and tests the
+# same prefixes as one block does.
+BALANCED = ((GF5, 3, (2, 5, 0)), (GF3, 4, (2, 3, 6, 0)))
 
 
 @pytest.mark.parametrize("workers", (2, 4))
 @pytest.mark.parametrize(
-    "field,max_word_len,representatives", BALANCED,
+    "field,max_word_len,tests", BALANCED,
     ids=[f"{f.name}-L{length}" for f, length, _ in BALANCED])
 def test_blocks_share_the_representatives_evenly(
-        in_process_pool, monkeypatch, field, max_word_len, representatives,
-        workers):
-    # each block's consistency tests, one per representative it owns, are
-    # counted as the block runs in this process; a run of consecutive
-    # representatives splits to within one per block, and there is a run
-    # per right word
-    solves = []
-
-    def tally(path):
-        assert path == "packed"
-        solves[-1] += 1
+        in_process_pool, monkeypatch, field, max_word_len, tests, workers):
+    # each block's prefix tests are recorded as the block runs in this
+    # process
+    tested = []
+    paths = []
 
     def counting_map(executor, fn, *iterables):
         for args in zip(*iterables):
-            solves.append(0)
+            tested.append([])
             yield fn(*args)
 
-    _counting_solves(monkeypatch, tally)
+    _counting_solves(monkeypatch, paths.append)
+    _recording_prefix_tests(monkeypatch, lambda prefix: tested[-1].append(prefix))
     monkeypatch.setattr(concurrent.futures.ProcessPoolExecutor, "map", counting_map)
     report = search_unit_regular_witness(max_word_len=max_word_len,
                                          field=field, workers=workers)
     assert report.status == "exhausted"
-    assert len(solves) == workers
-    assert sum(solves) == representatives
-    rights = len(report.parameters["right_words"])
-    assert all(abs(count - representatives / workers) <= rights
-               for count in solves), solves
+    assert len(tested) == workers
+    assert paths == ["packed"] * sum(map(len, tested))
+    depth = len(report.parameters["right_words"])
+    assert [_per_level(prefixes, depth) for prefixes in tested] == [tests] * workers
+    # below the last level every block tests the same prefixes
+    assert all(prefixes == tested[0] for prefixes in tested)
+    lefts = left_shape_words(max_word_len, S)
+    rights = right_shape_words(max_word_len, S)
+    tested.append([])
+    assert analysis._scan_beta_block(3, field, lefts, rights, 0, 1) is None
+    assert tested[-1] == tested[0]
 
 
 def _support_tables(n, field, lefts, rights):
@@ -1108,6 +1199,39 @@ def test_consistency_test_matches_a_full_solve(field, max_word_len, n):
         assert consistent(beta) == on_c_words(beta) == full, beta
         verdicts.add(full)
     assert verdicts == ({True, False} if n == 2 else {False})
+
+
+# (field, max_word_len, n, consistent representatives): the n = 2 hits'
+# betas survive, and at n >= 3 and on the small n = 2 grids none does
+SURVIVOR_CASES = ((GF2, 4, 2, 1), (GF2, 5, 2, 1), (GF3, 4, 2, 2), (GF2, 4, 3, 0),
+                  (GF3, 4, 3, 0), (QQ, 3, 2, 0), (QQ, 3, 3, 0), (GF2, 5, 4, 0),
+                  (GF5, 3, 2, 0))
+
+
+@pytest.mark.parametrize(
+    "field,max_word_len,n,count", SURVIVOR_CASES,
+    ids=[f"{f.name}-L{length}-n{n}" for f, length, n, _ in SURVIVOR_CASES])
+def test_pruned_walk_keeps_exactly_the_consistent_betas(field, max_word_len, n, count):
+    # a prefix fails only when the rows it settles are inconsistent, so the
+    # walk's survivors are the betas, one per scalar orbit over GF(p), for
+    # which the test over every row holds; blocks split them by index
+    system = xq_system(n)
+    lefts = left_shape_words(max_word_len, system)
+    rights = right_shape_words(max_word_len, system)
+    target, tables = analysis._search_tables(n, field, lefts, rights)
+    consistent = analysis._consistency_test(tables, target, len(lefts), field)
+    pool, exhaustive = field.coefficient_pool()
+    expected = [(index, beta) for index, beta in enumerate(
+                    itertools.product(pool, repeat=len(rights)))
+                if (not exhaustive or next(filter(None, beta), None) == 1)
+                and consistent(beta)]
+    assert len(expected) == count
+    for blocks in (1, 2, 3):
+        for block in range(blocks):
+            walked = analysis._consistent_betas(tables, target, len(lefts), field,
+                                                block, blocks)
+            assert list(walked) == [(index, beta) for index, beta in expected
+                                    if index % blocks == block]
 
 
 def _per_left_word(tables, width: int) -> list:
