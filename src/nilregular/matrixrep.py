@@ -16,6 +16,11 @@ where m is the word of R with an a for each adjacent xx and a b for each
 adjacent qq, in order.  phi(w) is 0 exactly when m holds a^(n-1), as it
 does when w holds x^n.  Each entry is one word of u times m times the at
 most two words of an entry of v, so an image takes no matrix products.
+:meth:`MatrixModel.image_terms` is the one place this closed form is
+written: it gives the four entries as maps from R-word text to
+coefficient.  The matrix of a word, phi of an element (its words' maps
+summed entry by entry) and the faithfulness rows (the maps packed mod 2
+into bit rows) are all read from it.
 
 The image is the subalgebra of matrices whose (1,2) entry lies in the
 right ideal I = R(1 - ba) and whose (2,2) entry lies in F + I.  Membership
@@ -45,12 +50,11 @@ import re
 import time
 from dataclasses import dataclass
 
-from .elements import Algebra, AlgebraElement, linear_combination
+from .elements import Algebra, AlgebraElement, _accumulate, linear_combination
 from .fields import GF2, QQ
 from .linalg import packed_kernel, rank, solve
 from .rewriting import (
-    IDENTITY_WORD, Word, _check_alphabet, _word, ab_system, is_basis_word,
-    parse_word, xq_system)
+    IDENTITY_WORD, Word, _check_alphabet, _word, ab_system, parse_word, xq_system)
 from .reports import VerificationReport, checklist_report, finish_report
 
 
@@ -184,51 +188,74 @@ class MatrixModel:
         self._one_minus_ba = one - b * a
         self.x_image = MatrixElement(self.target, ((a, zero), (one, zero)))
         self.q_image = MatrixElement(self.target, ((b, self._one_minus_ba), (zero, zero)))
+        # R's one relation: a word holding it is 0
+        self._zero_run = "a" * (n - 1)
         coerce = self.target.field.coerce
-        # the rows v of _ROWS with their coefficients in the field
-        self._rows = {letter: tuple({s: coerce(c) for s, c in v.items()} for v in row)
-                      for letter, row in _ROWS.items()}
-        # word_image's closed form rests on these factorizations
+        # entry (i, j) of u_first v_last, at slot 2i + j, is u_first's i-th
+        # word, if it is not 0, times v_last's j-th map, whose coefficients
+        # are taken into the field
+        self._slots = {(first, last): tuple(
+            (2 * i + j, left, {s: coerce(c) for s, c in v.items()})
+            for i, left in enumerate(_COLUMNS[first]) if left is not None
+            for j, v in enumerate(_ROWS[last]))
+            for first in _COLUMNS for last in _ROWS}
+        # image_terms's closed form rests on these factorizations
+        element = self.target.from_terms
         for letter, image in (("x", self.x_image), ("q", self.q_image)):
-            column = [[self._entry(t, "", {"": coerce(1)}), zero]
+            column = [[element({} if t is None else {Word(t): 1}), zero]
                       for t in _COLUMNS[letter]]
-            row = [[self._entry("", "", v) for v in self._rows[letter]], [zero, zero]]
+            row = [[element({Word(s): c for s, c in v.items()}) for v in _ROWS[letter]],
+                   [zero, zero]]
             if (MatrixElement(self.target, column)
                     * MatrixElement(self.target, row) != image):
                 raise RuntimeError(f"u_{letter} v_{letter} is not the image of {letter}")
 
-    def word_image(self, word) -> MatrixElement:
-        """u_(first letter) m v_(last letter): see the module docstring."""
+    def image_terms(self, word) -> tuple[dict, dict, dict, dict]:
+        """phi(word)'s (1,1), (1,2), (2,1) and (2,2) entries as maps from
+        R-word text to coefficient: u_(first letter) m v_(last letter), see
+        the module docstring.  A word of R that holds a^(n-1) is 0 there
+        and is left out, so every word kept is a basis word of R."""
         word = word if isinstance(word, Word) else parse_word(word)
         _check_alphabet(word, self.source.system)
         if not word:
-            return MatrixElement.identity(self.target)
+            one = self.target.field.one
+            return {"": one}, {}, {}, {"": one}
         middle = _RUN_START.sub("", word).translate(_X_TO_A)
-        return MatrixElement(self.target, [
-            [self._entry(t, middle, v) for v in self._rows[word[-1]]]
-            for t in _COLUMNS[word[0]]])
+        zero_run = self._zero_run
+        entries = ({}, {}, {}, {})
+        for slot, left, row in self._slots[word[0], word[-1]]:
+            entry = entries[slot]
+            for s, c in row.items():
+                if zero_run not in (text := left + middle + s):
+                    entry[text] = c
+        return entries
 
-    def _entry(self, left: str | None, middle: str, right: dict) -> AlgebraElement:
-        """left middle right in R, left a word (None for 0) and right a map
-        from words to coefficients.  R's relation a^(n-1) = 0 sends a word
-        to 0, so each word left middle s is a basis word of R or is 0."""
-        if left is None:
-            return self.target.zero
-        return AlgebraElement(self.target, {
-            _word(Word, text): c for s, c in right.items()
-            if is_basis_word(text := left + middle + s, self.target.system)})
+    def _matrix(self, entries) -> MatrixElement:
+        """The matrix of four entry maps in image_terms's order, their
+        words basis words of R."""
+        e11, e12, e21, e22 = (
+            AlgebraElement(self.target, {_word(Word, s): c for s, c in terms.items()})
+            for terms in entries)
+        return MatrixElement(self.target, ((e11, e12), (e21, e22)))
+
+    def word_image(self, word) -> MatrixElement:
+        """phi(word) as a matrix: see :meth:`image_terms`."""
+        return self._matrix(self.image_terms(word))
 
     def phi(self, value) -> MatrixElement:
-        """Image of an element (or word) of the xq algebra."""
+        """Image of an element (or word) of the xq algebra: the images'
+        term maps summed entry by entry, one element built per entry."""
         if isinstance(value, str):
             return self.word_image(value)
         if value.algebra != self.source:
             raise ValueError("phi expects an element of this model's xq algebra")
-        images = [(c, self.word_image(w).rows) for w, c in value.terms().items()]
-        return MatrixElement(self.target, [
-            [linear_combination(self.target, ((c, rows[i][j]) for c, rows in images))
-             for j in (0, 1)]
-            for i in (0, 1)])
+        field = self.target.field
+        totals = ({}, {}, {}, {})
+        for word, c in value.terms().items():
+            for total, terms in zip(totals, self.image_terms(word)):
+                for s, d in terms.items():
+                    _accumulate(total, s, field.mul(c, d), field)
+        return self._matrix(totals)
 
     def membership(self, matrix: MatrixElement,
                    degree_bound: int | None = None) -> TMembership:
@@ -308,9 +335,11 @@ def verify_phi_faithful(max_len: int = 6, n: int = 3) -> VerificationReport:
     checks.
 
     Independence of the images is exactly injectivity on the bounded
-    slice: a kernel element would be a vanishing linear combination.  Only
-    the GF(2) rank is computed.  The images have integer coefficients and
-    R's relation has none, so the GF(2) model computes them mod 2; full
+    slice: a kernel element would be a vanishing linear combination.  One
+    model is built, over the rationals, and only the GF(2) rank is
+    computed.  The images' coefficients are the integers 1 and -1 and R's
+    relation has none, so each image's term maps, read mod 2, are its
+    image in the GF(2) model and are packed straight into a bit row.  Full
     GF(2) rank means some maximal minor is odd, hence a nonzero integer,
     so the rational rank is full too and the rational verdict is derived
     from that odd minor.
@@ -320,37 +349,40 @@ def verify_phi_faithful(max_len: int = 6, n: int = 3) -> VerificationReport:
                          "n = 2 routes to n2_variant_check")
     started = time.perf_counter()
     parameters = {"max_len": max_len, "n": n, "fields": ["gf2", "rational"]}
-    model = MatrixModel(n, GF2)
+    model = MatrixModel(n, QQ)
     words = model.source.basis_words(max_len)
-    matrix_rank = _rank([[entry for row in model.phi(word).rows for entry in row]
-                         for word in words], GF2)
+    matrix_rank = _rank(map(model.image_terms, words), GF2)
     if matrix_rank != len(words):
         witness = {"kind": "dependent-images", "field": GF2.name,
                    "words": len(words), "rank": matrix_rank}
         examined = len(words)
     else:
         # one candidate per word and field, the rational one by the odd minor
-        witness = _corner_spot_check(MatrixModel(n, QQ), min(max_len, 4))
+        witness = _corner_spot_check(model, min(max_len, 4))
         examined = 2 * len(words) + 1
     return finish_report("phi-faithful", parameters, witness, examined, started)
 
 
-def _rank(vectors: list[list[AlgebraElement]], field) -> int:
-    """Rank of vectors, each the concatenation of the coefficient vectors
-    of a list of elements (one slot per element, one column per word)."""
-    columns: dict[tuple[int, Word], int] = {}
+def _rank(vectors, field) -> int:
+    """Rank of vectors, each the concatenation of a list of term maps (one
+    slot per map, one column per word).  A map sends words to coefficients
+    in the field or to integers, which the packed GF(p) kernel reduces
+    mod p; an element stands for its terms."""
+    columns: dict[tuple[int, str], int] = {}
+    vectors = ([terms.terms() if isinstance(terms, AlgebraElement) else terms
+                for terms in maps] for maps in vectors)
     kernel = packed_kernel(field)
     if kernel is not None:
-        bits = kernel.lane_bits
+        bits, p = kernel.lane_bits, field.p
         return len(kernel.basis(
-            sum(coefficient << bits * columns.setdefault((slot, word), len(columns))
-                for slot, element in enumerate(elements)
-                for word, coefficient in element.terms().items())
-            for elements in vectors))
+            sum((coefficient % p) << bits * columns.setdefault((slot, word), len(columns))
+                for slot, terms in enumerate(maps)
+                for word, coefficient in terms.items())
+            for maps in vectors))
     rows = [{columns.setdefault((slot, word), len(columns)): coefficient
-             for slot, element in enumerate(elements)
-             for word, coefficient in element.terms().items()}
-            for elements in vectors]
+             for slot, terms in enumerate(maps)
+             for word, coefficient in terms.items()}
+            for maps in vectors]
     return rank([[row.get(j, field.zero) for j in range(len(columns))]
                  for row in rows], field)
 

@@ -346,21 +346,90 @@ def test_gf2_rank_of_the_images_matches_the_rational_rank(n, max_len):
 
 
 def test_phi_faithful_reports_a_dependent_gf2_image(monkeypatch):
-    # over GF(2) only, q x^2 takes the image of x, so two images coincide
-    word_image = MatrixModel.word_image
+    # q x^2 takes the image of x, so two images coincide, mod 2 as well
+    image_terms = MatrixModel.image_terms
 
     def patched(self, word):
-        if self.target.field == GF2 and word == parse_word("q x^2"):
+        if word == parse_word("q x^2"):
             word = parse_word("x")
-        return word_image(self, word)
+        return image_terms(self, word)
 
-    monkeypatch.setattr(MatrixModel, "word_image", patched)
+    monkeypatch.setattr(MatrixModel, "image_terms", patched)
     words = len(S_ALG.basis_words(4))
     report = verify_phi_faithful(max_len=4)
     assert report.status == "fail"
     assert report.witness == {"kind": "dependent-images", "field": "gf2",
                               "words": words, "rank": words - 1}
     assert report.candidates_examined == words
+
+
+_PHI = MatrixModel.phi
+
+
+def _phi_of_terms(keep):
+    """phi with a fault: an element's terms are filtered by keep first."""
+    def phi(self, value):
+        if not isinstance(value, str):
+            value = value.algebra.from_terms(
+                {w: c for w, c in value.terms().items() if keep(w)})
+        return _PHI(self, value)
+    return phi
+
+
+def _phi_without_ba_endings(self, value):
+    """phi with a fault: the entries lose their words that end in ba, so
+    1 - ba and 1 share an image."""
+    image = _PHI(self, value)
+    return MatrixElement(image.algebra, [
+        [image.algebra.from_terms({w: c for w, c in entry.terms().items()
+                                   if not w.endswith("ba")})
+         for entry in row] for row in image.rows])
+
+
+@pytest.mark.parametrize("kind, target, fault", [
+    ("corner-frame", "phi", _phi_of_terms(lambda w: not w.is_identity)),
+    ("corner-escape", "phi", _phi_of_terms(lambda w: len(w) <= 2)),
+    ("corner-dimension", "phi", _phi_without_ba_endings),
+    ("generator-membership", "solve", lambda rows, rhs, field: None),
+], ids=["identity-term-dropped", "long-terms-dropped", "ba-endings-dropped",
+        "no-factor-found"])
+def test_each_corner_witness_is_reported(monkeypatch, kind, target, fault):
+    # the images' rank reads image_terms, which these faults leave alone,
+    # so each fault reaches the corner spot check and trips its witness
+    if target == "phi":
+        monkeypatch.setattr(MatrixModel, "phi", fault)
+    else:
+        monkeypatch.setattr(matrixrep, "solve", fault)
+    report = verify_phi_faithful(max_len=4)
+    assert report.status == "fail"
+    assert report.witness["kind"] == kind
+    assert report.candidates_examined == 2 * len(S_ALG.basis_words(4)) + 1
+
+
+def _phi_by_word_images(model, element):
+    """phi(element) as it was computed before the term maps: each entry a
+    linear_combination of the word images' entries."""
+    images = [(c, model.word_image(w).rows) for w, c in element.terms().items()]
+    return MatrixElement(model.target, [
+        [linear_combination(model.target, ((c, rows[i][j]) for c, rows in images))
+         for j in (0, 1)]
+        for i in (0, 1)])
+
+
+@pytest.mark.parametrize("field", [QQ, GF2, GF3], ids=["rational", "gf2", "gf3"])
+@pytest.mark.parametrize("n", [3, 4])
+def test_phi_of_an_element_matches_the_sum_of_its_word_images(n, field):
+    model = MatrixModel(n, field)
+    source = model.source
+    rng = random.Random(29 * n)
+    frame = source.one - source.gen("q") * source.gen("x")
+    # corner elements, whose images cancel outside the (2,2) entry, the
+    # zero element, and random elements of up to eight terms
+    elements = [frame * source.word(w) * frame for w in source.basis_words(3)]
+    elements.append(source.zero)
+    elements += [source.random_element(rng, 7, max_terms=8) for _ in range(150)]
+    for element in elements:
+        assert model.phi(element) == _phi_by_word_images(model, element), str(element)
 
 
 def test_pi_goldens():
