@@ -24,18 +24,24 @@ into bit rows) are all read from it.
 
 The image is the subalgebra of matrices whose (1,2) entry lies in the
 right ideal I = R(1 - ba) and whose (2,2) entry lies in F + I.  Membership
-in those corners is decided by one small exact linear solve per entry.
-Appending ba to a basis word of R gives a basis word two letters longer
-(the appended b breaks any run of a), so s -> s(1 - ba) sends a word w to
-w - w ba.  The basis words therefore fall into chains r, r ba, r (ba)^2,
-..., one per root r that does not end in ba.  If s has coefficients
-s_0, s_1, ... along a chain, the entry s(1 - ba) has e_j = s_j - s_(j-1)
-there, so s vanishes on a chain below the chain's first word in the
-entry, and on every chain that the entry does not meet.  The solve runs
-over the words w, w ba, w (ba)^2, ... of the entry's words w, up to
-length deg(entry) - 2, the degree that any factor has.  A constant c
-changes only e_0 = c + s_0 on the identity's chain, so when one is
-allowed that chain is solved for from the identity up.
+in those corners is decided by one small exact linear solve per ba-chain
+of the entry.  Appending ba to a basis word of R gives a basis word two
+letters longer (the appended b breaks any run of a), so s -> s(1 - ba)
+sends a word w to w - w ba.  The basis words therefore fall into chains
+r, r ba, r (ba)^2, ..., one per root r that does not end in ba: a word's
+root is the word with all its trailing ba stripped.  If s has
+coefficients s_0, s_1, ... along a chain, the entry s(1 - ba) has
+e_k = s_k - s_(k-1) there, so each chain is solved apart, and the column
+of s_k is +1 at r (ba)^k and -1 at r (ba)^(k+1), with no product taken.
+Let the entry's words on a chain run from r (ba)^low to r (ba)^high.
+Below low, s vanishes; from high up the running sum s_k must already be
+0, since s has finitely many words.  So the chain's system has the rows
+low..high and the unknowns s_low..s_(high-1), and a chain that the entry
+does not meet carries no s at all.  A constant c changes only
+e_0 = c + s_0 on the identity's chain, so when one is allowed that chain
+always joins, from the identity up, with c's column +1 at the identity.
+For n = 2, a = 0 makes ba = 0 and 1 - ba = 1: every chain is one word,
+and its one unknown's column is that word alone.
 
 The module also carries the determinant obstruction (the evaluation
 a -> e21, b -> e12 into scalar matrices sends 1 - ba to a singular matrix,
@@ -263,18 +269,21 @@ class MatrixModel:
 
         Entries (1,1) and (2,1) are unconstrained.  Entry (1,2) must lie
         in R(1 - ba) and entry (2,2) in F + R(1 - ba); each is decided by
-        one exact linear solve for the factor s.  Any s with
-        entry = s(1 - ba) satisfies deg(s) = deg(entry) - 2 (multiplying a
-        word by ba adds two letters and never cancels), so the factor is
-        unique.  The unknowns are the words w (ba)^k of the entry's words
-        w up to that degree, and for (2,2) also the powers (ba)^k: s
-        vanishes on the rest of each ba-chain (see the module docstring).
-        For n = 2, a = 0 and 1 - ba = 1, so the unknowns are the entry's
-        words and deg(s) = deg(entry).
+        one exact linear solve per ba-chain of the entry for the factor s.
+        Any s with entry = s(1 - ba) satisfies deg(s) = deg(entry) - 2
+        (multiplying a word by ba adds two letters and never cancels), so
+        the factor is unique.  On the chain of a root r, where the entry's
+        words run from r (ba)^low to r (ba)^high, the unknowns are s at
+        r (ba)^low, ..., r (ba)^(high-1), and the rows the words
+        r (ba)^low, ..., r (ba)^high; for (2,2) the identity's chain joins
+        from the identity up, with the constant (see the module
+        docstring).  For n = 2, a = 0 and 1 - ba = 1, so the unknowns are
+        the entry's words and deg(s) = deg(entry).
 
-        degree_bound caps the length of the words solved for.  A larger
-        bound lengthens the chains and gives the same certificate; a
-        smaller one is an error rather than a silent weaker answer.
+        degree_bound caps the length of the words solved for.  Every
+        unknown is at most deg(entry) - 2 letters long, so a bound at
+        least that gives the same certificate; a smaller one is an error
+        rather than a silent weaker answer.
         """
         if matrix.algebra != self.target:
             raise ValueError("matrix must live over this model's a,b algebra")
@@ -293,40 +302,53 @@ class MatrixModel:
 
     def _right_ideal_factor(self, entry: AlgebraElement,
                             degree_bound: int | None, with_constant: bool):
-        field = self.target.field
+        """(s, c) with entry = c + s(1 - ba), c None unless with_constant,
+        or None when there is none: one solve per ba-chain of the entry."""
+        target = self.target
+        field = target.field
+        zero, one = field.zero, field.one
         needed = max((entry.degree() or 0) - self._one_minus_ba.degree(), 0)
         if degree_bound is not None and degree_bound < needed:
             raise DegreeBoundExceeded(
                 f"membership solve needs degree {needed}, bound is {degree_bound}")
-        bound = degree_bound if degree_bound is not None else needed
-        unknowns = entry.support()
-        if self.n > 2:
-            # the factor vanishes on a ba-chain below the entry's words,
-            # except on the identity's chain when the constant joins it
-            starts = (IDENTITY_WORD, *unknowns) if with_constant else unknowns
-            unknowns = list(dict.fromkeys(
-                _word(Word, word + "ba" * k) for word in starts
-                for k in range((bound - len(word)) // 2 + 1)))
-        columns = [self.target.word(w) * self._one_minus_ba for w in unknowns]
-        if with_constant:
-            columns.append(self.target.one)
-        support = {word for column in columns for word in column.support()}
-        support.update(entry.support())
-        ordered = sorted(support, key=Word.sort_key)
-        position = {word: index for index, word in enumerate(ordered)}
-        matrix_rows = [[field.zero] * len(columns) for _ in ordered]
-        for j, column in enumerate(columns):
-            for word, coefficient in column.terms().items():
-                matrix_rows[position[word]][j] = coefficient
-        rhs = [entry.coeff(word) for word in ordered]
-        solution = solve(matrix_rows, rhs, field)
-        if solution is None:
-            return None
-        factor = linear_combination(
-            self.target,
-            zip(solution[:len(unknowns)], (self.target.word(w) for w in unknowns)))
-        constant = solution[-1] if with_constant else None
-        return factor, constant
+        # root -> {k: coefficient of root (ba)^k in the entry}; the
+        # constant sits at the identity's k = 0, so that chain joins
+        chains: dict[str, dict[int, object]] = (
+            {IDENTITY_WORD: {0: zero}} if with_constant else {})
+        for word, coefficient in entry.terms().items():
+            root, k = word, 0
+            while root.endswith("ba"):
+                root, k = root[:-2], k + 1
+            chains.setdefault(root, {})[k] = coefficient
+        ba_is_zero = self.n == 2
+        minus_one = field.neg(one)
+        pairs = []
+        constant = None
+        for root, chain in chains.items():
+            low, high = min(chain), max(chain)
+            joins = with_constant and not root
+            # the unknowns are s at root (ba)^k for low <= k < high, each
+            # column +1 at its word and -1 at the next; s vanishes at the
+            # top word, where the running sum must already be 0.  For
+            # n = 2, ba = 0: the chain is one word, its own unknown, with
+            # no -1 row
+            width = high - low + ba_is_zero
+            rows = [[zero] * (width + joins) for _ in range(high - low + 1)]
+            for j in range(width):
+                rows[j][j] = one
+                if not ba_is_zero:
+                    rows[j + 1][j] = minus_one
+            if joins:
+                rows[0][width] = one
+            solution = solve(rows, [chain.get(k, zero) for k in range(low, high + 1)],
+                             field)
+            if solution is None:
+                return None
+            if joins:
+                constant = solution.pop()
+            pairs += ((c, AlgebraElement(target, {_word(Word, root + "ba" * k): one}))
+                      for k, c in enumerate(solution, low) if c != zero)
+        return linear_combination(target, pairs), constant
 
 
 def verify_phi_faithful(max_len: int = 6, n: int = 3) -> VerificationReport:

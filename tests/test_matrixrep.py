@@ -261,12 +261,50 @@ def test_membership_at_degree_40_solves_small_systems(field, monkeypatch):
 
     monkeypatch.setattr(matrixrep, "solve", recording)
     result = model.membership(matrix)
-    assert len(shapes) == 2
+    # (1,2) is a b^37 - a b^37 ba: one chain, rows at both words and one
+    # unknown, s at a b^37.  (2,2) is b^37 - b^37 ba, the same shape, plus
+    # the identity's chain, which the constant joins: one row, the
+    # identity, and the constant's column.  Three solves in all
+    assert sorted(shapes) == [(1, 1), (2, 1), (2, 1)]
     assert all(height * width <= 1000 for height, width in shapes), shapes
     _assert_certifies(result, matrix)
     assert model.membership(matrix, degree_bound=44) == result
     with pytest.raises(DegreeBoundExceeded):
         model.membership(matrix, degree_bound=37)
+
+
+@pytest.mark.parametrize("count", [160, 231])
+@pytest.mark.parametrize("field", [QQ, GF3], ids=["rational", "gf3"])
+def test_membership_of_many_chains_costs_cells_linear_in_the_support(
+        field, count, monkeypatch):
+    # s is a sum of seeded words of R up to length 9 (all 231 of them at
+    # the top), so its entries meet well over a hundred ba-chains.  One
+    # solve per entry over all of its chains' words takes rows x columns
+    # cells, 104,828 for the two entries at 160 words; the chain solves
+    # take a few per word of the entries
+    model = MatrixModel(3, field)
+    target = model.target
+    rng = random.Random(count)
+    words = rng.sample(target.basis_words(9), count)
+    assert len(target.basis_words(9)) == 231
+    factor = linear_combination(
+        target, ((rng.choice((1, -1, 2)), target.word(w)) for w in words))
+    entry = factor * _one_minus_ba(target)
+    matrix = MatrixElement(target, (
+        (target.zero, entry), (target.zero, target.scalar(rng.choice((1, -1))) + entry)))
+    cells = []
+
+    def recording(rows, rhs, solve_field):
+        cells.append(len(rows) * (len(rows[0]) if rows else 0))
+        return solve(rows, rhs, solve_field)
+
+    monkeypatch.setattr(matrixrep, "solve", recording)
+    result = model.membership(matrix)
+    support = sum(len(matrix.entry(i, 1).support()) for i in (0, 1))
+    assert sum(cells) <= 4 * support, (sum(cells), support)
+    _assert_certifies(result, matrix)
+    assert result.top_right_factor == factor
+    assert result == _dense_membership(model, matrix)
 
 
 def test_n2_membership_factor_is_the_entry():
