@@ -20,7 +20,6 @@ from nilregular.rewriting import parse_word, xq_system
 
 parser = argparse.ArgumentParser(description=__doc__)
 parser.add_argument("--max-word-len", type=int, default=3)
-parser.add_argument("--workers", type=int, default=1)
 args = parser.parse_args()
 
 system = xq_system(3)
@@ -62,8 +61,7 @@ print(f"pair (q, x^2) gives {tau1}; its type II companion is larger:",
 
 print()
 print("== exhaustive search over GF(2) ==")
-report = search_unit_regular_witness(max_word_len=args.max_word_len,
-                                     field=GF2, workers=args.workers)
+report = search_unit_regular_witness(max_word_len=args.max_word_len, field=GF2)
 print(report.summary())
 print("candidates:", report.parameters["analytic_candidate_count"],
       "| pool exhaustive:", report.parameters["pool_exhaustive"])

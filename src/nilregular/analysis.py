@@ -55,21 +55,18 @@ field's ``linalg.packed_kernel`` (bits over GF(2), byte lanes past it);
 the rationals and larger primes solve a dense table.  At n = 3, cold
 through the CLI on a 2-core host, GF(2) exhausts support length 8 (2^45
 candidates) in about 22 ms and length 9 (2^63) in about 0.12 s, GF(3)
-length 7 (3^33) in about 21 ms.
+length 7 (3^33) in about 21 ms.  The search runs in one process: the walk
+could be split only at its last level, so each share would walk the whole
+tree.  Its ``workers`` argument is accepted and echoed only for the
+benchmark's call.
 """
 
 from __future__ import annotations
 
 import collections
-
-# the package, not ProcessPoolExecutor: concurrent.futures loads its
-# process submodule, and with it multiprocessing, only on first use, so
-# importing nilregular, a single-block search, reduce and basis never do
-import concurrent.futures
 import dataclasses
 import itertools
 import operator
-import os
 import random
 import re
 import time
@@ -620,21 +617,20 @@ def _prefix_tests(tables, target, width: int, field) -> list:
     return tests
 
 
-def _consistent_betas(tables, target, width: int, field, block: int, blocks: int):
-    """(index, beta) for each beta that block ``block`` of ``blocks`` owns
-    and whose system M(beta) alpha = target is consistent, in index order.
+def _consistent_betas(tables, target, width: int, field):
+    """(index, beta) for each beta whose system M(beta) alpha = target is
+    consistent, in index order.
 
     The betas are the leaves of a tree of prefixes, a level per right word,
     walked depth first with the digits in pool order; the first digit is
     the most significant, so the leaves come in index order.  A prefix is
     tested on the rows it settles (``_prefix_tests``) and, if it fails,
     so does every beta that extends it.  The last level's rows are every
-    row, so the betas that survive are exactly the consistent ones.  The
-    leaves a block owns are those of index ``block`` mod ``blocks``, and
-    it tests no other leaf.  Over GF(p > 2) M(c beta) = c M(beta), so a
-    prefix of zeros extends by 0 or 1 only and the leaves are the betas of
-    first nonzero digit 1, one per scalar orbit; the identity word's row
-    settles at the first level and makes the identity digit 1.
+    row, so the betas that survive are exactly the consistent ones.  Over
+    GF(p > 2) M(c beta) = c M(beta), so a prefix of zeros extends by 0 or
+    1 only and the leaves are the betas of first nonzero digit 1, one per
+    scalar orbit; the identity word's row settles at the first level and
+    makes the identity digit 1.
     """
     tests = _prefix_tests(tables, target, width, field)
     pool, exhaustive = field.coefficient_pool()
@@ -647,8 +643,6 @@ def _consistent_betas(tables, target, width: int, field, block: int, blocks: int
     while stack:
         index, prefix = stack.pop()
         level = len(prefix)
-        if level == depth and index % blocks != block:
-            continue
         test = tests[level]
         if test is not None and not test(prefix):
             continue
@@ -659,28 +653,22 @@ def _consistent_betas(tables, target, width: int, field, block: int, blocks: int
                      in (children if any(prefix) or not exhaustive else children[-2:]))
 
 
-def _scan_beta_block(n: int, field, lefts, rights, block: int,
-                     blocks: int) -> tuple | None:
-    """(index, alpha, beta) for the witness of least global candidate
-    index alpha_index * beta_count + beta_index whose beta this block
-    owns, or None.  Block ``block`` of ``blocks`` owns every
-    ``blocks``-th beta of the index order, from index ``block`` on, and
-    over GF(p > 2) the scalar orbit of each of them whose first nonzero
-    digit is 1.
+def _scan_betas(n: int, field, lefts, rights) -> tuple | None:
+    """(index, alpha, beta) for the witness of least candidate index
+    alpha_index * beta_count + beta_index, or None.
 
     The tables come once per call from the support pairs' C-occurrences
     (``_search_tables``): one coefficient table per right word y, a row
     for the identity word and one per C-word, a column per left word w.
     With beta fixed, alpha * beta = 1 - xq is linear in alpha, so
     consistency decides whether any alpha works; ``_consistent_betas``
-    walks the prefixes of beta and yields the consistent betas the block
-    owns, one per scalar orbit over GF(p > 2).  The tests run on the
-    packed kernel over GF(p) up to p = 13, GF(2) included, and a dense
-    ``solve`` otherwise (``_consistency_test``).  For a consistent beta
-    the alphas of that beta alone are walked in index order, on M(beta)
-    over every row, up to the first hit or the least index found so far;
-    over the rationals the solution may miss the grid, and the walk then
-    comes up empty.  The rest of an orbit cannot hold a smaller hit.  No
+    walks the prefixes of beta and yields the consistent betas, one per
+    scalar orbit over GF(p > 2).  The tests run on the packed kernel over
+    GF(p) up to p = 13, GF(2) included, and a dense ``solve`` otherwise
+    (``_consistency_test``).  For a consistent beta the alphas of that
+    beta alone are walked in index order, on M(beta) over every row, up
+    to the first hit or the least index found so far; over the rationals
+    the solution may miss the grid, and the walk then comes up empty.  The rest of an orbit cannot hold a smaller hit.  No
     rule turns a nonempty word into 1, so the empty word's coefficient of
     alpha * beta is u_1 v_1, the product of the leading digits, and 1 - xq
     makes it 1.  A hit of a representative (v_1 = 1) thus has alpha
@@ -693,8 +681,7 @@ def _scan_beta_block(n: int, field, lefts, rights, block: int,
     pool, _ = field.coefficient_pool()
     beta_count = len(pool) ** len(rights)
     best = None
-    for beta_index, beta in _consistent_betas(tables, target, len(lefts), field,
-                                              block, blocks):
+    for beta_index, beta in _consistent_betas(tables, target, len(lefts), field):
         # M(beta), each row as a map from column to value
         matrix: list[dict] = [{} for _ in target]
         for digit, table in zip(beta, tables):
@@ -742,6 +729,10 @@ def search_unit_regular_witness(max_word_len: int = 3, field=GF2, n: int = 3,
     a counterexample, reported as a failure with the witness attached,
     once alpha * beta is multiplied out in the algebra and found to be
     1 - xq (RuntimeError otherwise).
+
+    The search runs in this process.  ``workers`` changes nothing: it is
+    accepted, checked and echoed in the parameters only because the
+    benchmark (``perfbench/workloads.py``) passes ``workers=1``.
     """
     if max_word_len < 0:
         raise ValueError("max_word_len must be nonnegative")
@@ -751,9 +742,7 @@ def search_unit_regular_witness(max_word_len: int = 3, field=GF2, n: int = 3,
     system = xq_system(n)
     lefts, rights = _shape_pools(max_word_len, system)
     pool, pool_exhaustive = field.coefficient_pool()
-    alpha_count = len(pool) ** len(lefts)
-    beta_count = len(pool) ** len(rights)
-    total = alpha_count * beta_count
+    total = len(pool) ** (len(lefts) + len(rights))
     parameters = {
         "max_word_len": max_word_len,
         "field": field.name,
@@ -765,20 +754,7 @@ def search_unit_regular_witness(max_word_len: int = 3, field=GF2, n: int = 3,
         "analytic_candidate_count": total,
         "workers": workers,
     }
-    # The betas split into one block per worker, at most one per CPU,
-    # since each block builds its own products table.  A block returns the
-    # witness of least index whose beta it owns, each beta belongs to one
-    # block, so the least over the blocks does not depend on the split.
-    blocks = min(workers, os.cpu_count() or 1)
-    if blocks <= 1 or beta_count < 2 * blocks:
-        blocks = 1
-    scan = partial(_scan_beta_block, n, field, lefts, rights, blocks=blocks)
-    if blocks == 1:
-        hits = [scan(0)]
-    else:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=blocks) as executor:
-            hits = list(executor.map(scan, range(blocks)))
-    hit = min(filter(None, hits), default=None)
+    hit = _scan_betas(n, field, lefts, rights)
     if hit is None:
         witness = None
         examined = total

@@ -40,7 +40,6 @@ class RunConfig:
     max_word_len: int = 3
     seed: int = 0
     output: str = "text"
-    workers: int = 1
 
     @property
     def field(self):
@@ -100,9 +99,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="word-length bound for search pools (default %(default)s)")
     bounds.add_argument("--seed", type=int, default=RunConfig.seed,
                         help="seed for randomized checks (default %(default)s)")
-    bounds.add_argument("--workers", type=_positive_int, default=RunConfig.workers,
-                        help="blocks the search splits into, run by at most "
-                             "one process per CPU (default %(default)s)")
 
     parser = argparse.ArgumentParser(
         prog="nilregular",
@@ -177,8 +173,7 @@ CHECKS = {
     "tau-unique": lambda cfg: check_tau_uniqueness_families(
         random_len=cfg.max_len, seed=cfg.seed),
     "unit-regular-search": lambda cfg: search_unit_regular_witness(
-        max_word_len=cfg.max_word_len, field=cfg.field, n=cfg.n,
-        workers=cfg.workers),
+        max_word_len=cfg.max_word_len, field=cfg.field, n=cfg.n),
     "regularity": lambda cfg: check_regularity_identities(n=cfg.n, field=cfg.field),
     "separativity": lambda cfg: check_separativity_identities(field=cfg.field),
     "primeness": lambda cfg: check_primeness_bounded(

@@ -1,6 +1,5 @@
 """Interface types, the C-set, the largest-word forms, and the searches."""
 
-import concurrent.futures
 import itertools
 import random
 from collections import Counter
@@ -518,76 +517,6 @@ def test_unit_regular_search_workers_agree():
     assert single.candidates_examined == fanned.candidates_examined == 3 ** 6
 
 
-@pytest.fixture
-def in_process_pool(monkeypatch):
-    """Replace the search's process pool with one that maps in this
-    process, so no process starts; return the max_workers it was given."""
-    started = []
-
-    class InProcessExecutor:
-        def __init__(self, max_workers):
-            started.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc_info):
-            return False
-
-        def map(self, fn, *iterables):
-            return map(fn, *iterables)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessExecutor)
-    monkeypatch.setattr(analysis.os, "cpu_count", lambda: 4)
-    return started
-
-
-def _without_timing(report) -> dict:
-    data = report.to_dict()
-    data.pop("elapsed_ms")
-    data["parameters"] = dict(data["parameters"], workers=None)
-    return data
-
-
-def test_unit_regular_search_runs_at_most_one_process_per_cpu(in_process_pool):
-    # 3^3 = 27 betas and the fixture reports 4 CPUs: 3 workers make 3
-    # blocks of 9 betas, 13 make 4 blocks of 6 or 7
-    single = search_unit_regular_witness(max_word_len=2, field=GF3)
-    for workers in (3, 13):
-        fanned = search_unit_regular_witness(max_word_len=2, field=GF3,
-                                             workers=workers)
-        assert fanned.parameters["workers"] == workers
-        assert _without_timing(fanned) == _without_timing(single)
-    assert in_process_pool == [3, 4]
-
-
-def test_unit_regular_search_merges_blocks_by_least_index(
-        in_process_pool, monkeypatch):
-    # 3^3 betas in 3 blocks, each taking every third beta; the last
-    # block's hit, alpha 2 with beta 20, has a smaller index than the
-    # middle block's, alpha 5 with beta 10
-    hits = {0: None, 1: (5 * 3 ** 3 + 10, (0, 1, 2), (1, 0, 1)),
-            2: (2 * 3 ** 3 + 20, (0, 0, 2), (2, 0, 2))}
-
-    def scan(n, field, lefts, rights, block, blocks):
-        assert blocks == 3
-        return hits[block]
-
-    # the hits are made up, so the check that multiplies a hit out in the
-    # algebra only records which one it is handed
-    confirmed = []
-    monkeypatch.setattr(analysis, "_scan_beta_block", scan)
-    monkeypatch.setattr(analysis, "_confirm_witness",
-                        lambda *args: confirmed.append(args[-2:]))
-    report = search_unit_regular_witness(max_word_len=2, field=GF3, workers=3)
-    assert confirmed == [((0, 0, 2), (2, 0, 2))]
-    assert report.status == "fail"
-    assert report.candidates_examined == 2 * 3 ** 3 + 20 + 1
-    assert report.witness == {
-        "alpha_coefficients": {"1": "0", "q": "0", "q^2": "2"},
-        "beta_coefficients": {"1": "2", "x": "0", "x^2": "2"}}
-
-
 def test_unit_regular_search_rational_grid_is_flagged():
     report = search_unit_regular_witness(max_word_len=1, field=QQ)
     assert report.parameters["pool_exhaustive"] is False
@@ -601,7 +530,7 @@ def _assert_no_beta_survives(field, max_word_len, n):
     lefts = left_shape_words(max_word_len, system)
     rights = right_shape_words(max_word_len, system)
     target, tables = analysis._search_tables(n, field, lefts, rights)
-    survivors = analysis._consistent_betas(tables, target, len(lefts), field, 0, 1)
+    survivors = analysis._consistent_betas(tables, target, len(lefts), field)
     assert next(survivors, None) is None
 
 
@@ -732,35 +661,24 @@ def test_tau_has_one_entry_in_the_search_table(max_len, families_with_c_words):
 def test_a_scan_hit_that_does_not_multiply_out_raises(monkeypatch):
     # a hit is multiplied out in the algebra before it is reported, so a
     # scan defect cannot pass off a wrong witness as a counterexample
-    def wrong_hit(n, field, lefts, rights, block, blocks):
+    def wrong_hit(n, field, lefts, rights):
         return 0, (0,) * len(lefts), (0,) * len(rights)
-    monkeypatch.setattr(analysis, "_scan_beta_block", wrong_hit)
+    monkeypatch.setattr(analysis, "_scan_betas", wrong_hit)
     with pytest.raises(RuntimeError, match="not 1 - xq"):
         search_unit_regular_witness(max_word_len=1, field=GF2, n=3)
 
 
-def _brute_force_scan(n, field, lefts, rights, block, blocks):
-    """The oracle: multiply out every alpha with every beta that the block
-    owns, in global index order, and return (index, alpha, beta) for the
-    first product equal to 1 - xq.  Block ``block`` of ``blocks`` owns
-    each beta whose index is ``block`` mod ``blocks``, except over
-    GF(p > 2): there a beta belongs to the block of its scalar orbit's
-    representative, itself scaled to first nonzero digit 1."""
+def _brute_force_scan(n, field, lefts, rights):
+    """The oracle: multiply out every alpha with every beta, in index
+    order, and return (index, alpha, beta) for the first product equal to
+    1 - xq."""
     algebra, left_frame, products = _frame_products(n, field, lefts, rights)
-    pool, exhaustive = field.coefficient_pool()
+    pool, _ = field.coefficient_pool()
     betas = list(itertools.product(pool, repeat=len(rights)))
-    index_of = {beta: index for index, beta in enumerate(betas)}
-    owned = []
-    for beta_index, beta in enumerate(betas):
-        owner = beta_index
-        if exhaustive:
-            scale = field.inv(next(filter(None, beta), 1))
-            owner = index_of[tuple(field.mul(scale, digit) for digit in beta)]
-        if owner % blocks == block:
-            owned.append((beta_index, beta, [
-                linear_combination(algebra, zip(beta, row)) for row in products]))
+    columns_of = [[linear_combination(algebra, zip(beta, row)) for row in products]
+                  for beta in betas]
     for alpha_index, alpha in enumerate(itertools.product(pool, repeat=len(lefts))):
-        for beta_index, beta, columns in owned:
+        for beta_index, (beta, columns) in enumerate(zip(betas, columns_of)):
             if linear_combination(algebra, zip(alpha, columns)) == left_frame:
                 return alpha_index * len(betas) + beta_index, alpha, beta
     return None
@@ -768,7 +686,7 @@ def _brute_force_scan(n, field, lefts, rights, block, blocks):
 
 def _brute_force_search(monkeypatch, **kwargs):
     with monkeypatch.context() as patched:
-        patched.setattr(analysis, "_scan_beta_block", _brute_force_scan)
+        patched.setattr(analysis, "_scan_betas", _brute_force_scan)
         return search_unit_regular_witness(**kwargs)
 
 
@@ -818,9 +736,15 @@ def test_n2_search_finds_the_brute_force_witness(
     assert _without_elapsed(report) == _without_elapsed(expected)
 
 
+def _without_timing(report) -> dict:
+    data = _without_elapsed(report)
+    data["parameters"] = dict(data["parameters"], workers=None)
+    return data
+
+
 @pytest.mark.parametrize("workers", (1, 3, 13))
-def test_n2_witness_is_the_same_across_worker_counts(
-        in_process_pool, monkeypatch, workers):
+def test_n2_witness_is_the_same_across_worker_counts(monkeypatch, workers):
+    # the search runs in one process; workers is checked and echoed only
     expected = _brute_force_search(monkeypatch, max_word_len=4, field=GF3, n=2)
     report = search_unit_regular_witness(max_word_len=4, field=GF3, n=2,
                                          workers=workers)
@@ -828,117 +752,64 @@ def test_n2_witness_is_the_same_across_worker_counts(
     assert _without_timing(report) == _without_timing(expected)
 
 
-# blocks that start past the first beta, through the in-process pool of
-# 4 CPUs: QQ L=1 has 5^2 betas and GF(3) L=2 has 3^3, and 3 or 7 workers
-# split them into 3 or 4 blocks, each taking every third or fourth beta
-# from its own offset
-MID_COUNTER = ((QQ, 1), (GF3, 2))
-
-
-@pytest.mark.parametrize("workers", (3, 7))
-@pytest.mark.parametrize(
-    "field,max_word_len", MID_COUNTER,
-    ids=[f"{f.name}-L{length}" for f, length in MID_COUNTER])
-def test_blocks_starting_mid_counter_match_the_brute_force_scan(
-        in_process_pool, monkeypatch, field, max_word_len, workers):
-    expected = _brute_force_search(monkeypatch, max_word_len=max_word_len,
-                                   field=field)
-    report = search_unit_regular_witness(max_word_len=max_word_len,
-                                         field=field, workers=workers)
-    assert in_process_pool[-1] == min(workers, 4)
-    assert _without_timing(report) == _without_timing(expected)
-
-
-def test_n2_gf2_hit_in_a_later_block_matches_the_brute_force_scan(
-        in_process_pool, monkeypatch):
-    # 2^4 betas in 3 blocks; the hit, beta 14 with alpha 48, is the fifth
-    # beta of the last block
-    expected = _brute_force_search(monkeypatch, max_word_len=5, field=GF2, n=2)
-    report = search_unit_regular_witness(max_word_len=5, field=GF2, n=2,
-                                         workers=3)
-    assert in_process_pool == [3]
-    assert report.candidates_examined == 783
-    assert _without_timing(report) == _without_timing(expected)
-
-
-# n = 2 blocks (block, blocks) that start anywhere in the index order,
-# since block b takes the betas b, b + blocks, b + 2 blocks, ...: on or
-# off a hit, past every orbit representative, or holding hit betas whose
-# orbits another block owns.  GF(3) L=4 has 3^3 betas against 3^5 alphas
-# and hits at (alpha, beta) = (108, 13), (135, 16), (189, 23) and (216,
-# 26); 13 = (1, 1, 1) and 16 = (1, 2, 1) in base 3 represent the orbits
-# {13, 26} and {16, 23}, so block 1 of 11, {1, 12, 23}, holds a hit beta
-# and owns no hit.  The rational grid at L=4 hits at (750, 31), (875,
-# 36), (1375, 57) and (1500, 62) of 5^5 by 5^3, and owns each beta
-# alone, so block 30 of 32 hits at 62, its second beta.  GF(5) L=4 hits
-# at 16 pairs, the least (750, 31), then (875, 41), (1000, 36) and (1125,
-# 46); every other hit beta is a multiple of one of these four, so blocks
-# 30 of 32, {30, 62, 94}, and 50 of 74, {50, 124}, own no hit.  GF(2) L=5
-# hits once, at (48, 14) of 2^6 by 2^4: the fifth beta of block 2 of 3.
-# At GF(7) L=4, block 8 of 14 meets 64 = (1, 2, 1) in base 7, which hits
-# with alpha 3773, before 78 = (1, 4, 1), which hits with alpha 3087, so
-# the block's least hit is not its first.
-SCAN_BLOCKS = (
-    [(GF3, 4, block, blocks) for block, blocks in (
-        (0, 1), (1, 11), (3, 5), (13, 14), (14, 15), (16, 17), (17, 18))]
-    + [(QQ, 4, block, blocks) for block, blocks in (
-        (5, 26), (30, 32), (33, 34), (56, 57), (58, 59), (62, 63))]
-    + [(GF5, 4, block, blocks) for block, blocks in (
-        (0, 1), (30, 32), (46, 47), (50, 74))]
-    + [(GF2, 5, block, blocks) for block, blocks in ((2, 3), (8, 9), (15, 16))]
-    + [(PrimeField(7), 4, 8, 14)])
-
-
-@pytest.mark.parametrize(
-    "field,max_word_len,block,blocks", SCAN_BLOCKS,
-    ids=[f"{f.name}-L{length}-{block}" for f, length, block, _ in SCAN_BLOCKS])
-def test_scan_from_any_counter_position_matches_the_brute_force_scan(
-        field, max_word_len, block, blocks):
-    system = xq_system(2)
-    lefts = left_shape_words(max_word_len, system)
-    rights = right_shape_words(max_word_len, system)
-    args = (2, field, lefts, rights, block, blocks)
-    assert analysis._scan_beta_block(*args) == _brute_force_scan(*args)
-
-
-# the byte-lane scan against the brute force at the primes 7 and 13, at
-# n = 2 and 3, over whole orders and blocks that start mid-counter
-PACKED_SCANS = ((PrimeField(7), 2, 2, 0, 1), (PrimeField(7), 2, 2, 1, 3),
-                (PrimeField(7), 3, 2, 1, 3), (PrimeField(13), 2, 1, 0, 1),
-                (PrimeField(13), 3, 1, 0, 1), (PrimeField(13), 3, 1, 1, 3))
-
-
-@pytest.mark.parametrize(
-    "field,n,max_word_len,block,blocks", PACKED_SCANS,
-    ids=[f"{f.name}-n{n}-L{length}-{block}" for f, n, length, block, _ in PACKED_SCANS])
-def test_packed_scan_matches_the_brute_force_scan(field, n, max_word_len, block,
-                                                  blocks):
-    system = xq_system(n)
-    lefts = left_shape_words(max_word_len, system)
-    rights = right_shape_words(max_word_len, system)
-    args = (n, field, lefts, rights, block, blocks)
-    assert analysis._scan_beta_block(*args) == _brute_force_scan(*args)
-
-
 @pytest.mark.parametrize("workers", (3, 13))
-def test_gf5_witness_is_the_same_across_worker_counts(in_process_pool, workers):
-    # 5^3 betas in 3 or 4 blocks; the first hit, alpha 750 with beta 31 =
-    # (1, 1, 1) in base 5, is owned by the block 31 mod 3 or 31 mod 4
+def test_gf5_witness_is_the_same_across_worker_counts(workers):
+    # the first hit, alpha 750 with beta 31 = (1, 1, 1) in base 5
     single = search_unit_regular_witness(max_word_len=4, field=GF5, n=2)
     report = search_unit_regular_witness(max_word_len=4, field=GF5, n=2,
                                          workers=workers)
-    assert in_process_pool == [min(workers, 4)]
+    assert report.parameters["workers"] == workers
     assert single.candidates_examined == 750 * 5 ** 3 + 32
     assert _without_timing(report) == _without_timing(single)
 
 
-def test_gf5_orbit_members_outside_their_block_belong_to_it():
-    # 5^3 betas in five blocks, block b taking the betas b mod 5.  Beta
-    # 31 = (1, 1, 1) hits with alpha 750 = (1, 1, 0, 0, 0), and its
-    # multiples 62, 93 and 124 hit with alphas 2250, 1500 and 3000 in
-    # blocks 2, 3 and 4.  The four hit representatives 31, 36, 41 and 46
-    # all fall to block 1, so blocks 2 to 4 hold four hit betas each but
-    # own no hit.
+# n = 2 searches that hit, against the brute force over the whole index
+# order.  GF(3) L=4 has 3^3 betas against 3^5 alphas and hits at (alpha,
+# beta) = (108, 13), (135, 16), (189, 23) and (216, 26); 13 = (1, 1, 1)
+# and 16 = (1, 2, 1) in base 3 represent the orbits {13, 26} and {16,
+# 23}.  The rational grid at L=4 hits at (750, 31), (875, 36), (1375, 57)
+# and (1500, 62) of 5^5 by 5^3, and walks each beta alone.  GF(5) L=4
+# hits at 16 pairs, the least (750, 31), then (875, 41), (1000, 36) and
+# (1125, 46); every other hit beta is a multiple of one of these four.
+# GF(2) L=5 hits once, at (48, 14) of 2^6 by 2^4.  GF(7) L=4 walks six
+# consistent representatives, 57 = (1, 1, 1) in base 7 to 92 = (1, 6,
+# 1), and the least hit is (2744, 57).
+N2_SCANS = ((GF3, 4), (QQ, 4), (GF5, 4), (GF2, 5), (PrimeField(7), 4))
+
+
+@pytest.mark.parametrize(
+    "field,max_word_len", N2_SCANS,
+    ids=[f"{f.name}-L{length}" for f, length in N2_SCANS])
+def test_n2_scan_matches_the_brute_force_scan(field, max_word_len):
+    system = xq_system(2)
+    lefts = left_shape_words(max_word_len, system)
+    rights = right_shape_words(max_word_len, system)
+    args = (2, field, lefts, rights)
+    assert analysis._scan_betas(*args) == _brute_force_scan(*args)
+
+
+# the byte-lane scan against the brute force at the primes 7 and 13, at
+# n = 2 and 3
+PACKED_SCANS = ((PrimeField(7), 2, 2), (PrimeField(7), 3, 2),
+                (PrimeField(13), 2, 1), (PrimeField(13), 3, 1))
+
+
+@pytest.mark.parametrize(
+    "field,n,max_word_len", PACKED_SCANS,
+    ids=[f"{f.name}-n{n}-L{length}" for f, n, length in PACKED_SCANS])
+def test_packed_scan_matches_the_brute_force_scan(field, n, max_word_len):
+    system = xq_system(n)
+    lefts = left_shape_words(max_word_len, system)
+    rights = right_shape_words(max_word_len, system)
+    args = (n, field, lefts, rights)
+    assert analysis._scan_betas(*args) == _brute_force_scan(*args)
+
+
+def test_gf5_scan_reports_the_least_hit_of_an_orbit():
+    # beta 31 = (1, 1, 1) hits with alpha 750 = (1, 1, 0, 0, 0), and its
+    # multiples 62, 93 and 124 = c beta hit with the alphas alpha / c,
+    # 2250, 1500 and 3000.  The scan walks the representative alone and
+    # reports its hit, the least of the orbit's four.
     system = xq_system(2)
     lefts = left_shape_words(4, system)
     rights = right_shape_words(4, system)
@@ -950,22 +821,22 @@ def test_gf5_orbit_members_outside_their_block_belong_to_it():
             algebra, ((GF5.mul(a, b), products[i][j])
                       for i, a in enumerate(alpha) for j, b in enumerate(beta)))
         assert product == left_frame
-    scans = [analysis._scan_beta_block(2, GF5, lefts, rights, block, 5)
-             for block in range(5)]
-    assert scans == [None, (750 * 125 + 31, (1, 1, 0, 0, 0), (1, 1, 1)),
-                     None, None, None]
+    assert analysis._scan_betas(2, GF5, lefts, rights) == (
+        750 * 125 + 31, (1, 1, 0, 0, 0), (1, 1, 1))
 
 
-def test_gf5_witness_crosses_real_processes(monkeypatch):
-    # two blocks on a real process pool: the hit tuple and the pickled
-    # scan cross a process boundary
-    monkeypatch.setattr(analysis.os, "cpu_count", lambda: 2)
-    single = search_unit_regular_witness(max_word_len=4, field=GF5, n=2)
-    fanned = search_unit_regular_witness(max_word_len=4, field=GF5, n=2,
-                                         workers=2)
-    assert fanned.parameters["workers"] == 2
-    assert fanned.candidates_examined == 750 * 5 ** 3 + 31 + 1
-    assert _without_timing(fanned) == _without_timing(single)
+def test_scan_reports_the_least_index_not_the_first_hit(monkeypatch):
+    # in the shape-word searches the first consistent beta always holds the
+    # least hit, so hand-made GF(2) tables stand in: M(beta) is beta_0 T_0
+    # + beta_1 T_1 with T_0 = [[0, 1], [1, 0]] and T_1 = [[1, 0], [1, 1]],
+    # and the target is (1, 0).  Beta 1 = (0, 1) is consistent only with
+    # alpha 3, beta 2 = (1, 0) only with alpha 1 and beta 3 only with
+    # alpha 2, so the candidates 13, 6 and 11 hit, in that walk order
+    tables = [[(0, 1, 1), (1, 0, 1)], [(0, 0, 1), (1, 0, 1), (1, 1, 1)]]
+    monkeypatch.setattr(analysis, "_search_tables",
+                        lambda n, field, lefts, rights: ([1, 0], tables))
+    assert analysis._scan_betas(3, GF2, words("1", "q"), words("1", "x")) == (
+        1 * 4 + 2, (0, 1), (1, 0))
 
 
 def _n2_hits(field, max_word_len):
@@ -1005,26 +876,24 @@ def test_n2_representatives_hit_only_with_alpha_leading_digit_1(field, count):
             assert alpha[0] == 1
 
 
-# (field, max_word_len, block, blocks, tests per level) at n = 3.  The
-# identity word's row, u_1 v_1 = 1, settles at level 1 with the top row
-# q^(k+1) x, -u_(q^k) v_1 = 0, where q^k is the longest power of q among
-# the left words: only y = 1 reaches either.  At level 2 the rows q^(j+1) x,
+# (field, max_word_len, tests per level) at n = 3.  The identity word's
+# row, u_1 v_1 = 1, settles at level 1 with the top row q^(k+1) x,
+# -u_(q^k) v_1 = 0, where q^k is the longest power of q among the left
+# words: only y = 1 reaches either.  At level 2 the rows q^(j+1) x,
 # u_(q^(j+1)) v_x - u_(q^j) v_1 = 0 for j < k, settle, and up to length 3,
 # where the left words are the powers of q, they force u_(q^k), ...,
 # u_q and then u_1 to 0 whenever v_1 != 0.  So level 1 tests (0) and (1)
 # over GF(p), where a prefix of zeros extends by 0 or 1 only, and every
 # digit over the rational grid; only a nonzero digit passes.  Level 2
 # tests each passing digit followed by every digit of the pool, and each
-# fails: 3 at GF(3), 2 at GF(2), 5 at GF(5) and 17 at GF(17).  At length 2
-# the last level, 3, is never reached, so every block tests the same
-# prefixes.  At length 1 level 2 is the last, and a block tests only the
-# leaves it owns: over GF(p) the p representatives (1, d), all in the one
-# block, and over the grid the 4 x 5 leaves (a, d), a != 0, of index
-# 5 a + d, of which block 0 of 2 owns the 10 of even index.
-SOLVE_COUNTS = ((GF3, 2, 0, 1, (2, 3, 0)), (GF3, 2, 2, 3, (2, 3, 0)),
-                (GF3, 2, 14, 15, (2, 3, 0)), (GF5, 1, 0, 1, (2, 5)),
-                (QQ, 1, 0, 2, (5, 10)), (PrimeField(17), 1, 0, 1, (2, 17)),
-                (GF2, 2, 0, 1, (2, 2, 0)), (GF2, 2, 2, 3, (2, 2, 0)))
+# fails: 3 at GF(3), 2 at GF(2), 5 at GF(5) and 17 at GF(17).  At length
+# 1 level 2 is the last: over GF(p) its tests are the p representatives
+# (1, d), and over the grid the 4 x 5 leaves (a, d), a != 0.  At GF(3)
+# L=4 two of the three (1, d) pass level 2 and their six extensions fail
+# at level 3.
+SOLVE_COUNTS = ((GF3, 2, (2, 3, 0)), (GF5, 1, (2, 5)), (QQ, 1, (5, 20)),
+                (PrimeField(17), 1, (2, 17)), (GF2, 2, (2, 2, 0)),
+                (GF5, 3, (2, 5, 0)), (GF3, 4, (2, 3, 6, 0)))
 
 
 def _counting_solves(monkeypatch, count):
@@ -1070,85 +939,28 @@ def _per_level(prefixes, depth: int) -> tuple:
 
 
 def _assert_representatives(field, leaves):
-    # over GF(p > 2) a block tests one beta per orbit of nonzero scalars,
+    # over GF(p > 2) the walk tests one beta per orbit of nonzero scalars,
     # the one whose first nonzero digit is 1
     if field.coefficient_pool()[1] and field != GF2:
         assert all(next(filter(None, beta), None) == 1 for beta in leaves), leaves
 
 
 @pytest.mark.parametrize(
-    "field,max_word_len,block,blocks,tests", SOLVE_COUNTS,
-    ids=[f"{f.name}-L{length}-{block}" for f, length, block, _, _ in SOLVE_COUNTS])
+    "field,max_word_len,tests", SOLVE_COUNTS,
+    ids=[f"{f.name}-L{length}" for f, length, _ in SOLVE_COUNTS])
 def test_dense_scan_solves_once_per_scalar_orbit(
-        monkeypatch, field, max_word_len, block, blocks, tests):
+        monkeypatch, field, max_word_len, tests):
     paths = []
     tested = []
     _counting_solves(monkeypatch, paths.append)
     _recording_prefix_tests(monkeypatch, tested.append)
     lefts = left_shape_words(max_word_len, S)
     rights = right_shape_words(max_word_len, S)
-
-    def last_level(block, blocks):
-        tested.clear()
-        assert analysis._scan_beta_block(3, field, lefts, rights, block, blocks) is None
-        return [beta for beta in tested if len(beta) == len(rights)]
-
-    leaves = last_level(block, blocks)
+    assert analysis._scan_betas(3, field, lefts, rights) is None
     path = "dense" if packed_kernel(field) is None else "packed"
     assert paths == [path] * len(tested)
     assert _per_level(tested, len(rights)) == tests
-    _assert_representatives(field, leaves)
-    # the blocks' leaves partition the leaves of one block
-    one_block = last_level(0, 1)
-    _assert_representatives(field, one_block)
-    assert Counter(itertools.chain.from_iterable(
-        last_level(other, blocks) for other in range(blocks))) == Counter(one_block)
-
-
-# n = 3 searches with no witness, GF(5) L=3 (left words 1, q, q^2, q^3)
-# and GF(3) L=4, with the tests per level of each block.  Level 1 tests
-# (0) and (1), and (1) passes.  At GF(5) the powers of q force every (1, d)
-# to fail at level 2 (as in SOLVE_COUNTS).  At GF(3) L=4 two of the three
-# (1, d) pass level 2 and their six extensions fail at level 3.  The
-# blocks split the betas by index only at the last level, which no prefix
-# reaches here, so every block walks the whole pruned tree and tests the
-# same prefixes as one block does.
-BALANCED = ((GF5, 3, (2, 5, 0)), (GF3, 4, (2, 3, 6, 0)))
-
-
-@pytest.mark.parametrize("workers", (2, 4))
-@pytest.mark.parametrize(
-    "field,max_word_len,tests", BALANCED,
-    ids=[f"{f.name}-L{length}" for f, length, _ in BALANCED])
-def test_blocks_share_the_representatives_evenly(
-        in_process_pool, monkeypatch, field, max_word_len, tests, workers):
-    # each block's prefix tests are recorded as the block runs in this
-    # process
-    tested = []
-    paths = []
-
-    def counting_map(executor, fn, *iterables):
-        for args in zip(*iterables):
-            tested.append([])
-            yield fn(*args)
-
-    _counting_solves(monkeypatch, paths.append)
-    _recording_prefix_tests(monkeypatch, lambda prefix: tested[-1].append(prefix))
-    monkeypatch.setattr(concurrent.futures.ProcessPoolExecutor, "map", counting_map)
-    report = search_unit_regular_witness(max_word_len=max_word_len,
-                                         field=field, workers=workers)
-    assert report.status == "exhausted"
-    assert len(tested) == workers
-    assert paths == ["packed"] * sum(map(len, tested))
-    depth = len(report.parameters["right_words"])
-    assert [_per_level(prefixes, depth) for prefixes in tested] == [tests] * workers
-    # below the last level every block tests the same prefixes
-    assert all(prefixes == tested[0] for prefixes in tested)
-    lefts = left_shape_words(max_word_len, S)
-    rights = right_shape_words(max_word_len, S)
-    tested.append([])
-    assert analysis._scan_beta_block(3, field, lefts, rights, 0, 1) is None
-    assert tested[-1] == tested[0]
+    _assert_representatives(field, [beta for beta in tested if len(beta) == len(rights)])
 
 
 def _support_tables(n, field, lefts, rights):
@@ -1214,7 +1026,7 @@ SURVIVOR_CASES = ((GF2, 4, 2, 1), (GF2, 5, 2, 1), (GF3, 4, 2, 2), (GF2, 4, 3, 0)
 def test_pruned_walk_keeps_exactly_the_consistent_betas(field, max_word_len, n, count):
     # a prefix fails only when the rows it settles are inconsistent, so the
     # walk's survivors are the betas, one per scalar orbit over GF(p), for
-    # which the test over every row holds; blocks split them by index
+    # which the test over every row holds
     system = xq_system(n)
     lefts = left_shape_words(max_word_len, system)
     rights = right_shape_words(max_word_len, system)
@@ -1226,12 +1038,7 @@ def test_pruned_walk_keeps_exactly_the_consistent_betas(field, max_word_len, n, 
                 if (not exhaustive or next(filter(None, beta), None) == 1)
                 and consistent(beta)]
     assert len(expected) == count
-    for blocks in (1, 2, 3):
-        for block in range(blocks):
-            walked = analysis._consistent_betas(tables, target, len(lefts), field,
-                                                block, blocks)
-            assert list(walked) == [(index, beta) for index, beta in expected
-                                    if index % blocks == block]
+    assert list(analysis._consistent_betas(tables, target, len(lefts), field)) == expected
 
 
 def _per_left_word(tables, width: int) -> list:

@@ -336,13 +336,22 @@ def test_module_entry_point_runs():
 
 
 def test_import_does_not_load_the_process_pool():
-    code = ("import sys, nilregular, nilregular.cli; "
-            "print(sorted({'multiprocessing', 'concurrent.futures.process'}"
+    # the search runs in one process whatever workers it is given, so
+    # neither the import nor a search with a hit loads a process pool
+    code = ("import sys, nilregular, nilregular.cli\n"
+            "from nilregular.analysis import search_unit_regular_witness\n"
+            "from nilregular.fields import PrimeField\n"
+            "report = search_unit_regular_witness(\n"
+            "    max_word_len=4, field=PrimeField(5), n=2, workers=2)\n"
+            "print(report.candidates_examined)\n"
+            "print(sorted({'multiprocessing', 'concurrent.futures'}"
             " & set(sys.modules)))")
     completed = subprocess.run([sys.executable, "-c", code],
                                capture_output=True, text=True, env=_child_env())
     assert completed.returncode == 0, completed.stderr
-    assert completed.stdout.strip() == "[]"
+    examined, loaded = completed.stdout.split("\n")[:2]
+    assert int(examined) == 750 * 5 ** 3 + 32
+    assert loaded == "[]"
 
 
 @pytest.mark.parametrize("argv", [
@@ -374,11 +383,11 @@ def test_reduce_of_a_long_literal(capsys):
     assert json.loads(out)["terms"] == {"x": "1"}
 
 
-def test_workers_flag_reaches_the_search(capsys):
-    code, out, _ = run_cli(capsys, "verify", "unit-regular-search",
-                           "--max-word-len", "2", "--field", "gf2",
-                           "--workers", "2", "--json")
-    payload = json.loads(out)
-    assert code == 0
-    assert payload["parameters"]["workers"] == 2
-    assert payload["status"] == "exhausted"
+def test_workers_flag_is_a_usage_error(capsys):
+    # the search runs in one process, and the CLI has no flag for workers
+    code, out, err = run_cli(capsys, "verify", "unit-regular-search",
+                             "--max-word-len", "2", "--field", "gf2",
+                             "--workers", "2", "--json")
+    assert code == 2
+    assert out == ""
+    assert "unrecognized arguments: --workers 2" in err
