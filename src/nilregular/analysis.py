@@ -42,28 +42,28 @@ C-word, the signed sum of u_w v_y over its occurrences is 0: the tables
 hold a row for the identity word and a row per C-word, and the scan
 builds no ``AlgebraElement``; a hit alone is multiplied out in the
 algebra before it is reported.  With beta fixed, alpha * beta = 1 - xq
-is linear in alpha, so an exact consistency test on beta settles its
-whole alpha pool, and there are fewer right shape words than left ones
-(15 against 18 at length 7).  The search walks the betas as a tree of
-prefixes, a digit per right word, and tests each prefix on the rows it
-settles, the rows whose entries all lie in the tables of its digits: a
-prefix that fails there fails for every beta that extends it, and the
-last level's rows are every row.  Over GF(p > 2) one beta per orbit of
-nonzero scalars is walked.  The consistency test has two paths.  Over
-GF(p) up to p = 13, GF(2) included, each table is one packed int for the
-field's ``linalg.packed_kernel`` (bits over GF(2), byte lanes past it);
-the rationals and larger primes solve a dense table.  At n = 3, cold
-through the CLI on a 2-core host, GF(2) exhausts support length 8 (2^45
-candidates) in about 22 ms and length 9 (2^63) in about 0.12 s, GF(3)
-length 7 (3^33) in about 21 ms.  The search runs in one process: the walk
-could be split only at its last level, so each share would walk the whole
-tree.  Its ``workers`` argument is accepted and echoed only for the
-benchmark's call.
+is a linear system in alpha, consistent exactly when no combination of
+its augmented rows (target at lane 0, column i at lane i + 1) is nonzero
+at lane 0 alone.  One prefix walk decides it for every field, on the
+field's ``linalg.field_kernel`` (bits over GF(2), byte lanes over GF(p <=
+13), maps from lane to value otherwise).  The betas are walked a digit
+per right word; a row of the system settles once the prefix reaches the
+last table with an entry in it, and each node adds the rows it settles
+to its parent's echelon basis, failing, with every beta that extends it,
+as soon as the basis holds a member of top lane 0.  The survivors are
+exactly the consistent betas, one per orbit of nonzero scalars over GF(p
+> 2).  From a survivor's basis the same walk runs over alpha, a row
+alpha_i = digit per level, and its first leaf is the beta's least alpha.
+At n = 3, cold through the CLI on a 2-core host, GF(2) exhausts support
+length 9 (2^63 candidates) in about 0.1 s and length 10 (2^89) in about
+1.4 s, and GF(3) length 8 (3^45) in about 0.08 s.  The search runs in one
+process: the walk could be split only at its last level, so each share
+would walk the whole tree.  Its ``workers`` argument is accepted and
+echoed only for the benchmark's call.
 """
 
 from __future__ import annotations
 
-import collections
 import dataclasses
 import itertools
 import operator
@@ -75,7 +75,7 @@ from functools import lru_cache, partial
 
 from .elements import Algebra, AlgebraElement, linear_combination
 from .fields import GF2, QQ
-from .linalg import packed_kernel, solve
+from .linalg import field_kernel
 from .rewriting import (
     _RANKS,
     IDENTITY_WORD,
@@ -510,41 +510,6 @@ def check_tau_uniqueness_families(exhaustive_len: int = 3, random_len: int = 6,
                                random_trials, seed)
 
 
-def _consistency_test(tables, target, width: int, field):
-    """The function of beta that says whether M(beta) alpha = target has a
-    solution, where M(beta) is the sum of beta_j T_j over the tables, each
-    a list of (row, column, value) with ``width`` columns.
-
-    Over GF(p) for p <= 13 each table is one vector of the field's
-    ``linalg.packed_kernel``, column i at lane i * rows onwards, so a sum
-    is one ``combine`` (an XOR or a multiply-add per nonzero digit), and
-    the columns it splits into go to the kernel's echelon basis.  The
-    rationals and larger primes fill a dense table and call ``solve``.
-    """
-    rows = len(target)
-    kernel = packed_kernel(field)
-    if kernel is not None:
-        bits = kernel.lane_bits
-        wholes = [sum(c << bits * (i * rows + r) for r, i, c in table)
-                  for table in tables]
-        target_vector = sum(c << bits * r for r, c in enumerate(target))
-
-        def consistent(beta):
-            columns = kernel.split(kernel.combine(beta, wholes), rows, width)
-            return kernel.reduce(kernel.basis(columns), target_vector) == 0
-        return consistent
-
-    def consistent(beta):
-        system = [[field.zero] * width for _ in target]
-        for table, digit in zip(tables, beta):
-            if digit:
-                for r, i, c in table:
-                    row = system[r]
-                    row[i] = field.add(row[i], field.mul(digit, c))
-        return solve(system, target, field) is not None
-    return consistent
-
-
 def _search_tables(n: int, field, lefts, rights) -> tuple[list, list]:
     """(target, tables) for the scan: a row for the identity word, with
     target 1, then a row per C-word of the supports, with target 0; per
@@ -576,128 +541,109 @@ def _search_tables(n: int, field, lefts, rights) -> tuple[list, list]:
     return [value[1]] + [field.zero] * (len(row_of) - 1), tables
 
 
-def _solves(alpha, rows, target, field) -> bool:
-    """Whether alpha solves M alpha = target, ``rows`` holding each row
-    of M as its (column, value) entries; stops at the first row off."""
-    for row, expected in zip(rows, target):
-        total = field.zero
-        for i, c in row:
-            if alpha[i]:
-                total = field.add(total, field.mul(alpha[i], c))
-        if total != expected:
-            return False
-    return True
-
-
-def _prefix_tests(tables, target, width: int, field) -> list:
-    """Entry k tests a prefix of k digits of beta on the rows it settles,
-    or is None when no row settles at k.
-
-    Row r of M(beta) involves only the tables with an entry in r, so the
-    prefix of beta up to the last of them fixes it: r settles at level 1 +
-    that table's index.  The rows are renumbered by the level that settles
-    them, so the rows settled by level k are the first ones, and the test
-    at k is ``_consistency_test`` on those rows and the first k tables.
-    """
-    levels = [1] * len(target)
+def _settled_rows(kernel, tables, target, stride: int) -> list:
+    """Per level k of the beta walk, (blocks, count) for the ``count`` rows
+    that settle at k, or None.  Row r of M(beta) is fixed once the prefix
+    reaches the last table with an entry in r, so it settles at 1 + that
+    table's index (0 if none).  An augmented row holds the target at lane
+    0 and column i at lane i + 1, the rows ``stride`` lanes apart.  Level
+    k's blocks are T_j's entries in its rows for each j < k, then their
+    targets: ``combine(prefix + (1,), blocks)`` is the rows of a prefix."""
+    levels = [0] * len(target)
     for j, table in enumerate(tables):
         for r, _, _ in table:
             levels[r] = j + 1
-    order = sorted(range(len(target)), key=levels.__getitem__)
-    position = {r: new for new, r in enumerate(order)}
-    tables = [[(position[r], i, c) for r, i, c in table] for table in tables]
-    target = [target[r] for r in order]
-    tests = [None] * (len(tables) + 1)
-    settled = 0
-    for level, count in sorted(collections.Counter(levels).items()):
-        settled += count
-        tests[level] = _consistency_test(
-            [[entry for entry in table if entry[0] < settled]
-             for table in tables[:level]], target[:settled], width, field)
-    return tests
+    counts = [0] * (len(tables) + 1)
+    lanes = [[[] for _ in range(level + 1)] for level in range(len(tables) + 1)]
+    slots = []
+    for level, value in zip(levels, target):
+        slots.append(counts[level] * stride)
+        counts[level] += 1
+        lanes[level][level].append((slots[-1], value))
+    for j, table in enumerate(tables):
+        for r, i, c in table:
+            lanes[levels[r]][j].append((slots[r] + i + 1, c))
+    return [([kernel.pack(block, count * stride) for block in blocks], count)
+            if count else None for blocks, count in zip(lanes, counts)]
 
 
-def _consistent_betas(tables, target, width: int, field):
-    """(index, beta) for each beta whose system M(beta) alpha = target is
-    consistent, in index order.
+def _digit_rows(kernel, stride: int) -> list:
+    """Per level k of the alpha walk, (blocks, 1) for the row alpha_(k-1) =
+    digit: 1 at lane k, and the digit, the prefix's last, at lane 0."""
+    zero = kernel.pack((), stride)
+    return [None] + [([zero] * (k - 1) + [kernel.pack(((0, 1),), stride),
+                                          kernel.pack(((k, 1),), stride)], 1)
+                     for k in range(1, stride)]
 
-    The betas are the leaves of a tree of prefixes, a level per right word,
-    walked depth first with the digits in pool order; the first digit is
-    the most significant, so the leaves come in index order.  A prefix is
-    tested on the rows it settles (``_prefix_tests``) and, if it fails,
-    so does every beta that extends it.  The last level's rows are every
-    row, so the betas that survive are exactly the consistent ones.  Over
-    GF(p > 2) M(c beta) = c M(beta), so a prefix of zeros extends by 0 or
-    1 only and the leaves are the betas of first nonzero digit 1, one per
-    scalar orbit; the identity word's row settles at the first level and
-    makes the identity digit 1.
-    """
-    tests = _prefix_tests(tables, target, width, field)
-    pool, exhaustive = field.coefficient_pool()
+
+def _walk(kernel, levels, stride: int, pool, representatives: bool, basis=None):
+    """(index, prefix, basis) for each leaf of a tree of prefixes, a level
+    per digit, whose every node passes, in index order (depth first, the
+    digits in pool order, the first digit the most significant).  A node
+    of k digits adds the rows of ``levels[k]`` to its parent's echelon
+    basis and fails, with every extension, when the basis gains a member
+    of top lane 0 (key 1): the target is then out of the columns' span.
+    With ``representatives`` a prefix of zeros extends by 0 or 1 only, so
+    the leaves are the prefixes of first nonzero digit 1."""
     base = len(pool)
     # the stack pops the last child pushed first, so the children go on
     # in reverse; the last two are the digits 0 and 1
     children = [(position, (digit,)) for position, digit in enumerate(pool)][::-1]
-    depth = len(tables)
-    stack = [(0, ())]
+    depth = len(levels) - 1
+    stack = [(0, (), basis)]
     while stack:
-        index, prefix = stack.pop()
-        level = len(prefix)
-        test = tests[level]
-        if test is not None and not test(prefix):
+        index, prefix, basis = stack.pop()
+        level = levels[len(prefix)]
+        if level is not None:
+            blocks, count = level
+            basis = kernel.basis(kernel.split(kernel.combine(prefix + (1,), blocks),
+                                              stride, count), start=basis)
+            if 1 in basis:
+                continue
+        if len(prefix) == depth:
+            yield index, prefix, basis
             continue
-        if level == depth:
-            yield index, prefix
-            continue
-        stack.extend((index * base + position, prefix + digit) for position, digit
-                     in (children if any(prefix) or not exhaustive else children[-2:]))
+        stack.extend((index * base + position, prefix + digit, basis) for position, digit
+                     in (children if any(prefix) or not representatives else children[-2:]))
 
 
 def _scan_betas(n: int, field, lefts, rights) -> tuple | None:
     """(index, alpha, beta) for the witness of least candidate index
     alpha_index * beta_count + beta_index, or None.
 
-    The tables come once per call from the support pairs' C-occurrences
-    (``_search_tables``): one coefficient table per right word y, a row
-    for the identity word and one per C-word, a column per left word w.
-    With beta fixed, alpha * beta = 1 - xq is linear in alpha, so
-    consistency decides whether any alpha works; ``_consistent_betas``
-    walks the prefixes of beta and yields the consistent betas, one per
-    scalar orbit over GF(p > 2).  The tests run on the packed kernel over
-    GF(p) up to p = 13, GF(2) included, and a dense ``solve`` otherwise
-    (``_consistency_test``).  For a consistent beta the alphas of that
-    beta alone are walked in index order, on M(beta) over every row, up
-    to the first hit or the least index found so far; over the rationals
-    the solution may miss the grid, and the walk then comes up empty.  The rest of an orbit cannot hold a smaller hit.  No
-    rule turns a nonempty word into 1, so the empty word's coefficient of
-    alpha * beta is u_1 v_1, the product of the leading digits, and 1 - xq
-    makes it 1.  A hit of a representative (v_1 = 1) thus has alpha
-    leading digit 1, while the hits of c beta are the alpha / c, with
-    leading digit 1 / c != 1.  The leading digit is the most significant
-    of alpha's index, and alpha's index outweighs beta's in the candidate
-    index.
+    The tables (``_search_tables``) hold one coefficient table T_j per
+    right word, a row for the identity word and per C-word, a column per
+    left word.  With beta fixed, alpha * beta = 1 - xq is M(beta) alpha =
+    target, M(beta) the sum of beta_j T_j.  ``_walk`` over the betas, on
+    the field's ``linalg.field_kernel``, keeps exactly the consistent ones,
+    one per scalar orbit over GF(p > 2).  From a survivor's basis the same
+    walk over alpha, a row alpha_i = digit per level, finds the beta's
+    least alpha as its first leaf; over the rationals the walk comes up
+    empty when the solutions miss the grid.  The rest of an orbit cannot
+    hold a smaller hit.  No rule turns a nonempty
+    word into 1, so the empty word's coefficient of alpha * beta is u_1
+    v_1, the product of the leading digits, and 1 - xq makes it 1.  A hit
+    of a representative (v_1 = 1) thus has alpha leading digit 1, while
+    the hits of c beta are the alpha / c, with leading digit 1 / c != 1.
+    The leading digit is the most significant of alpha's index, and
+    alpha's index outweighs beta's in the candidate index.
     """
     target, tables = _search_tables(n, field, lefts, rights)
-    pool, _ = field.coefficient_pool()
+    kernel = field_kernel(field)
+    pool, exhaustive = field.coefficient_pool()
     beta_count = len(pool) ** len(rights)
+    stride = len(lefts) + 1
+    digit_rows = None
     best = None
-    for beta_index, beta in _consistent_betas(tables, target, len(lefts), field):
-        # M(beta), each row as a map from column to value
-        matrix: list[dict] = [{} for _ in target]
-        for digit, table in zip(beta, tables):
-            if digit:
-                for r, i, c in table:
-                    row = matrix[r]
-                    row[i] = field.add(row.get(i, field.zero), field.mul(digit, c))
-        rows = [tuple(row.items()) for row in matrix]
-        for alpha_index, alpha in enumerate(
-                itertools.product(pool, repeat=len(lefts))):
-            index = alpha_index * beta_count + beta_index
-            if best is not None and index >= best[0]:
-                break
-            if _solves(alpha, rows, target, field):
-                best = index, alpha, beta
-                break
+    for beta_index, beta, basis in _walk(
+            kernel, _settled_rows(kernel, tables, target, stride), stride, pool,
+            exhaustive):
+        digit_rows = digit_rows or _digit_rows(kernel, stride)
+        hit = next(_walk(kernel, digit_rows, stride, pool, False, basis), None)
+        if hit is not None:
+            index = hit[0] * beta_count + beta_index
+            if best is None or index < best[0]:
+                best = index, hit[1], beta
     return best
 
 

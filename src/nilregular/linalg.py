@@ -1,11 +1,12 @@
 """Exact linear algebra over the package's coefficient fields.
 
 ``rank`` and ``solve`` run one Gaussian elimination, ``row_reduce`` on
-lists of lists, for every field.  Over GF(p) for p <= 13 the search scan
-and the faithfulness rank pack vectors into ints instead (a bit per
-coordinate over GF(2), a byte lane past it) for the field's one
-``packed_kernel``.  Everything is exact (field elements, no floating
-point), so rank and solvability answers are never approximations.
+lists of lists, for every field.  The search and the faithfulness rank
+keep echelon bases through a kernel (``pack``, ``combine``, ``split``,
+``basis``): over GF(p) for p <= 13 a vector is a Python int, a bit per
+lane over GF(2) and a byte lane past it (``packed_kernel``), and over
+other fields a map from lane to nonzero value (``MapKernel``).  All of
+it is exact, so rank and solvability answers are never approximations.
 """
 
 from __future__ import annotations
@@ -16,9 +17,8 @@ from functools import reduce as fold
 
 
 class _PackedKernel:
-    """Vectors packed into Python ints, coordinate i in the lane
-    ``v >> lane_bits * i``; ``combine`` sums scalar multiples, ``basis``
-    and ``reduce`` keep an echelon basis keyed by top lane plus one."""
+    """Vectors packed into Python ints, lane i in ``v >> lane_bits * i``;
+    ``basis`` keeps an echelon basis keyed by top lane plus one."""
 
     __slots__ = ()
 
@@ -38,23 +38,22 @@ class PackedGF2(_PackedKernel):
 
     lane_bits = 1
 
+    def pack(self, lanes, size: int) -> int:
+        """The vector with value c at lane i for each (i, c) of ``lanes``,
+        i below ``size``."""
+        return sum(1 << lane for lane, value in lanes if value)
+
     def combine(self, scalars, vectors) -> int:
         """The XOR of the vectors of nonzero scalars."""
         return fold(operator.xor, itertools.compress(vectors, scalars), 0)
 
-    def reduce(self, basis: dict[int, int], vector: int) -> int:
-        """What is left of a vector after XOR-ing out basis members; 0
-        exactly when the vector lies in the basis's span."""
-        # no key is 0, the bit length of 0
-        while (member := basis.get(vector.bit_length())) is not None:
-            vector ^= member
-        return vector
-
-    def basis(self, vectors) -> dict[int, int]:
-        """An echelon basis of the span of vectors; its size is the rank."""
-        basis: dict[int, int] = {}
+    def basis(self, vectors, start=None) -> dict[int, int]:
+        """An echelon basis of the span of vectors and of the members of
+        ``start``, itself left alone; its size is the rank."""
+        basis = dict(start) if start else {}
         get = basis.get
-        # reduce inlined: this loop is the search's inner loop
+        # this loop is the search's inner loop; no key is 0, the bit
+        # length of 0
         for vector in vectors:
             while (member := get(vector.bit_length())) is not None:
                 vector ^= member
@@ -71,7 +70,10 @@ class PackedGF(_PackedKernel):
     Elimination with a member of top lane 1 is ``v + (p - lead) * member``:
     each lane reaches at most (p - 1) + (p - 1)^2 = p (p - 1) before the
     translate, so the lanes never carry into each other while p (p - 1)
-    <= 255, that is for p in {3, 5, 7, 11, 13}.  Other values raise.
+    <= 255, that is for p in {3, 5, 7, 11, 13}.  Other values raise.  The
+    top lane of that sum is exactly p, which the elimination drops; a
+    member whose top lane is not 1 makes ``to_bytes`` raise OverflowError
+    instead of looping.
     """
 
     # the odd primes with p (p - 1) <= 255
@@ -92,6 +94,14 @@ class PackedGF(_PackedKernel):
         # sum adds at most (p - 1)^2 to it
         self.batch = (255 - (p - 1)) // (p - 1) ** 2
 
+    def pack(self, lanes, size: int) -> int:
+        """The vector with value c in range(p) at lane i for each (i, c) of
+        ``lanes``, i below ``size``."""
+        buffer = bytearray(size)
+        for lane, value in lanes:
+            buffer[lane] = value
+        return int.from_bytes(buffer, "little")
+
     def normalize(self, vector: int) -> int:
         """Every lane of a carry-free sum reduced mod p."""
         return int.from_bytes(vector.to_bytes((vector.bit_length() + 7) >> 3, "little")
@@ -111,41 +121,22 @@ class PackedGF(_PackedKernel):
                 pending += 1
         return self.normalize(total)
 
-    def reduce(self, basis: dict[int, int], vector: int) -> int:
-        """What is left of a normalised vector after eliminating with basis
-        members; 0 exactly when the vector lies in the basis's span.
-
-        ``basis`` maps each member's byte length (its top lane plus one) to
-        the member, scaled so that its top lane is 1, so every elimination
-        clears the current top lane and leaves only lower ones.
-        """
-        p = self.p
-        mod = self.mod
-        while vector:
-            size = (vector.bit_length() + 7) >> 3
-            member = basis.get(size)
-            if member is None:
-                return vector
-            lead = vector >> ((size - 1) << 3)
-            vector = int.from_bytes((vector + (p - lead) * member)
-                                    .to_bytes(size, "little").translate(mod), "little")
-        return 0
-
-    def basis(self, vectors) -> dict[int, int]:
-        """An echelon basis of the span of normalised vectors, keyed by
-        the byte length of each member, each member's top lane 1; its size
-        is the rank."""
+    def basis(self, vectors, start=None) -> dict[int, int]:
+        """An echelon basis of the span of normalised vectors and of the
+        members of ``start``, itself left alone, keyed by the byte length
+        of each member, each member's top lane 1; its size is the rank."""
         p = self.p
         mod = self.mod
         inverse = self.inverse
         from_bytes = int.from_bytes
-        basis: dict[int, int] = {}
+        basis = dict(start) if start else {}
         get = basis.get
-        # reduce inlined: this loop is the search's inner loop
+        # this loop is the search's inner loop
         for vector in vectors:
             while vector:
                 size = (vector.bit_length() + 7) >> 3
-                lead = vector >> ((size - 1) << 3)
+                shift = (size - 1) << 3
+                lead = vector >> shift
                 member = get(size)
                 if member is None:
                     if lead != 1:
@@ -154,8 +145,64 @@ class PackedGF(_PackedKernel):
                                             "little")
                     basis[size] = vector
                     break
-                vector = from_bytes((vector + (p - lead) * member)
-                                    .to_bytes(size, "little").translate(mod), "little")
+                vector = from_bytes((vector + (p - lead) * member - (p << shift))
+                                    .to_bytes(size - 1, "little").translate(mod), "little")
+        return basis
+
+
+class MapKernel:
+    """The packed kernels' interface for any field, the rationals and GF(p)
+    for p > 13 among them: a vector maps each lane to its nonzero value."""
+
+    __slots__ = ("field",)
+
+    def __init__(self, field):
+        self.field = field
+
+    def pack(self, lanes, size: int) -> dict:
+        return {lane: value for lane, value in lanes if value}
+
+    def combine(self, scalars, vectors) -> dict:
+        """sum of scalar * vector."""
+        add, mul = self.field.add, self.field.mul
+        total: dict = {}
+        for scalar, vector in zip(scalars, vectors):
+            if scalar:
+                for lane, value in vector.items():
+                    total[lane] = add(total.get(lane, 0), mul(scalar, value))
+        return {lane: value for lane, value in total.items() if value}
+
+    def split(self, vector: dict, size: int, count: int) -> list[dict]:
+        blocks: list[dict] = [{} for _ in range(count)]
+        for lane, value in vector.items():
+            blocks[lane // size][lane % size] = value
+        return blocks
+
+    def basis(self, vectors, start=None) -> dict[int, dict]:
+        """As the packed kernels': keyed by top lane plus one, each member's
+        top lane 1, ``start`` left alone."""
+        field = self.field
+        basis = dict(start) if start else {}
+        for vector in vectors:
+            vector = dict(vector)
+            while vector:
+                top = max(vector)
+                lead = vector[top]
+                member = basis.get(top + 1)
+                if member is None:
+                    scale = field.inv(lead)
+                    basis[top + 1] = {lane: field.mul(scale, value)
+                                      for lane, value in vector.items()}
+                    break
+                # the member's top lane is 1, so eliminating clears the vector's
+                del vector[top]
+                for lane, value in member.items():
+                    if lane < top:
+                        value = field.sub(vector.get(lane, 0), field.mul(lead, value))
+                        if value:
+                            vector[lane] = value
+                        else:
+                            del vector[lane]
         return basis
 
 
@@ -165,6 +212,11 @@ def packed_kernel(field) -> PackedGF2 | PackedGF | None:
     if p == 2:
         return PackedGF2()
     return PackedGF(p) if p in PackedGF.PRIMES else None
+
+
+def field_kernel(field) -> PackedGF2 | PackedGF | MapKernel:
+    """The packed kernel of GF(p) for p <= 13, else a ``MapKernel``."""
+    return packed_kernel(field) or MapKernel(field)
 
 
 def row_reduce(rows, field):

@@ -17,7 +17,8 @@ from nilregular.analysis import (
     tau_form_of, type_i_word, type_ii_word)
 from nilregular.elements import Algebra, linear_combination
 from nilregular.fields import GF2, GF3, QQ, PrimeField
-from nilregular.linalg import PackedGF, PackedGF2, packed_kernel, row_reduce, solve
+from nilregular.linalg import (
+    MapKernel, PackedGF, PackedGF2, field_kernel, packed_kernel, row_reduce, solve)
 from nilregular.rewriting import (
     Word, canonical_words, enumerate_basis, parse_word, reduce, xq_system)
 
@@ -523,15 +524,26 @@ def test_unit_regular_search_rational_grid_is_flagged():
     assert report.status == "exhausted"
 
 
+def _beta_walk(field, lefts, tables, target, representatives=True):
+    """The scan's walk over the betas of (tables, target): (index, beta)
+    for each consistent beta in index order, one per scalar orbit over
+    GF(p > 2) unless ``representatives`` is False."""
+    kernel = field_kernel(field)
+    stride = len(lefts) + 1
+    pool, exhaustive = field.coefficient_pool()
+    rows = analysis._settled_rows(kernel, tables, target, stride)
+    leaves = analysis._walk(kernel, rows, stride, pool, exhaustive and representatives)
+    return ((index, beta) for index, beta, _ in leaves)
+
+
 def _assert_no_beta_survives(field, max_word_len, n):
     # a table fault that lets betas through would have the search walk
-    # every alpha of each; the first surviving beta fails the test at once
+    # the alphas of each; the first surviving beta fails the test at once
     system = xq_system(n)
     lefts = left_shape_words(max_word_len, system)
     rights = right_shape_words(max_word_len, system)
     target, tables = analysis._search_tables(n, field, lefts, rights)
-    survivors = analysis._consistent_betas(tables, target, len(lefts), field)
-    assert next(survivors, None) is None
+    assert next(_beta_walk(field, lefts, tables, target), None) is None
 
 
 def test_unit_regular_search_exhausts_gf2_at_length_5():
@@ -839,6 +851,36 @@ def test_scan_reports_the_least_index_not_the_first_hit(monkeypatch):
         1 * 4 + 2, (0, 1), (1, 0))
 
 
+def test_scan_reports_a_betas_least_alpha(monkeypatch):
+    # hand-made GF(3) tables with one right word: T_0 = [[1, 1]] and the
+    # target (1).  Beta 0 is inconsistent and beta 1 is consistent with
+    # the alphas (0, 1), (1, 0) and (2, 2), of indices 1, 3 and 8; the
+    # alpha walk's first leaf is the least, so the hit is 1 * 3 + 1
+    monkeypatch.setattr(analysis, "_search_tables",
+                        lambda n, field, lefts, rights: ([1], [[(0, 0, 1), (0, 1, 1)]]))
+    assert analysis._scan_betas(3, GF3, words("1", "q"), words("1")) == (
+        1 * 3 + 1, (0, 1), (1,))
+
+
+# the n = 2 witness over primes past a brute force's reach, alpha = 1 + q
+# and beta = 1 + x + x q^2 x, with the count up to its least index
+N2_PRIME_HITS = ((PrimeField(31), 28_400_118_786), (PrimeField(101), 108_275_055_371_606))
+
+
+@pytest.mark.parametrize("field,examined", N2_PRIME_HITS,
+                         ids=[f.name for f, _ in N2_PRIME_HITS])
+def test_n2_search_over_larger_primes_finds_the_witness(field, examined):
+    report = search_unit_regular_witness(max_word_len=4, field=field, n=2)
+    assert report.status == "fail"
+    assert report.candidates_examined == examined
+
+    def support(coefficients):
+        return {word: c for word, c in coefficients.items() if c != "0"}
+    assert support(report.witness["alpha_coefficients"]) == {"1": "1", "q": "1"}
+    assert support(report.witness["beta_coefficients"]) == {
+        "1": "1", "x": "1", str(parse_word("xqqx")): "1"}
+
+
 def _n2_hits(field, max_word_len):
     """Every (alpha, beta) with alpha * beta = 1 - xq at n = 2.  Per beta,
     the sums over alpha's first two digits meet the sums over its other
@@ -898,38 +940,26 @@ SOLVE_COUNTS = ((GF3, 2, (2, 3, 0)), (GF5, 1, (2, 5)), (QQ, 1, (5, 20)),
 
 def _counting_solves(monkeypatch, count):
     """Route every consistency test of the scan through ``count``: the
-    packed kernels' ``reduce`` (once per test over GF(p <= 13), GF(2)
-    included) and the dense ``solve`` (once per test over the rationals
-    and larger primes) each call it with the name of their path."""
-    for kernel_type in (PackedGF, PackedGF2):
-        def counting_reduce(kernel, basis, vector, reduce=kernel_type.reduce):
-            count("packed")
-            return reduce(kernel, basis, vector)
+    walk makes one ``basis`` call per tested node, on the field's kernel,
+    and each call passes the kernel's class name."""
+    for kernel_type in (PackedGF, PackedGF2, MapKernel):
+        def counting_basis(kernel, vectors, start=None, basis=kernel_type.basis):
+            count(type(kernel).__name__)
+            return basis(kernel, vectors, start=start)
 
-        monkeypatch.setattr(kernel_type, "reduce", counting_reduce)
-
-    def counting_solve(rows, rhs, field):
-        count("dense")
-        return solve(rows, rhs, field)
-
-    monkeypatch.setattr(analysis, "solve", counting_solve)
+        monkeypatch.setattr(kernel_type, "basis", counting_basis)
 
 
 def _recording_prefix_tests(monkeypatch, record):
-    """Route every prefix the scan tests through ``record``; a test of
-    level k is built on the first k tables and takes k digits."""
-    build = analysis._consistency_test
+    """Route every prefix the scan tests through ``record``: a node of k
+    digits sums its level's blocks with the scalars ``prefix + (1,)``, one
+    ``combine`` call per tested node."""
+    for kernel_type in (PackedGF, PackedGF2, MapKernel):
+        def recording_combine(kernel, scalars, vectors, combine=kernel_type.combine):
+            record(tuple(scalars[:-1]))
+            return combine(kernel, scalars, vectors)
 
-    def recording_build(tables, target, width, field):
-        test = build(tables, target, width, field)
-
-        def recording_test(prefix):
-            assert len(prefix) == len(tables)
-            record(prefix)
-            return test(prefix)
-        return recording_test
-
-    monkeypatch.setattr(analysis, "_consistency_test", recording_build)
+        monkeypatch.setattr(kernel_type, "combine", recording_combine)
 
 
 def _per_level(prefixes, depth: int) -> tuple:
@@ -957,8 +987,7 @@ def test_dense_scan_solves_once_per_scalar_orbit(
     lefts = left_shape_words(max_word_len, S)
     rights = right_shape_words(max_word_len, S)
     assert analysis._scan_betas(3, field, lefts, rights) is None
-    path = "dense" if packed_kernel(field) is None else "packed"
-    assert paths == [path] * len(tested)
+    assert paths == [type(field_kernel(field)).__name__] * len(tested)
     assert _per_level(tested, len(rights)) == tests
     _assert_representatives(field, [beta for beta in tested if len(beta) == len(rights)])
 
@@ -986,31 +1015,37 @@ CONSISTENCY_CASES = ((GF2, 4, 2), (GF3, 4, 2), (PrimeField(7), 4, 2),
                      (PrimeField(17), 2, 3))
 
 
+def _dense_consistent(field, tables, target, width, beta) -> bool:
+    """Whether M(beta) alpha = target has a solution, by a dense
+    ``linalg.solve`` over every row."""
+    matrix = [[field.zero] * width for _ in target]
+    for digit, table in zip(beta, tables):
+        for r, i, c in table:
+            matrix[r][i] = field.add(matrix[r][i], field.mul(digit, c))
+    return solve(matrix, target, field) is not None
+
+
 @pytest.mark.parametrize(
     "field,max_word_len,n", CONSISTENCY_CASES,
     ids=[f"{f.name}-L{length}-n{n}" for f, length, n in CONSISTENCY_CASES])
 def test_consistency_test_matches_a_full_solve(field, max_word_len, n):
-    # every beta's verdict, from masks, byte lanes or the dense solve, on
-    # the rows of every support word and on the scan's identity and C-word
-    # rows alike, equals a dense solve over every support row
+    # the walk over every beta, not one per orbit, on the rows of every
+    # support word and on the scan's identity and C-word rows alike,
+    # keeps exactly the betas for which a dense solve over every support
+    # row is consistent
     system = xq_system(n)
     lefts = left_shape_words(max_word_len, system)
     rights = right_shape_words(max_word_len, system)
     tables, target = _support_tables(n, field, lefts, rights)
-    consistent = analysis._consistency_test(tables, target, len(lefts), field)
     c_target, c_tables = analysis._search_tables(n, field, lefts, rights)
-    on_c_words = analysis._consistency_test(c_tables, c_target, len(lefts), field)
     pool, _ = field.coefficient_pool()
-    verdicts = set()
-    for beta in itertools.product(pool, repeat=len(rights)):
-        matrix = [[field.zero] * len(lefts) for _ in target]
-        for digit, table in zip(beta, tables):
-            for r, i, c in table:
-                matrix[r][i] = field.add(matrix[r][i], field.mul(digit, c))
-        full = solve(matrix, target, field) is not None
-        assert consistent(beta) == on_c_words(beta) == full, beta
-        verdicts.add(full)
-    assert verdicts == ({True, False} if n == 2 else {False})
+    expected = [(index, beta) for index, beta in enumerate(
+                    itertools.product(pool, repeat=len(rights)))
+                if _dense_consistent(field, tables, target, len(lefts), beta)]
+    assert list(_beta_walk(field, lefts, tables, target, False)) == expected
+    assert list(_beta_walk(field, lefts, c_tables, c_target, False)) == expected
+    # at n = 2 some betas are consistent and some are not, at n = 3 none is
+    assert (0 < len(expected) < len(pool) ** len(rights)) if n == 2 else not expected
 
 
 # (field, max_word_len, n, consistent representatives): the n = 2 hits'
@@ -1024,21 +1059,20 @@ SURVIVOR_CASES = ((GF2, 4, 2, 1), (GF2, 5, 2, 1), (GF3, 4, 2, 2), (GF2, 4, 3, 0)
     "field,max_word_len,n,count", SURVIVOR_CASES,
     ids=[f"{f.name}-L{length}-n{n}" for f, length, n, _ in SURVIVOR_CASES])
 def test_pruned_walk_keeps_exactly_the_consistent_betas(field, max_word_len, n, count):
-    # a prefix fails only when the rows it settles are inconsistent, so the
+    # a node fails only when the rows it settles are inconsistent, so the
     # walk's survivors are the betas, one per scalar orbit over GF(p), for
-    # which the test over every row holds
+    # which a dense solve over every row holds
     system = xq_system(n)
     lefts = left_shape_words(max_word_len, system)
     rights = right_shape_words(max_word_len, system)
     target, tables = analysis._search_tables(n, field, lefts, rights)
-    consistent = analysis._consistency_test(tables, target, len(lefts), field)
     pool, exhaustive = field.coefficient_pool()
     expected = [(index, beta) for index, beta in enumerate(
                     itertools.product(pool, repeat=len(rights)))
                 if (not exhaustive or next(filter(None, beta), None) == 1)
-                and consistent(beta)]
+                and _dense_consistent(field, tables, target, len(lefts), beta)]
     assert len(expected) == count
-    assert list(analysis._consistent_betas(tables, target, len(lefts), field)) == expected
+    assert list(_beta_walk(field, lefts, tables, target)) == expected
 
 
 def _per_left_word(tables, width: int) -> list:
@@ -1113,15 +1147,15 @@ def test_row_basis_keeps_every_betas_verdict(field, max_word_len, n,
 
 
 def _packed_rows(tables, target, width, kernel) -> list[int]:
-    """Each row of the stacked system (T_1[r] | ... | T_m[r] | target[r])
-    as one packed vector, table j's column i at lane j * width + i."""
-    bits = kernel.lane_bits
-    rows = [0] * len(target)
+    """Each row of the stacked system (target[r] | T_1[r] | ... | T_m[r])
+    as one packed vector, the target at lane 0 and table j's column i at
+    lane 1 + j * width + i."""
+    size = 1 + len(tables) * width
+    lanes = [[(0, c)] for c in target]
     for j, table in enumerate(tables):
         for r, i, c in table:
-            rows[r] |= c << bits * (j * width + i)
-    end = bits * len(tables) * width
-    return [row | c << end for row, c in zip(rows, target)]
+            lanes[r].append((1 + j * width + i, c))
+    return [kernel.pack(row, size) for row in lanes]
 
 
 @pytest.mark.parametrize("field", [GF2, GF3, PrimeField(7), PrimeField(13)],
@@ -1130,8 +1164,10 @@ def _packed_rows(tables, target, width, kernel) -> list[int]:
 def test_packed_row_basis_keeps_the_dense_rows(field, n, max_word_len):
     # the scan's rows, the identity word's and the C-words', span the
     # stacked support rows: the packed kernel's echelon basis of the scan's
-    # rows has the rank of a dense row reduction of every support row, and
-    # every support row reduces to 0 against it
+    # rows has the rank of a dense row reduction of every support row,
+    # adding every support row leaves it as it is, and it has a member of
+    # top lane 0 (key 1), the target's, exactly when a dense solve finds
+    # no joint coefficients for the stacked system
     system = xq_system(n)
     lefts = left_shape_words(max_word_len, system)
     rights = right_shape_words(max_word_len, system)
@@ -1140,13 +1176,14 @@ def test_packed_row_basis_keeps_the_dense_rows(field, n, max_word_len):
     c_target, c_tables = analysis._search_tables(n, field, lefts, rights)
     kernel = packed_kernel(field)
     basis = kernel.basis(_packed_rows(c_tables, c_target, width, kernel))
-    stacked = [[field.zero] * (len(tables) * width) + [c] for c in target]
+    stacked = [[field.zero] * (len(tables) * width) for _ in target]
     for j, table in enumerate(tables):
         for r, i, c in table:
             stacked[r][j * width + i] = c
-    assert len(basis) == len(row_reduce(stacked, field)[1]) <= len(c_target)
-    assert not any(kernel.reduce(basis, row)
-                   for row in _packed_rows(tables, target, width, kernel))
+    assert len(basis) == len(row_reduce([[c] + row for c, row in zip(target, stacked)],
+                                        field)[1]) <= len(c_target)
+    assert kernel.basis(_packed_rows(tables, target, width, kernel), start=basis) == basis
+    assert (1 in basis) == (solve(stacked, target, field) is None)
 
 
 def test_regularity_and_separativity_identities():

@@ -9,7 +9,7 @@ import pytest
 
 from nilregular.fields import GF2, GF3, QQ, PrimeField
 from nilregular.linalg import (
-    PackedGF, PackedGF2, packed_kernel, rank, row_reduce, solve)
+    MapKernel, PackedGF, PackedGF2, field_kernel, packed_kernel, rank, row_reduce, solve)
 
 
 def _span(rows, p) -> set:
@@ -104,15 +104,16 @@ def _pack(entries) -> int:
 def _check_against_dense(rows, rhs):
     """The packed kernel agrees with dense elimination over GF(2), used as
     the search uses it: the XOR basis of the packed rows has the rank's
-    size, and the packed right-hand side reduces to 0 against the basis of
-    the packed columns exactly when the system is consistent."""
+    size, and the basis of the augmented rows, the right-hand side at lane
+    0 and column i at lane i + 1, has no member of top lane 0 (key 1)
+    exactly when the system is consistent."""
     kernel = packed_kernel(GF2)
     assert len(kernel.basis(map(_pack, rows))) == rank(rows, GF2)
     width = len(rows[0])
     augmented = [row + [value] for row, value in zip(rows, rhs)]
     consistent = width not in row_reduce(augmented, GF2)[1]
-    columns = kernel.basis(_pack(column) for column in zip(*rows))
-    assert (kernel.reduce(columns, _pack(rhs)) == 0) == consistent
+    lanes = kernel.basis(_pack([value] + row) for row, value in zip(rows, rhs))
+    assert (1 not in lanes) == consistent
     found = solve(rows, rhs, GF2)
     if not consistent:
         assert found is None
@@ -149,18 +150,18 @@ def _lanes(values) -> int:
 def _check_packed_against_dense(kernel, field, rows, rhs):
     """The packed kernel agrees with dense elimination, used as the search
     uses it: the basis of the packed rows has the rank's size, each member
-    has lanes in range(p) and top lane 1, and the packed right-hand side
-    reduces to 0 against the basis of the packed columns exactly when the
-    system is consistent."""
+    has lanes in range(p) and top lane 1, and the basis of the augmented
+    rows, the right-hand side at lane 0 and column i at lane i + 1, has no
+    member of top lane 0 (key 1) exactly when the system is consistent."""
     p = field.p
     basis = kernel.basis(map(_lanes, rows))
     assert len(basis) == rank(rows, field)
     for size, member in basis.items():
         lanes = list(member.to_bytes(size, "little"))
         assert all(lane < p for lane in lanes) and lanes[-1] == 1
-    columns = kernel.basis(_lanes(column) for column in zip(*rows))
+    augmented = kernel.basis(_lanes([value] + row) for row, value in zip(rows, rhs))
     consistent = solve(rows, rhs, field) is not None
-    assert (kernel.reduce(columns, _lanes(rhs)) == 0) == consistent
+    assert (1 not in augmented) == consistent
 
 
 @pytest.mark.parametrize("p", PACKED_PRIMES)
@@ -219,29 +220,35 @@ def test_packed_kernel_refuses_primes_past_13():
     assert packed_kernel(QQ) is None
     assert packed_kernel(GF3).p == 3
     assert isinstance(packed_kernel(GF2), PackedGF2)
+    # every other field takes the kernel of maps
+    for field in (PrimeField(17), QQ):
+        assert isinstance(field_kernel(field), MapKernel)
+    assert isinstance(field_kernel(GF3), PackedGF)
 
 
 @pytest.mark.parametrize("p", (2,) + PACKED_PRIMES)
 def test_packed_kernels_combine_and_split_like_dense_vectors(p):
     # a table of count columns of size coordinates each, one vector with
     # column i at lane i * size onwards, summed with scalars and split into
-    # its columns, equals the dense mod-p sum column by column
-    kernel = packed_kernel(PrimeField(p))
-    bits = kernel.lane_bits
-
-    def packed(values):
-        return sum(value << bits * lane for lane, value in enumerate(values))
-
+    # its columns, equals the dense mod-p sum column by column, on the
+    # packed kernel and on the kernel of maps alike
+    field = PrimeField(p)
     rng = random.Random(200 + p)
-    for _ in range(100):
-        size, count, terms = rng.randint(1, 12), rng.randint(1, 8), rng.randint(0, 6)
-        tables = [[[rng.randrange(p) for _ in range(size)] for _ in range(count)]
-                  for _ in range(terms)]
-        scalars = [rng.randrange(p) for _ in range(terms)]
-        wholes = [packed(itertools.chain.from_iterable(table)) for table in tables]
-        for table, whole in zip(tables, wholes):
-            assert kernel.split(whole, size, count) == list(map(packed, table))
-        expected = [[sum(s * table[i][r] for s, table in zip(scalars, tables)) % p
-                     for r in range(size)] for i in range(count)]
-        assert (kernel.split(kernel.combine(scalars, wholes), size, count)
-                == list(map(packed, expected)))
+    for kernel in (packed_kernel(field), MapKernel(field)):
+        def packed(values, size):
+            return kernel.pack(enumerate(values), size)
+
+        for _ in range(100):
+            size, count, terms = rng.randint(1, 12), rng.randint(1, 8), rng.randint(0, 6)
+            tables = [[[rng.randrange(p) for _ in range(size)] for _ in range(count)]
+                      for _ in range(terms)]
+            scalars = [rng.randrange(p) for _ in range(terms)]
+            wholes = [packed(itertools.chain.from_iterable(table), size * count)
+                      for table in tables]
+            for table, whole in zip(tables, wholes):
+                assert kernel.split(whole, size, count) == [packed(column, size)
+                                                            for column in table]
+            expected = [[sum(s * table[i][r] for s, table in zip(scalars, tables)) % p
+                         for r in range(size)] for i in range(count)]
+            assert (kernel.split(kernel.combine(scalars, wholes), size, count)
+                    == [packed(column, size) for column in expected])

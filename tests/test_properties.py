@@ -1,9 +1,10 @@
 """Randomized algebraic laws: the product is associative, phi is
 multiplicative, phi does not see the rewriting that produces normal
 forms, stack reduction agrees with random strategies and with products of
-normal forms, the basis of a random presentation is its definition, the packed GF(2) kernel's rank and consistency agree
-with dense elimination, and QQ arithmetic is Fraction arithmetic with
-integral values kept as ints."""
+normal forms, the basis of a random presentation is its definition, the
+packed GF(2) kernel's rank and consistency agree with dense elimination,
+every linear-algebra kernel's echelon bases agree with ``row_reduce``, and
+QQ arithmetic is Fraction arithmetic with integral values kept as ints."""
 
 import random
 from fractions import Fraction
@@ -14,8 +15,8 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
 from nilregular.elements import Algebra
-from nilregular.fields import GF2, GF3, QQ
-from nilregular.linalg import packed_kernel, row_reduce
+from nilregular.fields import GF2, GF3, QQ, PrimeField
+from nilregular.linalg import MapKernel, field_kernel, packed_kernel, row_reduce
 from nilregular.matrixrep import MatrixElement, MatrixModel
 from nilregular.rewriting import (
     RewriteSystem, Rule, Word, ab_system, canonical_words, concat_reduce,
@@ -129,8 +130,58 @@ def test_packed_gf2_rank_and_solve_agree_with_dense_elimination(system):
     assert len(kernel.basis(map(pack, rows))) == len(row_reduce(rows, GF2)[1])
     augmented = [row + [value] for row, value in zip(rows, rhs)]
     consistent = len(rows[0]) not in row_reduce(augmented, GF2)[1]
-    columns = kernel.basis(pack(column) for column in zip(*rows))
-    assert (kernel.reduce(columns, pack(rhs)) == 0) == consistent
+    # the right-hand side at lane 0: a member of top lane 0 (key 1) is an
+    # inconsistent row
+    lanes = kernel.basis(pack([value] + row) for row, value in zip(rows, rhs))
+    assert (1 not in lanes) == consistent
+
+
+KERNEL_FIELDS = (QQ, GF2, GF3, PrimeField(17))
+
+
+@st.composite
+def kernel_systems(draw):
+    """A field, a width, two lists of rows and a right-hand side for
+    their concatenation; over QQ the entries include halves."""
+    field = draw(st.sampled_from(KERNEL_FIELDS))
+    numerators = st.integers(-3, 3)
+    values = (st.builds(Fraction, numerators, st.sampled_from([1, 1, 2]))
+              if field == QQ else numerators).map(field.coerce)
+    width = draw(st.integers(1, 6))
+    rows = st.lists(st.lists(values, min_size=width, max_size=width), max_size=6)
+    first, second = draw(rows), draw(rows)
+    rhs = draw(st.lists(values, min_size=len(first) + len(second),
+                        max_size=len(first) + len(second)))
+    return field, width, first, second, rhs
+
+
+@LAWS
+@given(kernel_systems())
+def test_kernels_agree_with_row_reduce(system):
+    # MapKernel and the field's packed kernel, where it has one: the size
+    # of a basis is the rank, a system is consistent exactly when the basis
+    # of its augmented rows (right-hand side at lane 0) has no member of
+    # top lane 0 (key 1), and extending a basis from ``start`` gives the
+    # rank of both row lists together, leaving ``start`` as it was
+    field, width, first, second, rhs = system
+    rows = first + second
+
+    def rank(matrix):
+        return len(row_reduce(matrix, field)[1])
+
+    consistent = width not in row_reduce(
+        [row + [value] for row, value in zip(rows, rhs)], field)[1]
+    for kernel in {type(k): k for k in (MapKernel(field), field_kernel(field))}.values():
+        def pack(entries):
+            return kernel.pack(enumerate(entries), len(entries))
+
+        basis = kernel.basis(map(pack, first))
+        assert len(basis) == rank(first)
+        kept = dict(basis)
+        assert len(kernel.basis(map(pack, second), start=basis)) == rank(rows)
+        assert basis == kept
+        augmented = kernel.basis(pack([value] + row) for row, value in zip(rows, rhs))
+        assert (1 not in augmented) == consistent, kernel
 
 
 # big numerators, and small denominators so that integral results are common
