@@ -23,14 +23,13 @@ so tau cannot cancel out of the expansion, while 1 - xq contains no word
 beginning in q.  The checkers below verify the three-form classification
 and the uniqueness bound exhaustively at small size and on randomized
 families.  A sweep enumerates its shape pools once.  ``build_c_set``
-computes the shape verdict of each word once per process (a bounded
-cache) and checks the side and distinctness on every call, except for
-the words a sweep draws from its own pools, which are shape words and
-distinct by construction.  The occurrences of a support pair are built
-once (a bounded cache), each with its rank in the word order and its
-match as tau: an occurrence is classified only when its word is tau, so
-its match depends on the occurrence alone.  Picking tau is a max over
-the stored ranks, and classifying it reads the stored matches.
+checks the shape, side and distinctness of its words on every call,
+except for the words a sweep draws from its own pools, which are shape
+words and distinct by construction.  The occurrences of a support pair
+are built once (a bounded cache), each with its rank in the word order
+and its match as tau: an occurrence is classified only when its word is
+tau, so its match depends on the occurrence alone.  Picking tau is a max
+over the stored ranks, and classifying it reads the stored matches.
 
 The search covers every coefficient assignment over a finite field to
 witness exhaustion directly, and reads the same pair records.
@@ -77,7 +76,6 @@ from .elements import Algebra, AlgebraElement, linear_combination
 from .fields import GF2, QQ
 from .linalg import field_kernel
 from .rewriting import (
-    _RANKS,
     IDENTITY_WORD,
     ReductionOutcome,
     RewriteSystem,
@@ -154,7 +152,7 @@ class COccurrence:
         init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "rank", self.word.translate(_RANKS))
+        object.__setattr__(self, "rank", self.word.lex_key())
         object.__setattr__(self, "tau_match", _match_as_tau(self))
 
 
@@ -202,18 +200,6 @@ def _pair_contributions(system: RewriteSystem, w: Word,
     return tuple(out)
 
 
-@lru_cache(maxsize=4096)
-def _shape_end(system: RewriteSystem, word: Word) -> str | None:
-    """The empty string for the identity, the shared end letter of a basis
-    word whose first and last letters match, None for any other word.
-    Letters outside the alphabet raise, and a raise is never cached."""
-    if not is_basis_word(word, system):
-        return None
-    if not word:
-        return ""
-    return word[0] if word[0] == word[-1] else None
-
-
 class _PoolWords(list):
     """Distinct words of one side's shape pool, as ``_iter_families`` draws
     them; ``_checked_side`` takes them unchecked."""
@@ -224,16 +210,15 @@ class _PoolWords(list):
 def _checked_side(words, side: str, system: RewriteSystem) -> list[Word]:
     """Accepts words or word text, distinct, each 1 or a basis word that
     begins and ends in q for the left shape (1, q, q^2, q z q), in x for
-    the right shape (1, x, x^2, x z x).  The shape verdict of a word is
-    computed once per process; the side and distinctness are checked on
-    every call, except for the sweeps' own pool words."""
+    the right shape (1, x, x^2, x z x).  The sweeps' own pool words are
+    taken unchecked."""
     if type(words) is _PoolWords:
         return words
     end = "q" if side == "left" else "x"
     checked = []
     seen = set()
     for word in map(_as_word, words):
-        if _shape_end(system, word) not in ("", end):
+        if not (is_basis_word(word, system) and _has_ends(word, end)):
             raise ValueError(f"{word} is not a {side}-shape word")
         if word in seen:
             raise ValueError(f"duplicate {side} word {word}")
@@ -708,9 +693,9 @@ def search_unit_regular_witness(max_word_len: int = 3, field=GF2, n: int = 3,
         witness_index, alpha, beta = hit
         _confirm_witness(n, field, lefts, rights, alpha, beta)
         witness = {
-            "alpha_coefficients": {str(w): field.to_str(c)
+            "alpha_coefficients": {str(w): str(c)
                                    for w, c in zip(lefts, alpha)},
-            "beta_coefficients": {str(y): field.to_str(c)
+            "beta_coefficients": {str(y): str(c)
                                   for y, c in zip(rights, beta)},
         }
         examined = witness_index + 1

@@ -26,7 +26,8 @@ from .fields import field_from_name
 from .matrixrep import (
     check_determinant_obstruction, n2_variant_check, verify_phi_faithful)
 from .reports import VerificationReport
-from .rewriting import check_confluence, enumerate_basis, system_from_label
+from .rewriting import (
+    MAX_EXPONENT, check_confluence, enumerate_basis, system_from_label)
 
 @dataclass
 class RunConfig:
@@ -56,6 +57,16 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _degree(text: str) -> int:
+    # x^n = 0 is spelled out as a rule, so a degree past the word-length cap
+    # is refused before that rule is built
+    value = _positive_int(text)
+    if value > MAX_EXPONENT:
+        raise argparse.ArgumentTypeError(
+            f"must be at most {MAX_EXPONENT}, the word-length cap")
+    return value
+
+
 def _nonnegative_int(text: str) -> int:
     value = int(text)
     if value < 0:
@@ -80,16 +91,18 @@ def build_parser() -> argparse.ArgumentParser:
     shape.add_argument("--presentation", choices=("S", "R"),
                        default=RunConfig.presentation,
                        help="which presentation to work in (default %(default)s)")
-    shape.add_argument("--n", type=_positive_int, default=RunConfig.n,
-                       help="nilpotency degree of the main presentation "
-                            "(default %(default)s; R uses degree n-1)")
+    shape.add_argument("--n", type=_degree, default=RunConfig.n,
+                       help="nilpotency degree of the main presentation, at "
+                            f"most {MAX_EXPONENT} (default %(default)s; "
+                            "R uses degree n-1)")
     shape.add_argument("--json", action="store_true",
                        help="emit a JSON report instead of text")
     field = argparse.ArgumentParser(add_help=False)
     field.add_argument("--field", type=_field_name, default=RunConfig.field_name,
                        dest="field_name",
                        help="coefficient field: rational or gf<p> for a "
-                            "prime p < 2^31 (default %(default)s)")
+                            "prime p < 2^31 in ASCII digits "
+                            "(default %(default)s)")
     bounds = argparse.ArgumentParser(add_help=False)
     bounds.add_argument("--max-len", type=_nonnegative_int, default=RunConfig.max_len,
                         help="word-length bound for bounded checks "

@@ -241,10 +241,9 @@ class AlgebraElement:
     def __str__(self) -> str:
         if not self._terms:
             return "0"
-        field = self.algebra.field
         parts = []
         for word in self.support():
-            text = field.to_str(self._terms[word])
+            text = str(self._terms[word])
             negative = text.startswith("-")
             magnitude = text.lstrip("-")
             if word.is_identity:
@@ -263,16 +262,14 @@ class AlgebraElement:
         return f"<{self.algebra.system.label}/{self.algebra.field.name}: {self}>"
 
     def to_json_dict(self) -> dict:
-        field = self.algebra.field
-        return {str(word): field.to_str(self._terms[word])
-                for word in self.support()}
+        return {str(word): str(self._terms[word]) for word in self.support()}
 
 
 def linear_combination(algebra: Algebra, pairs) -> AlgebraElement:
     """Sum of coefficient * element, skipping zero coefficients.
 
-    Cheaper than repeated ``+`` inside search loops: one dict accumulates
-    everything.
+    One dict accumulates everything, which is cheaper than repeated ``+``
+    when membership assembles a factor or the search checks its witness.
     """
     field = algebra.field
     total: dict[Word, object] = {}

@@ -74,9 +74,6 @@ class PrimeField:
         """All field elements, zero first, flagged as exhaustive."""
         return range(self.p), True
 
-    def to_str(self, a: int) -> str:
-        return str(a)
-
     def __eq__(self, other) -> bool:
         return isinstance(other, PrimeField) and other.p == self.p
 
@@ -130,9 +127,6 @@ class RationalField:
         report the grid."""
         return [0, 1, -1, 2, -2], False
 
-    def to_str(self, a) -> str:
-        return str(a)
-
     def __eq__(self, other) -> bool:
         return isinstance(other, RationalField)
 
@@ -147,14 +141,15 @@ GF2 = PrimeField(2)
 GF3 = PrimeField(3)
 QQ = RationalField()
 
-_GF_NAME = re.compile(r"gf(\d+)$")
+_GF_NAME = re.compile(r"gf([0-9]+)")
 
 
 def field_from_name(name: str):
-    """gf2, gf3 (any gf<p> for a prime p < 2^31) or rational."""
+    """gf2, gf3 (any gf<p> for a prime p < 2^31, p in ASCII digits) or
+    rational."""
     if name == "rational":
         return QQ
-    match = _GF_NAME.match(name)
+    match = _GF_NAME.fullmatch(name)
     if match:
         digits = match.group(1)
         # 2^31 has 10 digits; int() refuses past 4,300 in its own words

@@ -94,11 +94,34 @@ def test_build_c_set_rejects_bad_input(monkeypatch, lefts, rights, message):
     assert multiplied == []
 
 
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_shape_words_match_a_brute_force_oracle(n, side):
+    # every word over {x, q} up to length 7, as a Word and as text: a side
+    # takes it exactly when it is its own normal form and is 1 or begins
+    # and ends in the side's letter
+    system = xq_system(n)
+    end = "q" if side == "left" else "x"
+    for length in range(8):
+        for letters in itertools.product("xq", repeat=length):
+            word = Word("".join(letters))
+            shape = reduce(word, system).result == word and (
+                not word or word[0] == word[-1] == end)
+            for given in (word, str(word)):
+                sides = ([given], []) if side == "left" else ([], [given])
+                try:
+                    build_c_set(*sides, system)
+                except ValueError as error:
+                    assert not shape, word
+                    assert str(error) == f"{word} is not a {side}-shape word"
+                else:
+                    assert shape, word
+
+
 @pytest.mark.parametrize("order", ((3, 4), (4, 3)), ids=["n3-first", "n4-first"])
-def test_shape_verdicts_are_cached_per_system(order):
+def test_shape_verdicts_depend_on_the_system(order):
     # x^3 is a right-shape word at n = 4 and zero at n = 3, whichever
-    # system's verdict is cached first
-    analysis._shape_end.cache_clear()
+    # system is asked first
     for n in order:
         if n == 4:
             assert build_c_set(["q"], ["x^3"], xq_system(4)).occurrences
@@ -107,8 +130,7 @@ def test_shape_verdicts_are_cached_per_system(order):
                 build_c_set(["q"], ["x^3"], S)
 
 
-def test_cached_shape_verdicts_still_check_the_side_and_duplicates():
-    analysis._shape_end.cache_clear()
+def test_shape_verdicts_check_the_side_and_duplicates():
     assert build_c_set(["q"], ["x"], S).occurrences
     with pytest.raises(ValueError, match="^q is not a right-shape word$"):
         build_c_set(["q"], ["q"], S)
@@ -126,15 +148,12 @@ def test_text_and_word_input_get_the_same_shape_verdict(text, letters):
             return str(error)
         return "accepted"
 
-    analysis._shape_end.cache_clear()
     text_first = [verdict(text), verdict(Word(letters))]
-    analysis._shape_end.cache_clear()
     word_first = [verdict(Word(letters)), verdict(text)]
     assert text_first == word_first == [text_first[0]] * 2
 
 
 def test_analysis_caches_are_bounded():
-    assert analysis._shape_end.cache_info().maxsize is not None
     assert tau_form_of.cache_info().maxsize is not None
     # bounded, with room for every pair of the length-12 shape pools
     pairs = len(left_shape_words(12, S)) * len(right_shape_words(12, S))
@@ -474,7 +493,7 @@ def test_sweeps_match_a_sweep_with_cold_caches(monkeypatch, check, random_len, s
     build = analysis.build_c_set
 
     def cold_build_c_set(left_words, right_words, system):
-        for cache in (analysis._shape_end, tau_form_of, _pair_contributions):
+        for cache in (tau_form_of, _pair_contributions):
             cache.cache_clear()
         return build(left_words, right_words, system)
 

@@ -147,6 +147,31 @@ def test_rejected_config_is_usage(capsys, argv):
     assert line.startswith("error: ")
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (("reduce", "x", "--n", "1000001"), "--n"),
+    (("basis", "2", "--n", "1000001"), "--n"),
+    (("reduce", "x", "--n", str(10**20)), "--n"),
+    (("verify", "regularity", "--n", str(10**20)), "--n"),
+    (("verify", "regularity", "--n", "10**20"), "--n"),
+    (("verify", "regularity", "--field", "gf7\n"), "--field"),
+    (("verify", "regularity", "--field", "gf\u0663"), "--field"),
+    (("verify", "regularity", "--field", "gf\uff17"), "--field"),
+], ids=["reduce-n-1000001", "basis-n-1000001", "reduce-n-10^20",
+        "verify-n-10^20", "verify-n-10**20-text", "field-gf7-newline",
+        "field-arabic-indic-3", "field-fullwidth-7"])
+def test_flag_values_out_of_range_are_usage(capsys, argv, flag):
+    # refused by the flag's type, before a presentation is built
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert f"{argv[0]}: error: argument {flag}: " in err
+
+
+def test_n_at_the_word_length_cap_still_reduces(capsys):
+    code, out, _ = run_cli(capsys, "reduce", "--n", "1000000", "x^200000")
+    assert (code, out) == (0, "x^200000\n")
+
+
 @pytest.mark.parametrize("argv", [
     ("basis", "2", "--presentation", "R", "--n", "1"),
     ("reduce", "a", "--presentation", "R", "--n", "1"),

@@ -81,6 +81,11 @@ def test_field_identity_and_lookup():
         field_from_name("gf6")
     with pytest.raises(ValueError):
         field_from_name("complex")
+    # the whole name, in ASCII digits: no trailing newline, no Arabic-Indic
+    # or fullwidth digits
+    for name in ("gf7\n", "gf\u0663", "gf\uff17"):
+        with pytest.raises(ValueError, match="^unknown field "):
+            field_from_name(name)
     assert field_from_name("gf2147483647").p == 2**31 - 1
     # an order past 10 digits is refused before int() sees its digits
     for digits in ("1" * 11, "7" * 5000):
@@ -92,4 +97,4 @@ def test_field_identity_and_lookup():
 def test_names():
     assert GF2.name == "gf2"
     assert QQ.name == "rational"
-    assert GF2.to_str(1) == "1"
+    assert str(GF2.one) == "1"
