@@ -1,8 +1,10 @@
 """Shape-constrained supports, the C-set and its largest word, and the
 verification harnesses built on them.
 
-Everything here concerns the xq presentation with n = 3: x nilpotent of
-index 3, q a freely adjoined generalised inverse.  The idempotents 1 - xq
+Everything here concerns the xq presentation: x nilpotent of index n, q a
+freely adjoined generalised inverse; the tau analysis and the checks
+types-lemma, tau-forms, tau-unique and separativity are stated for n = 3,
+while the search, regularity and primeness take n.  The idempotents 1 - xq
 and 1 - qx frame the inner-inverse question for x: for alpha = (1-xq) u
 (1-qx) and beta = (1-qx) v (1-xq) to stand a chance of multiplying to
 1 - xq, the support of u may be assumed to consist of words that are 1 or

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import re
 import sys
 from dataclasses import dataclass, fields
 
@@ -50,28 +51,22 @@ class RunConfig:
         return Algebra(system_from_label(self.presentation, self.n), self.field)
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be a positive integer")
-    return value
-
-
-def _degree(text: str) -> int:
-    # x^n = 0 is spelled out as a rule, so a degree past the word-length cap
-    # is refused before that rule is built
-    value = _positive_int(text)
-    if value > MAX_EXPONENT:
-        raise argparse.ArgumentTypeError(
-            f"must be at most {MAX_EXPONENT}, the word-length cap")
-    return value
-
-
-def _nonnegative_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError("must be a nonnegative integer")
-    return value
+def _integer(low: int | None = None, high: int | None = None):
+    """A flag type: an integer in ASCII digits with an optional leading -,
+    at least low and at most high where they are given."""
+    def parse(text: str) -> int:
+        if not re.fullmatch(r"-?[0-9]+", text):
+            raise argparse.ArgumentTypeError("must be an integer in ASCII digits")
+        try:
+            value = int(text)
+        except ValueError:  # CPython's int() refuses over 4,300 digits
+            raise argparse.ArgumentTypeError("has too many digits") from None
+        if low is not None and value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}")
+        if high is not None and value > high:
+            raise argparse.ArgumentTypeError(f"must be at most {high}")
+        return value
+    return parse
 
 
 def _field_name(text: str) -> str:
@@ -91,7 +86,9 @@ def build_parser() -> argparse.ArgumentParser:
     shape.add_argument("--presentation", choices=("S", "R"),
                        default=RunConfig.presentation,
                        help="which presentation to work in (default %(default)s)")
-    shape.add_argument("--n", type=_degree, default=RunConfig.n,
+    # x^n = 0 is spelled out as a rule, so a degree past the word-length cap
+    # is refused before that rule is built
+    shape.add_argument("--n", type=_integer(1, MAX_EXPONENT), default=RunConfig.n,
                        help="nilpotency degree of the main presentation, at "
                             f"most {MAX_EXPONENT} (default %(default)s; "
                             "R uses degree n-1)")
@@ -104,14 +101,16 @@ def build_parser() -> argparse.ArgumentParser:
                             "prime p < 2^31 in ASCII digits "
                             "(default %(default)s)")
     bounds = argparse.ArgumentParser(add_help=False)
-    bounds.add_argument("--max-len", type=_nonnegative_int, default=RunConfig.max_len,
-                        help="word-length bound for bounded checks "
-                             "(default %(default)s)")
-    bounds.add_argument("--max-word-len", type=_nonnegative_int,
+    bounds.add_argument("--max-len", type=_integer(0), default=RunConfig.max_len,
+                        help="word-length bound for bounded checks, in ASCII "
+                             "digits (default %(default)s)")
+    bounds.add_argument("--max-word-len", type=_integer(0),
                         default=RunConfig.max_word_len,
-                        help="word-length bound for search pools (default %(default)s)")
-    bounds.add_argument("--seed", type=int, default=RunConfig.seed,
-                        help="seed for randomized checks (default %(default)s)")
+                        help="word-length bound for search pools, in ASCII "
+                             "digits (default %(default)s)")
+    bounds.add_argument("--seed", type=_integer(), default=RunConfig.seed,
+                        help="seed for randomized checks, an integer in ASCII "
+                             "digits (default %(default)s)")
 
     parser = argparse.ArgumentParser(
         prog="nilregular",
@@ -129,7 +128,7 @@ def build_parser() -> argparse.ArgumentParser:
     basis_parser = subparsers.add_parser(
         "basis", parents=[shape],
         help="list the basis words up to a length bound")
-    basis_parser.add_argument("max_len_arg", type=_nonnegative_int,
+    basis_parser.add_argument("max_len_arg", type=_integer(0),
                               metavar="max_len",
                               help="maximum word length to enumerate")
 

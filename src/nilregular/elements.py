@@ -221,13 +221,7 @@ class AlgebraElement:
             {word: field.mul(factor, c) for word, c in self._terms.items()})
 
     def __pow__(self, exponent: int):
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError("exponent must be a nonnegative integer")
-        if exponent == 0:
-            return self.algebra.one
-        # square and multiply: about 2 log2(exponent) products, not exponent
-        half = self ** (exponent // 2)
-        return half * half * self if exponent % 2 else half * half
+        return _power(self, exponent, self.algebra.one)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
@@ -265,6 +259,17 @@ class AlgebraElement:
         return {str(word): str(self._terms[word]) for word in self.support()}
 
 
+def _power(base, exponent: int, one):
+    """base ** exponent for any multiplication with identity one, by
+    square and multiply: about 2 log2(exponent) products, not exponent."""
+    if not isinstance(exponent, int) or exponent < 0:
+        raise ValueError("exponent must be a nonnegative integer")
+    if exponent == 0:
+        return one
+    half = _power(base, exponent // 2, one)
+    return half * half * base if exponent % 2 else half * half
+
+
 def linear_combination(algebra: Algebra, pairs) -> AlgebraElement:
     """Sum of coefficient * element, skipping zero coefficients.
 
@@ -284,7 +289,7 @@ def linear_combination(algebra: Algebra, pairs) -> AlgebraElement:
     return AlgebraElement(algebra, total)
 
 
-_NUMBER = re.compile(r"(\d+)(?:\s*/\s*(\d+))?")
+_NUMBER = re.compile(r"([0-9]+)(?:\s*/\s*([0-9]+))?")
 _SPACE = re.compile(r"\s*")
 _SIGN = re.compile(r"[+-]")
 # CPython's default limit on int() of a digit string
@@ -293,9 +298,8 @@ _MAX_DIGITS = 4300
 
 def parse_element(text: str, algebra: Algebra) -> AlgebraElement:
     """Parse element text: signed terms of an optional integer or fraction
-    coefficient followed by an optional word, e.g. ``1 - x q + 2 q^2 x``.
-
-    Words are rewritten to normal form as they are read.
+    coefficient in ASCII digits followed by an optional word, e.g.
+    ``1 - x q + 2 q^2 x``.  Words are rewritten to normal form as read.
     """
     field = algebra.field
     total: dict[Word, object] = {}

@@ -56,7 +56,7 @@ import re
 import time
 from dataclasses import dataclass
 
-from .elements import Algebra, AlgebraElement, _accumulate, linear_combination
+from .elements import Algebra, AlgebraElement, _accumulate, _power, linear_combination
 from .fields import GF2, QQ
 from .linalg import packed_kernel, rank, solve
 from .rewriting import (
@@ -124,13 +124,7 @@ class MatrixElement:
         return NotImplemented
 
     def __pow__(self, exponent: int) -> "MatrixElement":
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError("exponent must be a nonnegative integer")
-        if exponent == 0:
-            return MatrixElement.identity(self.algebra)
-        # square and multiply: about 2 log2(exponent) products, not exponent
-        half = self ** (exponent // 2)
-        return half * half * self if exponent % 2 else half * half
+        return _power(self, exponent, MatrixElement.identity(self.algebra))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, MatrixElement):
@@ -244,15 +238,12 @@ class MatrixModel:
             for terms in entries)
         return MatrixElement(self.target, ((e11, e12), (e21, e22)))
 
-    def word_image(self, word) -> MatrixElement:
-        """phi(word) as a matrix: see :meth:`image_terms`."""
-        return self._matrix(self.image_terms(word))
-
     def phi(self, value) -> MatrixElement:
-        """Image of an element (or word) of the xq algebra: the images'
-        term maps summed entry by entry, one element built per entry."""
+        """Image of an element, word or word text of the xq algebra: a
+        word's matrix holds its image_terms, an element's the images' term
+        maps summed entry by entry, one element built per entry."""
         if isinstance(value, str):
-            return self.word_image(value)
+            return self._matrix(self.image_terms(value))
         if value.algebra != self.source:
             raise ValueError("phi expects an element of this model's xq algebra")
         field = self.target.field

@@ -138,15 +138,16 @@ def concat(u: Word, v: Word) -> Word:
     return _word(Word, u + v)
 
 
-_WORD_TOKEN = re.compile(r"([xqab])(?:\s*\^\s*(\d+))?|1|\s+")
+_WORD_TOKEN = re.compile(r"([xqab])(?:\s*\^\s*([0-9]+))?|1|\s+")
 # text of letters, 1s and blanks only, which is valid as it stands
 _PLAIN_WORD = re.compile(r"[xqab1\s]*")
-_POWER = re.compile(r"([xqab])\s*\^\s*(\d+)")
+_POWER = re.compile(r"([xqab])\s*\^\s*([0-9]+)")
 _MAX_EXPONENT_DIGITS = len(str(MAX_EXPONENT))
 
 
 def parse_word(text: str) -> Word:
-    """Parse word text like ``q^3 x^2 q``; ``1`` denotes the identity.
+    """Parse word text like ``q^3 x^2 q``, exponents in ASCII digits;
+    ``1`` denotes the identity.
 
     Whitespace is ignored and juxtaposition means product, so ``q^3x^2q``
     parses the same.  Raises :class:`WordSyntaxError` on anything else,

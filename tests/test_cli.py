@@ -156,15 +156,40 @@ def test_rejected_config_is_usage(capsys, argv):
     (("verify", "regularity", "--field", "gf7\n"), "--field"),
     (("verify", "regularity", "--field", "gf\u0663"), "--field"),
     (("verify", "regularity", "--field", "gf\uff17"), "--field"),
+    (("basis", "2", "--n", "\u0663"), "--n"),
+    (("basis", "2", "--n", "+3"), "--n"),
+    (("basis", "2", "--n", " 3 "), "--n"),
+    (("basis", "2", "--n", "1_0"), "--n"),
+    (("verify", "regularity", "--max-len", "1_0"), "--max-len"),
+    (("verify", "regularity", "--max-word-len", "\uff13"), "--max-word-len"),
+    (("verify", "regularity", "--seed", " -\u0663"), "--seed"),
+    (("verify", "regularity", "--seed", "1_0"), "--seed"),
+    (("basis", "\u0662"), "max_len"),
 ], ids=["reduce-n-1000001", "basis-n-1000001", "reduce-n-10^20",
         "verify-n-10^20", "verify-n-10**20-text", "field-gf7-newline",
-        "field-arabic-indic-3", "field-fullwidth-7"])
+        "field-arabic-indic-3", "field-fullwidth-7", "n-arabic-indic-3",
+        "n-plus-3", "n-blank-padded-3", "n-underscore-10", "max-len-underscore-10",
+        "max-word-len-fullwidth-3", "seed-blank-minus-arabic-indic-3",
+        "seed-underscore-10", "basis-arabic-indic-2"])
 def test_flag_values_out_of_range_are_usage(capsys, argv, flag):
-    # refused by the flag's type, before a presentation is built
+    # refused by the flag's type, before a presentation is built; an
+    # integer takes ASCII digits only, with no sign but -, blank or _
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert out == ""
     assert f"{argv[0]}: error: argument {flag}: " in err
+
+
+def test_integer_flags_keep_their_ranges(capsys):
+    args = cli.build_parser().parse_args(
+        ["verify", "primeness", "--seed", "-1", "--n", "1000000",
+         "--max-len", "0", "--max-word-len", "0"])
+    assert (args.seed, args.n, args.max_len, args.max_word_len) == (-1, 10**6, 0, 0)
+    assert cli.build_parser().parse_args(["basis", "0", "--n", "1"]).max_len_arg == 0
+    # past int()'s digit limit a seed is still refused by its flag's type
+    code, out, err = run_cli(capsys, "verify", "primeness", "--seed", "9" * 5000)
+    assert (code, out) == (2, "")
+    assert "verify: error: argument --seed: " in err
 
 
 def test_n_at_the_word_length_cap_still_reduces(capsys):

@@ -103,6 +103,11 @@ def test_parse_element_errors_carry_positions():
     exc = pytest.raises(WordSyntaxError, parse_element, "x - 1/2 x",
                         Algebra(xq_system(3), GF2))
     assert exc.value.position == 4
+    # coefficients take ASCII digits only: other digits are no word either
+    exc = pytest.raises(WordSyntaxError, parse_element, "\u0663 x", ALG)
+    assert exc.value.position == 0
+    exc = pytest.raises(WordSyntaxError, parse_element, "x + \uff13/\uff12 q", ALG)
+    assert exc.value.position == 4
     # 4,300 digits is CPython's int() limit: still a coefficient, one more is not
     assert parse_element("9" * 4300 + " x", ALG).coeff("x") == int("9" * 4300)
     exc = pytest.raises(WordSyntaxError, parse_element, "x + 2/" + "9" * 4301, ALG)

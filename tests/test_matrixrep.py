@@ -45,7 +45,7 @@ def test_golden_word_images():
 def _product_images(model, max_len):
     """Every word over {x, q} of length <= max_len, normal or not, with its
     image as the left-to-right product of x_image and q_image: the way
-    word_image computed it before the closed form."""
+    phi computed a word's image before the closed form."""
     images = {"": MatrixElement.identity(model.target)}
     for length in range(1, max_len + 1):
         for letters in itertools.product("xq", repeat=length):
@@ -62,7 +62,7 @@ def test_word_image_matches_the_product_of_generator_images(n, field):
     images = _product_images(model, 8)
     assert len(images) == 2 ** 9 - 1
     for word, product in images.items():
-        assert model.word_image(Word(word)) == product, (n, word)
+        assert model.phi(Word(word)) == product, (n, word)
     # an image dies exactly when the word's normal form does
     assert all(product.is_zero == reduce(Word(word), model.source.system).is_zero
                for word, product in images.items()), n
@@ -74,7 +74,7 @@ def test_word_image_matches_the_product_of_generator_images(n, field):
     ("_COLUMNS", "x", ("", "")),
 ], ids=["v_q-swapped", "v_x-extra-entry", "u_x-without-a"])
 def test_a_wrong_factorization_is_refused(monkeypatch, table, letter, value):
-    # word_image's closed form rests on u_l v_l being the image of l; the
+    # image_terms's closed form rests on u_l v_l being the image of l; the
     # model checks that with matrix products, not with assert
     monkeypatch.setitem(getattr(matrixrep, table), letter, value)
     with pytest.raises(RuntimeError, match=f"is not the image of {letter}"):
@@ -447,7 +447,7 @@ def test_each_corner_witness_is_reported(monkeypatch, kind, target, fault):
 def _phi_by_word_images(model, element):
     """phi(element) as it was computed before the term maps: each entry a
     linear_combination of the word images' entries."""
-    images = [(c, model.word_image(w).rows) for w, c in element.terms().items()]
+    images = [(c, model.phi(w).rows) for w, c in element.terms().items()]
     return MatrixElement(model.target, [
         [linear_combination(model.target, ((c, rows[i][j]) for c, rows in images))
          for j in (0, 1)]

@@ -194,7 +194,7 @@ def _scanned_word(text):
     """parse_word as a scan of one token at a time: the word, or the
     (reason, position) of the first fault.  This is parse_word before it
     checked and expanded valid text with whole-text passes."""
-    token = re.compile(r"([xqab])(?:\s*\^\s*(\d+))?|1|\s+")
+    token = re.compile(r"([xqab])(?:\s*\^\s*([0-9]+))?|1|\s+")
     runs, length, pos = [], 0, 0
     while pos < len(text):
         match = token.match(text, pos)
@@ -219,7 +219,7 @@ def test_parse_word_matches_a_token_scan():
     rng = random.Random(11)
     pieces = ["x", "q", "a", "b", "1", "^", " ", "\t", "\u00a0", "\x1c", "0",
               "2", "11", "z", "+", "^0", "^00000003", f"^{MAX_EXPONENT}",
-              f"^{MAX_EXPONENT - 1}", "^" + "9" * 8]
+              f"^{MAX_EXPONENT - 1}", "^" + "9" * 8, "\u0662", "\uff13"]
     outcomes = set()
     for _ in range(20000):
         text = "".join(rng.choice(pieces) for _ in range(rng.randint(0, 10)))
