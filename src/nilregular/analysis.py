@@ -550,17 +550,21 @@ def _settled_rows(kernel, tables, target, stride: int) -> list:
     for j, table in enumerate(tables):
         for r, i, c in table:
             lanes[levels[r]][j].append((slots[r] + i + 1, c))
-    return [([kernel.pack(block, count * stride) for block in blocks], count)
+    return [([kernel.pack(block) for block in blocks], count)
             if count else None for blocks, count in zip(lanes, counts)]
 
 
 def _digit_rows(kernel, stride: int) -> list:
     """Per level k of the alpha walk, (blocks, 1) for the row alpha_(k-1) =
     digit: 1 at lane k, and the digit, the prefix's last, at lane 0."""
-    zero = kernel.pack((), stride)
-    return [None] + [([zero] * (k - 1) + [kernel.pack(((0, 1),), stride),
-                                          kernel.pack(((k, 1),), stride)], 1)
+    zero = kernel.pack(())
+    return [None] + [([zero] * (k - 1) + [kernel.pack(((0, 1),)), kernel.pack(((k, 1),))], 1)
                      for k in range(1, stride)]
+
+
+def _children(index: int, prefix: tuple, basis, digits):
+    for position, digit in enumerate(digits, index):
+        yield position, prefix + (digit,), basis
 
 
 def _walk(kernel, levels, stride: int, pool, representatives: bool, basis=None):
@@ -570,28 +574,30 @@ def _walk(kernel, levels, stride: int, pool, representatives: bool, basis=None):
     of k digits adds the rows of ``levels[k]`` to its parent's echelon
     basis and fails, with every extension, when the basis gains a member
     of top lane 0 (key 1): the target is then out of the columns' span.
-    With ``representatives`` a prefix of zeros extends by 0 or 1 only, so
-    the leaves are the prefixes of first nonzero digit 1."""
+    With ``representatives`` a prefix of zeros extends by the pool's first
+    two digits, 0 and 1, only, so the leaves are the prefixes of first
+    nonzero digit 1.  Each node of the current path keeps a generator of
+    its children, drawn from one at a time."""
     base = len(pool)
-    # the stack pops the last child pushed first, so the children go on
-    # in reverse; the last two are the digits 0 and 1
-    children = [(position, (digit,)) for position, digit in enumerate(pool)][::-1]
     depth = len(levels) - 1
-    stack = [(0, (), basis)]
+    stack = [iter(((0, (), basis),))]
     while stack:
-        index, prefix, basis = stack.pop()
-        level = levels[len(prefix)]
-        if level is not None:
-            blocks, count = level
-            basis = kernel.basis(kernel.split(kernel.combine(prefix + (1,), blocks),
-                                              stride, count), start=basis)
-            if 1 in basis:
+        for index, prefix, basis in stack[-1]:
+            level = levels[len(prefix)]
+            if level is not None:
+                blocks, count = level
+                basis = kernel.basis(kernel.split(kernel.combine(prefix + (1,), blocks),
+                                                  stride, count), start=basis)
+                if 1 in basis:
+                    continue
+            if len(prefix) == depth:
+                yield index, prefix, basis
                 continue
-        if len(prefix) == depth:
-            yield index, prefix, basis
-            continue
-        stack.extend((index * base + position, prefix + digit, basis) for position, digit
-                     in (children if any(prefix) or not representatives else children[-2:]))
+            digits = pool if any(prefix) or not representatives else pool[:2]
+            stack.append(_children(index * base, prefix, basis, digits))
+            break
+        else:
+            stack.pop()
 
 
 def _scan_betas(n: int, field, lefts, rights) -> tuple | None:

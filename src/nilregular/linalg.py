@@ -1,11 +1,11 @@
 """Exact linear algebra over the package's coefficient fields.
 
-``rank`` and ``solve`` run one Gaussian elimination, ``row_reduce`` on
-lists of lists, for every field.  The search and the faithfulness rank
-keep echelon bases through a kernel (``pack``, ``combine``, ``split``,
-``basis``): over GF(p) for p <= 13 a vector is a Python int, a bit per
-lane over GF(2) and a byte lane past it (``packed_kernel``), and over
-other fields a map from lane to nonzero value (``MapKernel``).  All of
+``rank`` and the search keep echelon bases through a kernel (``pack``,
+``combine``, ``split``, ``basis``) per field kind, chosen by
+``field_kernel``: over GF(p) for p <= 13 a vector is a Python int, a bit
+per lane over GF(2) and a byte lane past it, and over other fields a map
+from lane to nonzero value (``MapKernel``).  ``solve`` runs one Gaussian
+elimination, ``row_reduce`` on lists of lists, for every field.  All of
 it is exact, so rank and solvability answers are never approximations.
 """
 
@@ -38,9 +38,9 @@ class PackedGF2(_PackedKernel):
 
     lane_bits = 1
 
-    def pack(self, lanes, size: int) -> int:
-        """The vector with value c at lane i for each (i, c) of ``lanes``,
-        i below ``size``."""
+    def pack(self, lanes) -> int:
+        """The vector with a 1 at lane i for each (i, c) of ``lanes``, the
+        lanes distinct, with c nonzero: an int c of 0, 1 or -1 is read mod 2."""
         return sum(1 << lane for lane, value in lanes if value)
 
     def combine(self, scalars, vectors) -> int:
@@ -94,13 +94,10 @@ class PackedGF(_PackedKernel):
         # sum adds at most (p - 1)^2 to it
         self.batch = (255 - (p - 1)) // (p - 1) ** 2
 
-    def pack(self, lanes, size: int) -> int:
+    def pack(self, lanes) -> int:
         """The vector with value c in range(p) at lane i for each (i, c) of
-        ``lanes``, i below ``size``."""
-        buffer = bytearray(size)
-        for lane, value in lanes:
-            buffer[lane] = value
-        return int.from_bytes(buffer, "little")
+        ``lanes``, the lanes distinct."""
+        return sum(value << 8 * lane for lane, value in lanes)
 
     def normalize(self, vector: int) -> int:
         """Every lane of a carry-free sum reduced mod p."""
@@ -159,7 +156,7 @@ class MapKernel:
     def __init__(self, field):
         self.field = field
 
-    def pack(self, lanes, size: int) -> dict:
+    def pack(self, lanes) -> dict:
         return {lane: value for lane, value in lanes if value}
 
     def combine(self, scalars, vectors) -> dict:
@@ -206,17 +203,12 @@ class MapKernel:
         return basis
 
 
-def packed_kernel(field) -> PackedGF2 | PackedGF | None:
-    """The packed kernel of GF(p) for p <= 13, else None."""
+def field_kernel(field) -> PackedGF2 | PackedGF | MapKernel:
+    """The packed kernel of GF(p) for p <= 13, else a ``MapKernel``."""
     p = getattr(field, "p", None)
     if p == 2:
         return PackedGF2()
-    return PackedGF(p) if p in PackedGF.PRIMES else None
-
-
-def field_kernel(field) -> PackedGF2 | PackedGF | MapKernel:
-    """The packed kernel of GF(p) for p <= 13, else a ``MapKernel``."""
-    return packed_kernel(field) or MapKernel(field)
+    return PackedGF(p) if p in PackedGF.PRIMES else MapKernel(field)
 
 
 def row_reduce(rows, field):
@@ -267,7 +259,10 @@ def row_reduce(rows, field):
 
 
 def rank(rows, field) -> int:
-    return len(row_reduce(rows, field)[1])
+    """The rank of a list of sparse rows, each of (column, value) pairs
+    with values in the field, on the field's kernel."""
+    kernel = field_kernel(field)
+    return len(kernel.basis(map(kernel.pack, rows)))
 
 
 def solve(rows, rhs, field):

@@ -19,8 +19,8 @@ most two words of an entry of v, so an image takes no matrix products.
 :meth:`MatrixModel.image_terms` is the one place this closed form is
 written: it gives the four entries as maps from R-word text to
 coefficient.  The matrix of a word, phi of an element (its words' maps
-summed entry by entry) and the faithfulness rows (the maps packed mod 2
-into bit rows) are all read from it.
+summed entry by entry) and the faithfulness rows (the maps as sparse
+rows for ``linalg.rank``, read mod 2 over GF(2)) are all read from it.
 
 The image is the subalgebra of matrices whose (1,2) entry lies in the
 right ideal I = R(1 - ba) and whose (2,2) entry lies in F + I.  Membership
@@ -58,7 +58,7 @@ from dataclasses import dataclass
 
 from .elements import Algebra, AlgebraElement, _accumulate, _power, linear_combination
 from .fields import GF2, QQ
-from .linalg import packed_kernel, rank, solve
+from .linalg import rank, solve
 from .rewriting import (
     IDENTITY_WORD, Word, _check_alphabet, _word, ab_system, parse_word, xq_system)
 from .reports import VerificationReport, checklist_report, finish_report
@@ -352,7 +352,8 @@ def verify_phi_faithful(max_len: int = 6, n: int = 3) -> VerificationReport:
     model is built, over the rationals, and only the GF(2) rank is
     computed.  The images' coefficients are the integers 1 and -1 and R's
     relation has none, so each image's term maps, read mod 2, are its
-    image in the GF(2) model and are packed straight into a bit row.  Full
+    image in the GF(2) model: ``linalg.rank`` over GF(2) takes them as
+    they are, its bit kernel setting a bit per nonzero coefficient.  Full
     GF(2) rank means some maximal minor is odd, hence a nonzero integer,
     so the rational rank is full too and the rational verdict is derived
     from that odd minor.
@@ -378,26 +379,14 @@ def verify_phi_faithful(max_len: int = 6, n: int = 3) -> VerificationReport:
 
 def _rank(vectors, field) -> int:
     """Rank of vectors, each the concatenation of a list of term maps (one
-    slot per map, one column per word).  A map sends words to coefficients
-    in the field or to integers, which the packed GF(p) kernel reduces
-    mod p; an element stands for its terms."""
+    slot per map, one column per slot and word), by ``linalg.rank``.  A
+    map sends words to coefficients in the field, or over GF(2) to the
+    integers 1 and -1, which its kernel reads mod 2."""
     columns: dict[tuple[int, str], int] = {}
-    vectors = ([terms.terms() if isinstance(terms, AlgebraElement) else terms
-                for terms in maps] for maps in vectors)
-    kernel = packed_kernel(field)
-    if kernel is not None:
-        bits, p = kernel.lane_bits, field.p
-        return len(kernel.basis(
-            sum((coefficient % p) << bits * columns.setdefault((slot, word), len(columns))
-                for slot, terms in enumerate(maps)
-                for word, coefficient in terms.items())
-            for maps in vectors))
-    rows = [{columns.setdefault((slot, word), len(columns)): coefficient
-             for slot, terms in enumerate(maps)
-             for word, coefficient in terms.items()}
-            for maps in vectors]
-    return rank([[row.get(j, field.zero) for j in range(len(columns))]
-                 for row in rows], field)
+    return rank([[(columns.setdefault((slot, word), len(columns)), coefficient)
+                  for slot, terms in enumerate(maps)
+                  for word, coefficient in terms.items()]
+                 for maps in vectors], field)
 
 
 def _corner_spot_check(model: MatrixModel, bound: int) -> dict | None:
@@ -422,8 +411,8 @@ def _corner_spot_check(model: MatrixModel, bound: int) -> dict | None:
         off_corner = [image.entry(0, 0), image.entry(0, 1), image.entry(1, 0)]
         if any(not entry.is_zero for entry in off_corner):
             return {"kind": "corner-escape", "element": str(element)}
-    source_rank = _rank([[e] for e in corner_elements], source.field)
-    image_rank = _rank([[image.entry(1, 1)] for image in images],
+    source_rank = _rank([[e.terms()] for e in corner_elements], source.field)
+    image_rank = _rank([[image.entry(1, 1).terms()] for image in images],
                        model.target.field)
     if source_rank != image_rank:
         return {"kind": "corner-dimension", "source_rank": source_rank,

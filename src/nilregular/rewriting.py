@@ -500,22 +500,27 @@ def enumerate_basis(max_len: int, system: RewriteSystem) -> list[Word]:
 
 @dataclass(frozen=True)
 class CriticalPair:
-    """An overlap of two rule left-hand sides, reduced both ways."""
+    """The overlap of ``first.lhs`` ending in ``second.lhs[:k]``, reduced both ways."""
 
-    overlap: Word
+    first: Rule
+    second: Rule
+    k: int
     left: ReductionOutcome
     right: ReductionOutcome
+
+    @property
+    def overlap(self) -> Word:
+        return _word(Word, self.first.lhs + self.second.lhs[self.k:])
 
     @property
     def resolves(self) -> bool:
         return self.left.result == self.right.result
 
 
-def _apply_then_reduce(overlap: str, start: int, rule: Rule,
-                       system: RewriteSystem) -> ReductionOutcome:
-    if rule.rhs is None:
+def _apply_then_reduce(rest: str | None, system: RewriteSystem) -> ReductionOutcome:
+    """A rule application that left ``rest`` (None: zero), then its reduction."""
+    if rest is None:
         return ReductionOutcome(None, 1)
-    rest = overlap[:start] + rule.rhs + overlap[start + len(rule.lhs):]
     outcome = reduce(_word(Word, rest), system)
     return ReductionOutcome(outcome.result, outcome.steps + 1)
 
@@ -525,18 +530,22 @@ def critical_pairs(system: RewriteSystem) -> Iterator[CriticalPair]:
 
     Both rule families have no left-hand side contained in another, so
     proper overlaps (a suffix of one LHS equal to a prefix of another) are
-    the only ambiguities to resolve.  x^n = 0 overlaps itself n - 1 times,
-    so the pairs are yielded rather than collected.
+    the only ambiguities to resolve.  x^n = 0 overlaps itself at each of
+    its n - 1 shifts, which a power needs no comparison to see, and its
+    sides die without spelling the overlap, so the run is linear in n; the
+    other pairs compare at most 3 letters in both families.
     """
     for first in system.rules:
         for second in system.rules:
+            power = first is second and not first.lhs.strip(first.lhs[0])
             for k in range(1, min(len(first.lhs), len(second.lhs))):
-                if first.lhs[-k:] != second.lhs[:k]:
+                if not power and first.lhs[-k:] != second.lhs[:k]:
                     continue
-                overlap = first.lhs + second.lhs[k:]
-                left = _apply_then_reduce(overlap, 0, first, system)
-                right = _apply_then_reduce(overlap, len(first.lhs) - k, second, system)
-                yield CriticalPair(_word(Word, overlap), left, right)
+                left = _apply_then_reduce(
+                    None if first.rhs is None else first.rhs + second.lhs[k:], system)
+                right = _apply_then_reduce(
+                    None if second.rhs is None else first.lhs[:-k] + second.rhs, system)
+                yield CriticalPair(first, second, k, left, right)
 
 
 def _normal_form_text(result: Word | None) -> str:

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -18,7 +19,7 @@ from nilregular.analysis import (
 from nilregular.elements import Algebra, linear_combination
 from nilregular.fields import GF2, GF3, QQ, PrimeField
 from nilregular.linalg import (
-    MapKernel, PackedGF, PackedGF2, field_kernel, packed_kernel, row_reduce, solve)
+    MapKernel, PackedGF, PackedGF2, field_kernel, row_reduce, solve)
 from nilregular.rewriting import (
     Word, canonical_words, enumerate_basis, parse_word, reduce, xq_system)
 
@@ -541,6 +542,21 @@ def test_unit_regular_search_rational_grid_is_flagged():
     report = search_unit_regular_witness(max_word_len=1, field=QQ)
     assert report.parameters["pool_exhaustive"] is False
     assert report.status == "exhausted"
+
+
+def test_unit_regular_search_expands_each_node_when_it_is_walked():
+    # a beta representative of one right word tries the digits 0 and 1
+    # only, so the walk never holds the field's million digits at once
+    field = PrimeField(1000003)
+    tracemalloc.start()
+    try:
+        report = search_unit_regular_witness(0, field, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.status == "exhausted"
+    assert report.candidates_examined == field.p ** 2
+    assert peak < 1_000_000
 
 
 def _beta_walk(field, lefts, tables, target, representatives=True):
@@ -1169,12 +1185,11 @@ def _packed_rows(tables, target, width, kernel) -> list[int]:
     """Each row of the stacked system (target[r] | T_1[r] | ... | T_m[r])
     as one packed vector, the target at lane 0 and table j's column i at
     lane 1 + j * width + i."""
-    size = 1 + len(tables) * width
     lanes = [[(0, c)] for c in target]
     for j, table in enumerate(tables):
         for r, i, c in table:
             lanes[r].append((1 + j * width + i, c))
-    return [kernel.pack(row, size) for row in lanes]
+    return [kernel.pack(row) for row in lanes]
 
 
 @pytest.mark.parametrize("field", [GF2, GF3, PrimeField(7), PrimeField(13)],
@@ -1193,7 +1208,7 @@ def test_packed_row_basis_keeps_the_dense_rows(field, n, max_word_len):
     width = len(lefts)
     tables, target = _support_tables(n, field, lefts, rights)
     c_target, c_tables = analysis._search_tables(n, field, lefts, rights)
-    kernel = packed_kernel(field)
+    kernel = field_kernel(field)
     basis = kernel.basis(_packed_rows(c_tables, c_target, width, kernel))
     stacked = [[field.zero] * (len(tables) * width) for _ in target]
     for j, table in enumerate(tables):

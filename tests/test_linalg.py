@@ -9,7 +9,7 @@ import pytest
 
 from nilregular.fields import GF2, GF3, QQ, PrimeField
 from nilregular.linalg import (
-    MapKernel, PackedGF, PackedGF2, field_kernel, packed_kernel, rank, row_reduce, solve)
+    MapKernel, PackedGF, PackedGF2, field_kernel, rank, row_reduce, solve)
 
 
 def _span(rows, p) -> set:
@@ -24,6 +24,12 @@ def _solutions(rows, rhs, p) -> list:
                    for row, value in zip(rows, rhs))]
 
 
+def _sparse(rows) -> list:
+    """Dense rows as ``rank`` takes them: the (column, value) pairs of
+    their nonzero entries."""
+    return [[(j, value) for j, value in enumerate(row) if value] for row in rows]
+
+
 def _check_against_brute_force(field, rng):
     p = field.p
     for _ in range(300):
@@ -35,7 +41,7 @@ def _check_against_brute_force(field, rng):
             assert [row[col] for row in echelon] == [
                 int(r == index) for r in range(height)]
         assert _span(echelon, p) == _span(rows, p)
-        assert p ** rank(rows, field) == len(_span(rows, p))
+        assert p ** rank(_sparse(rows), field) == len(_span(rows, p))
         solutions = _solutions(rows, rhs, p)
         found = solve(rows, rhs, field)
         if solutions:
@@ -107,8 +113,8 @@ def _check_against_dense(rows, rhs):
     size, and the basis of the augmented rows, the right-hand side at lane
     0 and column i at lane i + 1, has no member of top lane 0 (key 1)
     exactly when the system is consistent."""
-    kernel = packed_kernel(GF2)
-    assert len(kernel.basis(map(_pack, rows))) == rank(rows, GF2)
+    kernel = field_kernel(GF2)
+    assert len(kernel.basis(map(_pack, rows))) == len(row_reduce(rows, GF2)[1])
     width = len(rows[0])
     augmented = [row + [value] for row, value in zip(rows, rhs)]
     consistent = width not in row_reduce(augmented, GF2)[1]
@@ -155,7 +161,7 @@ def _check_packed_against_dense(kernel, field, rows, rhs):
     member of top lane 0 (key 1) exactly when the system is consistent."""
     p = field.p
     basis = kernel.basis(map(_lanes, rows))
-    assert len(basis) == rank(rows, field)
+    assert len(basis) == len(row_reduce(rows, field)[1])
     for size, member in basis.items():
         lanes = list(member.to_bytes(size, "little"))
         assert all(lane < p for lane in lanes) and lanes[-1] == 1
@@ -216,14 +222,11 @@ def test_packed_kernel_refuses_primes_past_13():
     for p in (17, 19, 4, 2, 1, 0):
         with pytest.raises(ValueError, match="byte lanes"):
             PackedGF(p)
-    assert packed_kernel(PrimeField(17)) is None
-    assert packed_kernel(QQ) is None
-    assert packed_kernel(GF3).p == 3
-    assert isinstance(packed_kernel(GF2), PackedGF2)
+    assert isinstance(field_kernel(GF2), PackedGF2)
+    assert isinstance(field_kernel(GF3), PackedGF) and field_kernel(GF3).p == 3
     # every other field takes the kernel of maps
     for field in (PrimeField(17), QQ):
         assert isinstance(field_kernel(field), MapKernel)
-    assert isinstance(field_kernel(GF3), PackedGF)
 
 
 @pytest.mark.parametrize("p", (2,) + PACKED_PRIMES)
@@ -234,21 +237,20 @@ def test_packed_kernels_combine_and_split_like_dense_vectors(p):
     # packed kernel and on the kernel of maps alike
     field = PrimeField(p)
     rng = random.Random(200 + p)
-    for kernel in (packed_kernel(field), MapKernel(field)):
-        def packed(values, size):
-            return kernel.pack(enumerate(values), size)
+    for kernel in (field_kernel(field), MapKernel(field)):
+        def packed(values):
+            return kernel.pack(enumerate(values))
 
         for _ in range(100):
             size, count, terms = rng.randint(1, 12), rng.randint(1, 8), rng.randint(0, 6)
             tables = [[[rng.randrange(p) for _ in range(size)] for _ in range(count)]
                       for _ in range(terms)]
             scalars = [rng.randrange(p) for _ in range(terms)]
-            wholes = [packed(itertools.chain.from_iterable(table), size * count)
-                      for table in tables]
+            wholes = [packed(itertools.chain.from_iterable(table)) for table in tables]
             for table, whole in zip(tables, wholes):
-                assert kernel.split(whole, size, count) == [packed(column, size)
+                assert kernel.split(whole, size, count) == [packed(column)
                                                             for column in table]
             expected = [[sum(s * table[i][r] for s, table in zip(scalars, tables)) % p
                          for r in range(size)] for i in range(count)]
             assert (kernel.split(kernel.combine(scalars, wholes), size, count)
-                    == [packed(column, size) for column in expected])
+                    == [packed(column) for column in expected])

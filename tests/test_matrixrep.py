@@ -9,7 +9,7 @@ import pytest
 from nilregular import matrixrep
 from nilregular.elements import Algebra, linear_combination
 from nilregular.fields import GF2, GF3, QQ
-from nilregular.linalg import solve
+from nilregular.linalg import row_reduce, solve
 from nilregular.matrixrep import (
     DegreeBoundExceeded, MatrixElement, MatrixModel, TMembership, _rank,
     check_determinant_obstruction, det2, n2_variant_check, pi_eval,
@@ -372,15 +372,21 @@ def test_phi_faithful_report():
 @pytest.mark.parametrize("n, max_len", [(3, 7), (4, 6)])
 def test_gf2_rank_of_the_images_matches_the_rational_rank(n, max_len):
     # verify_phi_faithful derives the rational verdict from the GF(2)
-    # rank; the dense rational elimination is the oracle.  GF(3) takes the
-    # byte-lane kernel's rank
-    models = (MatrixModel(n, QQ), MatrixModel(n, GF2), MatrixModel(n, GF3))
+    # rank of the rational images' terms; the dense rational elimination
+    # is the oracle.  The GF(2) and GF(3) models take their kernels' rank
+    rational = MatrixModel(n, QQ)
+    finite = (MatrixModel(n, GF2), MatrixModel(n, GF3))
     for length in range(max_len + 1):
-        words = models[0].source.basis_words(length)
-        ranks = [_rank([[entry for row in model.phi(word).rows for entry in row]
-                        for word in words], model.target.field)
-                 for model in models]
-        assert ranks == [len(words)] * 3, (n, length)
+        words = rational.source.basis_words(length)
+        images = [rational.image_terms(word) for word in words]
+        columns = sorted({(slot, word) for maps in images
+                          for slot, terms in enumerate(maps) for word in terms})
+        dense = [[maps[slot].get(word, 0) for slot, word in columns] for maps in images]
+        ranks = [len(row_reduce(dense, QQ)[1]), _rank(images, GF2)] + [
+            _rank([[entry.terms() for row in model.phi(word).rows for entry in row]
+                   for word in words], model.target.field)
+            for model in finite]
+        assert ranks == [len(words)] * 4, (n, length)
 
 
 def test_phi_faithful_reports_a_dependent_gf2_image(monkeypatch):

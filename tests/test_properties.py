@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from nilregular.elements import Algebra
 from nilregular.fields import GF2, GF3, QQ, PrimeField
-from nilregular.linalg import MapKernel, field_kernel, packed_kernel, row_reduce
+from nilregular.linalg import MapKernel, field_kernel, rank, row_reduce
 from nilregular.matrixrep import MatrixElement, MatrixModel
 from nilregular.rewriting import (
     RewriteSystem, Rule, Word, ab_system, canonical_words, concat_reduce,
@@ -126,7 +126,7 @@ def test_packed_gf2_rank_and_solve_agree_with_dense_elimination(system):
     def pack(entries):
         return sum(1 << j for j, value in enumerate(entries) if value)
 
-    kernel = packed_kernel(GF2)
+    kernel = field_kernel(GF2)
     assert len(kernel.basis(map(pack, rows))) == len(row_reduce(rows, GF2)[1])
     augmented = [row + [value] for row, value in zip(rows, rhs)]
     consistent = len(rows[0]) not in row_reduce(augmented, GF2)[1]
@@ -162,23 +162,26 @@ def test_kernels_agree_with_row_reduce(system):
     # of a basis is the rank, a system is consistent exactly when the basis
     # of its augmented rows (right-hand side at lane 0) has no member of
     # top lane 0 (key 1), and extending a basis from ``start`` gives the
-    # rank of both row lists together, leaving ``start`` as it was
+    # rank of both row lists together, leaving ``start`` as it was;
+    # ``linalg.rank`` of the rows' nonzero (column, value) pairs is the rank
     field, width, first, second, rhs = system
     rows = first + second
 
-    def rank(matrix):
+    def dense_rank(matrix):
         return len(row_reduce(matrix, field)[1])
 
+    assert rank([[(j, value) for j, value in enumerate(row) if value] for row in rows],
+                field) == dense_rank(rows)
     consistent = width not in row_reduce(
         [row + [value] for row, value in zip(rows, rhs)], field)[1]
     for kernel in {type(k): k for k in (MapKernel(field), field_kernel(field))}.values():
         def pack(entries):
-            return kernel.pack(enumerate(entries), len(entries))
+            return kernel.pack(enumerate(entries))
 
         basis = kernel.basis(map(pack, first))
-        assert len(basis) == rank(first)
+        assert len(basis) == dense_rank(first)
         kept = dict(basis)
-        assert len(kernel.basis(map(pack, second), start=basis)) == rank(rows)
+        assert len(kernel.basis(map(pack, second), start=basis)) == dense_rank(rows)
         assert basis == kept
         augmented = kernel.basis(pack([value] + row) for row, value in zip(rows, rhs))
         assert (1 not in augmented) == consistent, kernel

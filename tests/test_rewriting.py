@@ -583,6 +583,9 @@ def test_confluence_holds_one_overlap_at_a_time():
     finally:
         tracemalloc.stop()
     assert report.passed
+    # 1999 self-overlaps of x^2000, 6 among the other rules, and 7 words
+    # under 5 strategies each
+    assert report.candidates_examined == 1999 + 6 + 35
     assert peak < 1_000_000
 
 
