@@ -14,8 +14,9 @@ begin and end in q ("left shape"), and the support of v of words that are
 Expanding alpha * beta without collecting terms contributes eight signed
 monomials per support pair (w, y).  The C-set records those whose normal
 forms are nonzero, begin in q and end in x; only the type I word w y and
-the type II word w qx y can.  Two combinatorial facts about its
-lex-largest member tau drive the impossibility searches:
+the type II word w qx y can, and ``pair_products`` reduces both and
+checks the seam.  Two combinatorial facts about the C-set's lex-largest
+member tau drive the impossibility searches:
 
 * tau can only arise from a pair (w, y) in one of three restricted ways
   (type I product with or without an interface reduction, or type II), and
@@ -57,7 +58,7 @@ exactly the consistent betas, one per orbit of nonzero scalars over GF(p
 alpha_i = digit per level, and its first leaf is the beta's least alpha.
 At n = 3, cold through the CLI on a 2-core host, GF(2) exhausts support
 length 9 (2^63 candidates) in about 0.1 s and length 10 (2^89) in about
-1.4 s, and GF(3) length 8 (3^45) in about 0.08 s.  The search runs in one
+825 ms, and GF(3) length 8 (3^45) in about 0.08 s.  The search runs in one
 process: the walk could be split only at its last level, so each share
 would walk the whole tree.  Its ``workers`` argument is accepted and
 echoed only for the benchmark's call.
@@ -82,21 +83,14 @@ from .rewriting import (
     ReductionOutcome,
     RewriteSystem,
     Word,
+    as_word,
     concat,
-    concat_reduce,
     enumerate_basis,
     is_basis_word,
-    parse_word,
     reduce,
     xq_system,
 )
 from .reports import EXHAUSTED, VerificationReport, checklist_report, finish_report
-
-_QX_WORD = Word("qx")
-
-
-def _as_word(value) -> Word:
-    return value if isinstance(value, Word) else parse_word(value)
 
 
 def _has_ends(word: Word, end: str) -> bool:
@@ -118,15 +112,16 @@ def right_shape_words(max_len: int, system: RewriteSystem) -> list[Word]:
     return _shape_pools(max_len, system)[1]
 
 
-def type_i_word(w, y, system: RewriteSystem) -> ReductionOutcome:
-    """The reduced product w*y."""
-    return concat_reduce(_as_word(w), _as_word(y), system)
-
-
-def type_ii_word(w, y, system: RewriteSystem) -> ReductionOutcome:
-    """The reduced product w*qx*y; when nonzero it never needs reduction."""
-    word = concat(concat(_as_word(w), _QX_WORD), _as_word(y))
-    return reduce(word, system)
+def pair_products(w, y, system: RewriteSystem) -> tuple[ReductionOutcome, ReductionOutcome]:
+    """The reduced type I word w*y and type II word w*qx*y of a support
+    pair of words or text.  Of two normal words, a nonzero w*y takes at
+    most one step, at the seam, and a nonzero w*qx*y none; the tau forms
+    read the type I step count, so more steps raise RuntimeError."""
+    w, y = as_word(w), as_word(y)
+    first = reduce(concat(w, y), system)
+    if not first.is_zero and first.steps > 1:
+        raise RuntimeError(f"interface reduction not unique for {w} * {y}")
+    return first, reduce(Word(w + "qx" + y), system)
 
 
 @dataclass(frozen=True, slots=True)
@@ -177,7 +172,7 @@ class CSet:
         return not self.occurrences
 
     def occurrences_of(self, word) -> tuple[COccurrence, ...]:
-        word = _as_word(word)
+        word = as_word(word)
         return tuple(occ for occ in self.occurrences if occ.word == word)
 
 
@@ -193,9 +188,9 @@ def _pair_contributions(system: RewriteSystem, w: Word,
     x) or e3 = 1 (last letter q) never reach C; only the type I word
     (e2 = 0) and the type II word (e2 = 1) are expanded.
     """
+    first, second = pair_products(w, y, system)
     out = []
-    for kind, sign, outcome in (("type-I", 1, type_i_word(w, y, system)),
-                                ("type-II", -1, type_ii_word(w, y, system))):
+    for kind, sign, outcome in (("type-I", 1, first), ("type-II", -1, second)):
         word = outcome.result
         if word is not None and word.startswith("q") and word.endswith("x"):
             out.append(COccurrence(word, w, y, kind, sign, outcome.steps))
@@ -219,7 +214,7 @@ def _checked_side(words, side: str, system: RewriteSystem) -> list[Word]:
     end = "q" if side == "left" else "x"
     checked = []
     seen = set()
-    for word in map(_as_word, words):
+    for word in map(as_word, words):
         if not (is_basis_word(word, system) and _has_ends(word, end)):
             raise ValueError(f"{word} is not a {side}-shape word")
         if word in seen:
@@ -261,7 +256,7 @@ _Q_RUN = re.compile("q+")
 @lru_cache(maxsize=4096)
 def tau_form_of(word) -> TauForm | None:
     """Parse a word as a TauForm, or None if it does not fit."""
-    word = _as_word(word)
+    word = as_word(word)
     if _TAU_FORM.fullmatch(word) is None:
         return None
     return TauForm(tuple(map(len, _Q_RUN.findall(word))),
@@ -826,7 +821,7 @@ def check_types_lemma(max_len: int = 7) -> VerificationReport:
 
 
 def _types_clause_violation(w: Word, y: Word, system: RewriteSystem) -> str | None:
-    first = type_i_word(w, y, system)
+    first, second = pair_products(w, y, system)
     zero_expected = w.endswith("xxq") and y.startswith("xx")
     if first.is_zero != zero_expected:
         return "type-I zero condition"
@@ -838,7 +833,6 @@ def _types_clause_violation(w: Word, y: Word, system: RewriteSystem) -> str | No
             return "type-I reduction condition"
         if first.steps > 0 and first.result != w[:-1] + y[1:]:
             return "type-I reduction shape"
-    second = type_ii_word(w, y, system)
     if second.is_zero != y.startswith("xx"):
         return "type-II zero condition"
     if not second.is_zero and second.steps > 0:
@@ -850,6 +844,6 @@ def closing_argument_margin(w: Word, tau: Word,
                             system: RewriteSystem) -> bool:
     """For a form-1 occurrence tau = w*y, the type II word from (w, 1) is
     strictly larger; this is what stops tau from cancelling."""
-    competitor = type_ii_word(w, IDENTITY_WORD, system)
+    competitor = pair_products(w, IDENTITY_WORD, system)[1]
     return (not competitor.is_zero
             and competitor.result.lex_key() > tau.lex_key())

@@ -18,6 +18,7 @@ from .rewriting import (
     RewriteSystem,
     Word,
     WordSyntaxError,
+    as_word,
     concat_reduce,
     enumerate_basis,
     parse_word,
@@ -64,9 +65,7 @@ class Algebra:
     def word(self, word) -> "AlgebraElement":
         """The element of a single word (given as Word or text), rewritten
         to normal form; words that rewrite to zero give the zero element."""
-        if not isinstance(word, Word):
-            word = parse_word(word)
-        outcome = reduce(word, self.system)
+        outcome = reduce(as_word(word), self.system)
         if outcome.is_zero:
             return self.zero
         return AlgebraElement(self, {outcome.result: self.field.one})
@@ -76,10 +75,8 @@ class Algebra:
         Word values or text and need not be in normal form."""
         total: dict[Word, object] = {}
         for word, coefficient in terms.items():
-            if not isinstance(word, Word):
-                word = parse_word(word)
             coeff = self.field.coerce(coefficient)
-            outcome = reduce(word, self.system)
+            outcome = reduce(as_word(word), self.system)
             if outcome.is_zero or coeff == self.field.zero:
                 continue
             _accumulate(total, outcome.result, coeff, self.field)
@@ -147,9 +144,7 @@ class AlgebraElement:
         return dict(self._terms)
 
     def coeff(self, word):
-        if not isinstance(word, Word):
-            word = parse_word(word)
-        return self._terms.get(word, self.algebra.field.zero)
+        return self._terms.get(as_word(word), self.algebra.field.zero)
 
     def degree(self) -> int | None:
         """Length of the longest support word; None for the zero element."""

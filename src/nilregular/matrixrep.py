@@ -60,7 +60,7 @@ from .elements import Algebra, AlgebraElement, _accumulate, _power, linear_combi
 from .fields import GF2, QQ
 from .linalg import rank, solve
 from .rewriting import (
-    IDENTITY_WORD, Word, _check_alphabet, _word, ab_system, parse_word, xq_system)
+    IDENTITY_WORD, Word, _check_alphabet, _word, ab_system, as_word, xq_system)
 from .reports import VerificationReport, checklist_report, finish_report
 
 
@@ -215,7 +215,7 @@ class MatrixModel:
         R-word text to coefficient: u_(first letter) m v_(last letter), see
         the module docstring.  A word of R that holds a^(n-1) is 0 there
         and is left out, so every word kept is a basis word of R."""
-        word = word if isinstance(word, Word) else parse_word(word)
+        word = as_word(word)
         _check_alphabet(word, self.source.system)
         if not word:
             one = self.target.field.one

@@ -8,12 +8,13 @@ The package works with two kinds of finitely presented algebras:
 * the ``ab`` presentation: the free algebra on a, b subject only to
   a^m = 0 (m >= 1).
 
-Every rule rewrites a word to a strictly shorter word or to zero, so
-rewriting terminates, and all critical pairs resolve (see
-:func:`check_confluence`), so by the diamond lemma (Bergman, Adv. Math.
-29, 1978) every word has a unique normal form and the irreducible words
-form a linear basis: the words in which no rule's left-hand side
-occurs, which :func:`enumerate_basis` grows from the rules alone.  The
+Every rule rewrites a word to a strictly shorter word or to zero (a
+:class:`RewriteSystem` refuses any other rule), so rewriting terminates,
+and all critical pairs resolve (see :func:`check_confluence`), so by
+the diamond lemma (Bergman, Adv. Math. 29, 1978) every word has a unique
+normal form and the irreducible words form a linear basis: the words in
+which no rule's left-hand side occurs, which :func:`enumerate_basis`
+grows from the rules alone.  The
 normal form is therefore reached by any strategy, and :func:`reduce`
 uses a stack: letters move one at a time onto an output that is always
 irreducible, so a new redex can only be a suffix of it.  The stack holds
@@ -193,6 +194,11 @@ def _locate_word_fault(text: str) -> None:
         pos = match.end()
 
 
+def as_word(value) -> Word:
+    """A :class:`Word` as it stands, or word text through :func:`parse_word`."""
+    return value if isinstance(value, Word) else parse_word(value)
+
+
 @dataclass(frozen=True)
 class Rule:
     """One rewrite rule; ``rhs`` of None sends the word to zero."""
@@ -212,7 +218,10 @@ class RewriteSystem:
 
     ``letters`` spells the alphabet in increasing precedence.  The rules
     alone define the basis: its words are those in which no left-hand side
-    occurs.
+    occurs.  A system must have a rule, and each rule a nonempty left-hand
+    side over ``letters`` and a right-hand side that is zero or a strictly
+    shorter word over them, so that rewriting terminates; any other rule
+    set raises ValueError.
 
     A presentation compares and hashes by identity, so the caches keyed by
     it never rehash its rules; :func:`xq_system` and :func:`ab_system`
@@ -223,6 +232,17 @@ class RewriteSystem:
     letters: str
     nilpotency_degree: int
     rules: tuple[Rule, ...]
+
+    def __post_init__(self):
+        if not self.rules:
+            raise ValueError("a presentation needs at least one rule")
+        for rule in self.rules:
+            if not rule.lhs:
+                raise ValueError(f"rule {rule} has an empty left-hand side")
+            if rule.lhs.strip(self.letters) or (rule.rhs or "").strip(self.letters):
+                raise ValueError(f"rule {rule} uses a letter outside {self.letters!r}")
+            if rule.rhs is not None and len(rule.rhs) >= len(rule.lhs):
+                raise ValueError(f"rule {rule} does not shorten the word")
 
     def __str__(self) -> str:
         rules = ", ".join(str(rule) for rule in self.rules)
@@ -306,15 +326,16 @@ def _automaton(system: RewriteSystem) -> tuple:
     (table, match, last, cut, floor, power) that :func:`_stack_reduce`
     reads.
 
-    A state is a node of the trie of the left-hand sides, numbered from
-    the root, 0.  ``table[letter][state]`` is the state of the longest
-    suffix of the state's string plus the letter that is a node.
-    ``match[state]`` is None, or the length and the reversed right-hand
-    side (None for zero) of the longest left-hand side that is a suffix
-    of the state's string, the first listed among equal ones.  Every
-    letter is a child of the root, so the string of the state after a
-    push ends in the pushed letter, and ``last[state]``, its last letter,
-    spells the output.
+    A state is a node of the trie of the left-hand sides, the root 0.
+    ``table[letter][state]`` is the state of the longest suffix of the
+    state's string plus the letter that is a node.  ``match[state]`` is
+    None, or the length and the reversed right-hand side (None for zero)
+    of the longest left-hand side that is a suffix of the state's string,
+    the first listed among equal ones.  Every letter is a child of the
+    root, so the string of the state after a push ends in the pushed
+    letter, and ``last[state]``, its last letter, spells the output.  The
+    tables are filled breadth first through suffix links, so the build is
+    linear in the trie's size times the alphabet's.
 
     A power rule c^k at least two letters longer than every other
     left-hand side (L letters at most) would cost k states.  Its chain
@@ -330,26 +351,39 @@ def _automaton(system: RewriteSystem) -> tuple:
     power = len(longest.lhs)
     cuts = power > floor and not longest.lhs.strip(longest.lhs[0])
     depth = floor if cuts else power
-    nodes = set(system.letters).union(
-        rule.lhs[:end] for rule in rules for end in range(1, min(len(rule.lhs), depth) + 1))
-    strings = [""] + sorted(nodes, key=lambda node: (len(node), node))
-    state = {node: index for index, node in enumerate(strings)}
-
-    def longest_suffix(text: str) -> int:
-        return next(state[text[start:]] for start in range(len(text) + 1)
-                    if text[start:] in state)
-
-    table = {letter: [longest_suffix(node + letter) for node in strings]
-             for letter in system.letters}
-    cut = state[longest.lhs[:floor]] if cuts else -1
-    match = []
-    for index, node in enumerate(strings):
-        rule = longest if index == cut else max(
-            (rule for rule in rules if node.endswith(rule.lhs)),
-            key=lambda rule: len(rule.lhs), default=None)
-        match.append(None if rule is None else (
-            len(rule.lhs), None if rule.rhs is None else rule.rhs[::-1]))
-    last = [node[-1:] for node in strings]
+    children, match, last = [{}], [None], [""]
+    cut = -1
+    for lhs, rule in itertools.chain(((letter, None) for letter in system.letters),
+                                     ((rule.lhs, rule) for rule in rules)):
+        node = 0
+        for letter in lhs[:depth]:
+            if letter not in children[node]:
+                children[node][letter] = len(children)
+                children.append({})
+                match.append(None)
+                last.append(letter)
+            node = children[node][letter]
+        if rule is not None:
+            # only a cut power rule is longer than the trie is deep
+            if len(lhs) > depth:
+                cut = node
+            if match[node] is None:
+                match[node] = (len(lhs), None if rule.rhs is None else rule.rhs[::-1])
+    table = {letter: [0] * len(children) for letter in system.letters}
+    # suffix[state]: the state of the longest proper suffix of its string
+    suffix = [0] * len(children)
+    order = [0]
+    for state in order:
+        for letter, row in table.items():
+            child = children[state].get(letter)
+            if child is None:
+                row[state] = row[suffix[state]]
+                continue
+            row[state] = child
+            suffix[child] = row[suffix[state]] if state else 0
+            if match[child] is None:
+                match[child] = match[suffix[child]]
+            order.append(child)
     return table, match, last, cut, floor, power
 
 
@@ -439,18 +473,14 @@ def reduce(word: Word, system: RewriteSystem, rng: random.Random | None = None) 
 
 @lru_cache(maxsize=None)
 def concat_reduce(u: Word, v: Word, system: RewriteSystem) -> ReductionOutcome:
-    """Normal form of the product of two words already in normal form.
-
-    For the xq family a nonzero product needs at most one rule
-    application, always at the seam (it deletes the last letter of ``u``
-    and the first letter of ``v``); products that die may take more steps.
+    """Normal form of the product of two words already in normal form,
+    for element multiplication, which meets the same products again and
+    again.  The support pairs of the analysis reduce theirs in
+    :func:`nilregular.analysis.pair_products`, which also checks the seam.
     """
     joined = concat(u, v)
     _check_alphabet(joined, system)
-    outcome = _stack_reduce(joined, system)
-    if system.label == "S" and not outcome.is_zero and outcome.steps > 1:
-        raise RuntimeError(f"interface reduction not unique for {u} * {v}")
-    return outcome
+    return _stack_reduce(joined, system)
 
 
 def is_basis_word(word: Word, system: RewriteSystem) -> bool:

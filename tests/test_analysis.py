@@ -14,14 +14,15 @@ from nilregular.analysis import (
     check_primeness_bounded, check_regularity_identities, check_separativity_identities,
     check_tau_forms_families, check_tau_uniqueness_families, check_types_lemma,
     classify_tau_occurrences, closing_argument_margin, find_tau,
-    left_shape_words, right_shape_words, search_unit_regular_witness,
-    tau_form_of, type_i_word, type_ii_word)
+    left_shape_words, pair_products, right_shape_words, search_unit_regular_witness,
+    tau_form_of)
 from nilregular.elements import Algebra, linear_combination
 from nilregular.fields import GF2, GF3, QQ, PrimeField
 from nilregular.linalg import (
     MapKernel, PackedGF, PackedGF2, field_kernel, row_reduce, solve)
 from nilregular.rewriting import (
-    Word, canonical_words, enumerate_basis, parse_word, reduce, xq_system)
+    RewriteSystem, Rule, Word, canonical_words, concat_reduce, enumerate_basis,
+    parse_word, reduce, xq_system)
 
 S = xq_system(3)
 
@@ -43,19 +44,47 @@ def test_shape_word_pools():
 
 def test_interface_classification():
     # the seam of w*y dies, reduces once, or needs no reduction
-    assert type_i_word("q x^2 q", "x^2 q", S).is_zero
-    reduced = type_i_word("q x^2 q", "x q^2 x", S)
+    assert pair_products("q x^2 q", "x^2 q", S)[0].is_zero
+    reduced = pair_products("q x^2 q", "x q^2 x", S)[0]
     assert not reduced.is_zero and reduced.steps == 1
-    assert type_i_word("q", "x^2", S).steps == 0
+    assert pair_products("q", "x^2", S)[0].steps == 0
 
 
 def test_type_words():
-    assert str(type_i_word("q^2", "x q^2 x", S).result) == "q^3 x"
-    assert type_i_word("q x^2 q", "x^2", S).is_zero
-    second = type_ii_word("q", "x q^2 x", S)
+    assert str(pair_products("q^2", "x q^2 x", S)[0].result) == "q^3 x"
+    assert pair_products("q x^2 q", "x^2", S)[0].is_zero
+    second = pair_products("q", "x q^2 x", S)[1]
     assert str(second.result) == "q^2 x^2 q^2 x"
     # a nonzero type II word never needs reduction
     assert second.steps == 0
+
+
+def test_pair_products_reduce_both_products_of_every_shape_pair():
+    lefts, rights = left_shape_words(5, S), right_shape_words(5, S)
+    for w in lefts:
+        for y in rights:
+            first, second = pair_products(w, y, S)
+            assert first == reduce(Word(w + y), S), (w, y)
+            assert second == reduce(Word(w + "qx" + y), S), (w, y)
+
+
+def test_pair_products_raise_on_a_seam_that_takes_two_steps():
+    # a system labelled S whose nonzero products need two steps at the seam
+    system = RewriteSystem(label="S", letters="xq", nilpotency_degree=3,
+                           rules=(Rule("xx", "x"),))
+    with pytest.raises(RuntimeError, match=r"interface reduction not unique for x \* x\^2"):
+        pair_products("x", "x^2", system)
+
+
+def test_a_cold_c_set_build_leaves_concat_reduce_empty():
+    # each support pair is reduced once, in the bounded pair cache, and
+    # not again in concat_reduce's unbounded one
+    concat_reduce.cache_clear()
+    _pair_contributions.cache_clear()
+    c_set = build_c_set(left_shape_words(6, S), right_shape_words(6, S), S)
+    assert len(c_set) > 0
+    assert _pair_contributions.cache_info().currsize == 13 * 11
+    assert concat_reduce.cache_info().currsize == 0
 
 
 def test_c_set_of_the_identity_pair():
@@ -327,7 +356,7 @@ def _pairwise_classification(lefts, rights, tau):
     occurrences, violations, skipped = [], [], []
     for w in lefts:
         for y in rights:
-            first, second = type_i_word(w, y, S), type_ii_word(w, y, S)
+            first, second = pair_products(w, y, S)
             if w.is_identity or y.is_identity:
                 if tau in (first.result, second.result):
                     skipped.append((w, y))
@@ -370,8 +399,7 @@ def test_classification_from_the_c_set_matches_the_pairwise_oracle():
         classified += 1
         classification = classify_tau_occurrences(c_set)
         tau = max((word for w in lefts for y in rights
-                   for word in (type_i_word(w, y, S).result,
-                                type_ii_word(w, y, S).result)
+                   for word in (outcome.result for outcome in pair_products(w, y, S))
                    if word is not None and word.startswith("q")
                    and word.endswith("x")), key=Word.lex_key)
         assert classification.tau == tau
@@ -428,7 +456,7 @@ def test_hand_built_off_form_tau_is_refused():
 
 def _type_i_occurrence(left, right):
     w, y = parse_word(left), parse_word(right)
-    outcome = type_i_word(w, y, S)
+    outcome = pair_products(w, y, S)[0]
     return COccurrence(outcome.result, w, y, "type-I", 1, outcome.steps)
 
 

@@ -18,14 +18,15 @@ def run_optimized(code: str) -> subprocess.CompletedProcess:
                           capture_output=True, text=True, env=env)
 
 
-def test_concat_reduce_seam_uniqueness_survives_optimization():
+def test_pair_products_seam_uniqueness_survives_optimization():
     # a system labelled S whose nonzero products need two steps at the seam
     completed = run_optimized("""
-        from nilregular.rewriting import RewriteSystem, Rule, parse_word, concat_reduce
+        from nilregular.analysis import pair_products
+        from nilregular.rewriting import RewriteSystem, Rule, parse_word
         assert False  # proves asserts are stripped
         system = RewriteSystem(label="S", letters="xq", nilpotency_degree=3,
                                rules=(Rule("xx", "x"),))
-        concat_reduce(parse_word("x"), parse_word("x^2"), system)
+        pair_products(parse_word("x"), parse_word("x^2"), system)
     """)
     assert completed.returncode == 1
     assert "RuntimeError: interface reduction not unique for x * x^2" in completed.stderr

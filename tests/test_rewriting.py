@@ -389,6 +389,80 @@ def test_a_long_power_rule_is_not_unrolled():
     assert sizes == {5: 10, 100: 10, 10**6: 10}
 
 
+def _state_strings(table, size):
+    """Each state's string: the shortest path to a state from the root
+    spells it, since a state is reached by a word at least as long."""
+    strings = [None] * size
+    strings[0] = ""
+    order = [0]
+    for state in order:
+        for letter, row in table.items():
+            if strings[row[state]] is None:
+                strings[row[state]] = strings[state] + letter
+                order.append(row[state])
+    return strings
+
+
+def _check_automaton_by_definition(system):
+    """Every table entry, match and last letter of ``_automaton`` against
+    its definition, read off the state strings with suffix scans."""
+    table, match, last, cut, floor, power = _automaton(system)
+    strings = _state_strings(table, len(match))
+    state = {string: index for index, string in enumerate(strings)}
+    assert len(state) == len(strings)
+    depth = floor if cut >= 0 else power
+    assert set(strings) == {""} | set(system.letters) | {
+        rule.lhs[:end] for rule in system.rules
+        for end in range(1, min(len(rule.lhs), depth) + 1)}
+    for index, string in enumerate(strings):
+        assert last[index] == string[-1:]
+        for letter, row in table.items():
+            text = string + letter
+            expected = next(text[start:] for start in range(len(text) + 1)
+                            if text[start:] in state)
+            assert strings[row[index]] == expected, (system, string, letter)
+        rules = [rule for rule in system.rules if string.endswith(rule.lhs)]
+        if index == cut:
+            longest = max(system.rules, key=lambda rule: len(rule.lhs))
+            assert string == longest.lhs[:floor]
+            rules = [longest]
+        rule = max(rules, key=lambda rule: len(rule.lhs), default=None)
+        assert match[index] == (None if rule is None else (
+            len(rule.lhs), None if rule.rhs is None else rule.rhs[::-1])), (system, string)
+
+
+def test_automaton_tables_match_their_definition():
+    rng = random.Random(27)
+    systems = (FAMILIES + [PROBE] + _random_presentations(rng, 200)
+               + _presentations_with_long_powers(rng, 200)
+               + [RewriteSystem("T", "xq", 0, (Rule("xq" * m + "x", None), Rule("qxq", "q")))
+                  for m in (1, 2, 5, 20)])
+    for system in systems:
+        _check_automaton_by_definition(system)
+
+
+def test_a_long_left_hand_side_builds_in_linear_time():
+    # a state per prefix of the long side, so a build that scanned every
+    # suffix of every state would grow cubically
+    lhs = "xq" * 20000 + "x"
+    system = RewriteSystem("T", "xq", 0, (Rule(lhs, None),))
+    started = time.perf_counter()
+    table, match, last, cut, floor, power = _automaton(system)
+    elapsed = time.perf_counter() - started
+    # the root, q, and a state per prefix of the long side
+    assert (len(match), cut) == (40003, -1)
+    assert elapsed < 1.0
+    # (xq)^20000 q (qx)^20000 holds no alternating run of 40,001 letters
+    for word in (Word(lhs[:-1] + "q" + lhs[1:]), Word("q" + lhs[:-1] + "q" + lhs + "q")):
+        outcome = reduce(word, system)
+        assert outcome == reduce(word, system, rng=random.Random(0))
+        assert outcome.steps == outcome.is_zero
+    report = check_confluence(system, max_len=2)
+    # 20000 self-overlaps, at the odd shifts, and 7 words under 5
+    # strategies each
+    assert (report.status, report.candidates_examined) == ("pass", 20000 + 35)
+
+
 def test_basis_words_come_back_unchanged_with_no_steps():
     for system in (S, R, PROBE):
         for word in enumerate_basis(8, system):
@@ -406,6 +480,29 @@ def test_concat_reduce_matches_reduce_of_the_concatenation():
                 expected = reduce(joined, system)
                 assert concat_reduce(u, v, system) == expected, (u, v)
                 assert expected == _leftmost_reduce(joined, system), (u, v)
+
+
+def test_concat_reduce_is_presentation_blind():
+    # a system labelled S whose nonzero products need two steps at the
+    # seam: concat_reduce returns the normal form, since the seam check
+    # belongs to the support pairs (analysis.pair_products)
+    system = RewriteSystem(label="S", letters="xq", nilpotency_degree=3,
+                           rules=(Rule("xx", "x"),))
+    assert concat_reduce(Word("x"), Word("xx"), system) == ReductionOutcome(Word("x"), 2)
+
+
+@pytest.mark.parametrize("rules,message", [
+    ((), "needs at least one rule"),
+    ((Rule("", None),), "empty left-hand side"),
+    ((Rule("xqa", None),), "letter outside 'xq'"),
+    ((Rule("xx", "a"),), "letter outside 'xq'"),
+    ((Rule("x", "xx"),), "does not shorten"),
+    ((Rule("xq", None), Rule("qx", "xq")), "does not shorten"),
+], ids=["no-rule", "empty-lhs", "lhs-letter", "rhs-letter", "longer-rhs", "equal-rhs"])
+def test_a_rule_set_the_reducer_cannot_run_is_refused(rules, message):
+    # reduce would loop forever on x -> xx, and _automaton needs a rule
+    with pytest.raises(ValueError, match=message):
+        RewriteSystem("T", "xq", 0, rules)
 
 
 def test_long_words_reduce():
