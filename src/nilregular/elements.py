@@ -57,10 +57,7 @@ class Algebra:
         return self.word(Word(letter))
 
     def scalar(self, value) -> "AlgebraElement":
-        coeff = self.field.coerce(value)
-        if coeff == self.field.zero:
-            return self.zero
-        return AlgebraElement(self, {IDENTITY_WORD: coeff})
+        return self.from_terms({IDENTITY_WORD: value})
 
     def word(self, word) -> "AlgebraElement":
         """The element of a single word (given as Word or text), rewritten

@@ -20,7 +20,10 @@ class PrimeField:
     divisions at the cap) would stall the constructor beyond it.
     """
 
-    __slots__ = ("p",)
+    __slots__ = ("p", "name")
+
+    zero = 0
+    one = 1
 
     def __init__(self, p: int):
         if p >= 2**31:
@@ -28,18 +31,7 @@ class PrimeField:
         if p < 2 or any(p % d == 0 for d in range(2, int(p**0.5) + 1)):
             raise ValueError(f"{p} is not prime")
         self.p = p
-
-    @property
-    def name(self) -> str:
-        return f"gf{self.p}"
-
-    @property
-    def zero(self) -> int:
-        return 0
-
-    @property
-    def one(self) -> int:
-        return 1 % self.p
+        self.name = f"gf{p}"
 
     def coerce(self, value) -> int:
         """Accepts ints, Fractions with denominator invertible mod p, and

@@ -43,10 +43,13 @@ always joins, from the identity up, with c's column +1 at the identity.
 For n = 2, a = 0 makes ba = 0 and 1 - ba = 1: every chain is one word,
 and its one unknown's column is that word alone.
 
-The module also carries the determinant obstruction (the evaluation
+The module also carries the determinant obstruction (the evaluation pi:
 a -> e21, b -> e12 into scalar matrices sends 1 - ba to a singular matrix,
 so no C (1-ba) D can equal the identity) and the degenerate n = 2 model
-M2(F[b]) x F, where the map above acquires a kernel.
+M2(F[b]) x F, where the map above acquires a kernel.  pi has a closed form
+too: e21 e12 = e22, e12 e21 = e11 and e12 e12 = 0, so over a^2 = 0 a
+nonempty basis word maps to 0 if it holds bb and otherwise to e_ij, with
+i = 2 if it begins in a (1 if in b) and j = 1 if it ends in a (2 if in b).
 """
 
 from __future__ import annotations
@@ -105,10 +108,7 @@ class MatrixElement:
             for ra, rb in zip(self.rows, other.rows)))
 
     def __sub__(self, other: "MatrixElement") -> "MatrixElement":
-        self._check(other)
-        return MatrixElement(self.algebra, tuple(
-            tuple(a - b for a, b in zip(ra, rb))
-            for ra, rb in zip(self.rows, other.rows)))
+        return self + -other
 
     def __neg__(self) -> "MatrixElement":
         return MatrixElement(self.algebra, tuple(
@@ -177,8 +177,6 @@ class MatrixModel:
     """The matrix realization for one nilpotency degree and field."""
 
     def __init__(self, n: int = 3, field=QQ):
-        if n < 2:
-            raise ValueError("nilpotency degree must be at least 2")
         self.n = n
         self.source = Algebra(xq_system(n), field)
         self.target = Algebra(ab_system(n - 1), field)
@@ -230,29 +228,26 @@ class MatrixModel:
                     entry[text] = c
         return entries
 
-    def _matrix(self, entries) -> MatrixElement:
-        """The matrix of four entry maps in image_terms's order, their
-        words basis words of R."""
-        e11, e12, e21, e22 = (
-            AlgebraElement(self.target, {_word(Word, s): c for s, c in terms.items()})
-            for terms in entries)
-        return MatrixElement(self.target, ((e11, e12), (e21, e22)))
-
     def phi(self, value) -> MatrixElement:
-        """Image of an element, word or word text of the xq algebra: a
-        word's matrix holds its image_terms, an element's the images' term
-        maps summed entry by entry, one element built per entry."""
-        if isinstance(value, str):
-            return self._matrix(self.image_terms(value))
-        if value.algebra != self.source:
-            raise ValueError("phi expects an element of this model's xq algebra")
+        """Image of an element, word or word text of the xq algebra: its
+        words' image_terms scaled and summed entry by entry, a word being
+        one term with coefficient 1, and one element built per entry."""
         field = self.target.field
+        if isinstance(value, str):
+            terms = {value: field.one}
+        elif value.algebra != self.source:
+            raise ValueError("phi expects an element of this model's xq algebra")
+        else:
+            terms = value.terms()
         totals = ({}, {}, {}, {})
-        for word, c in value.terms().items():
-            for total, terms in zip(totals, self.image_terms(word)):
-                for s, d in terms.items():
+        for word, c in terms.items():
+            for total, entry in zip(totals, self.image_terms(word)):
+                for s, d in entry.items():
                     _accumulate(total, s, field.mul(c, d), field)
-        return self._matrix(totals)
+        e11, e12, e21, e22 = (
+            AlgebraElement(self.target, {_word(Word, s): c for s, c in total.items()})
+            for total in totals)
+        return MatrixElement(self.target, ((e11, e12), (e21, e22)))
 
     def membership(self, matrix: MatrixElement,
                    degree_bound: int | None = None) -> TMembership:
@@ -425,22 +420,24 @@ def _corner_spot_check(model: MatrixModel, bound: int) -> dict | None:
 
 def pi_eval(element: AlgebraElement):
     """Evaluate an a,b element at a -> e21, b -> e12 in 2x2 scalar
-    matrices (defined for the m = 2 relation a^2 = 0, which e21 satisfies).
-    """
+    matrices (defined for the m = 2 relation a^2 = 0, which e21 satisfies),
+    as a tuple of rows: the identity maps to the identity matrix and every
+    other basis word by the closed form in the module docstring."""
     system = element.algebra.system
     if system.letters != "ab" or system.nilpotency_degree != 2:
         raise ValueError("pi is defined on the a,b algebra with a^2 = 0")
     field = element.algebra.field
-    zero, one = field.zero, field.one
-    generator = {"a": ((zero, zero), (one, zero)),
-                 "b": ((zero, one), (zero, zero))}
-    total = ((zero, zero), (zero, zero))
+    total = [[field.zero, field.zero], [field.zero, field.zero]]
     for word, coefficient in element.terms().items():
-        image = ((one, zero), (zero, one))
-        for letter in word:
-            image = _mat2_mul(image, generator[letter], field)
-        total = _mat2_add(total, _mat2_scale(coefficient, image, field), field)
-    return total
+        if not word:
+            cells = ((0, 0), (1, 1))
+        elif "bb" in word:
+            continue
+        else:
+            cells = ((word[0] == "a", word[-1] == "b"),)
+        for i, j in cells:
+            total[i][j] = field.add(total[i][j], coefficient)
+    return tuple(map(tuple, total))
 
 
 def _mat2_mul(a, b, field):
@@ -448,14 +445,6 @@ def _mat2_mul(a, b, field):
         tuple(field.add(field.mul(a[i][0], b[0][j]), field.mul(a[i][1], b[1][j]))
               for j in (0, 1))
         for i in (0, 1))
-
-
-def _mat2_add(a, b, field):
-    return tuple(tuple(field.add(a[i][j], b[i][j]) for j in (0, 1)) for i in (0, 1))
-
-
-def _mat2_scale(scalar, a, field):
-    return tuple(tuple(field.mul(scalar, a[i][j]) for j in (0, 1)) for i in (0, 1))
 
 
 def det2(matrix, field):

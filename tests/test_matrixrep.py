@@ -488,6 +488,37 @@ def test_pi_goldens():
         pi_eval(Algebra(ab_system(3), QQ).gen("a"))
 
 
+def _pi_by_letter_products(element):
+    """pi(element) as it was computed before the closed form: each word's
+    image the product of its letters' matrices, scaled and summed."""
+    field = element.algebra.field
+    zero, one = field.zero, field.one
+    generator = {"a": ((zero, zero), (one, zero)), "b": ((zero, one), (zero, zero))}
+    total = ((zero, zero), (zero, zero))
+    for word, coefficient in element.terms().items():
+        image = ((one, zero), (zero, one))
+        for letter in word:
+            g = generator[letter]
+            image = tuple(tuple(field.add(field.mul(image[i][0], g[0][j]),
+                                          field.mul(image[i][1], g[1][j]))
+                                for j in (0, 1)) for i in (0, 1))
+        total = tuple(tuple(field.add(total[i][j], field.mul(coefficient, image[i][j]))
+                            for j in (0, 1)) for i in (0, 1))
+    return total
+
+
+@pytest.mark.parametrize("field", [QQ, GF2, GF3], ids=["rational", "gf2", "gf3"])
+def test_pi_matches_the_product_of_letter_images(field):
+    # every basis word up to length 10, those holding bb among them, and
+    # random elements whose words' images overlap and cancel
+    algebra = Algebra(ab_system(2), field)
+    elements = [algebra.word(w) for w in algebra.basis_words(10)]
+    rng = random.Random(41)
+    elements += [algebra.random_element(rng, 6, max_terms=8) for _ in range(200)]
+    for element in elements:
+        assert pi_eval(element) == _pi_by_letter_products(element), str(element)
+
+
 def test_determinant_obstruction_report():
     report = check_determinant_obstruction(seed=1)
     assert report.passed
@@ -511,8 +542,10 @@ def test_n2_standard_model_kills_e():
 
 
 def test_model_requires_sane_degree():
-    with pytest.raises(ValueError):
-        MatrixModel(1)
+    # the message comes from xq_system, the one guard on the degree
+    for n in (1, 0):
+        with pytest.raises(ValueError, match="^nilpotency degree must be at least 2$"):
+            MatrixModel(n)
 
 
 def test_long_word_image_needs_no_recursion():
