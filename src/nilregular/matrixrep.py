@@ -18,9 +18,10 @@ does when w holds x^n.  Each entry is one word of u times m times the at
 most two words of an entry of v, so an image takes no matrix products.
 :meth:`MatrixModel.image_terms` is the one place this closed form is
 written: it gives the four entries as maps from R-word text to
-coefficient.  The matrix of a word, phi of an element (its words' maps
-summed entry by entry) and the faithfulness rows (the maps as sparse
-rows for ``linalg.rank``, read mod 2 over GF(2)) are all read from it.
+coefficient.  The rest read it: the matrix of a word, phi of an element
+and the faithfulness check's corner images (each its words' maps summed
+entry by entry, in one loop), and the faithfulness rows (the maps as
+sparse rows for ``linalg.rank``, read mod 2 over GF(2)).
 
 The image is the subalgebra of matrices whose (1,2) entry lies in the
 right ideal I = R(1 - ba) and whose (2,2) entry lies in F + I.  Membership
@@ -58,12 +59,14 @@ import random
 import re
 import time
 from dataclasses import dataclass
+from itertools import chain, islice, takewhile
 
 from .elements import Algebra, AlgebraElement, _accumulate, _power, linear_combination
 from .fields import GF2, QQ
 from .linalg import rank, solve
 from .rewriting import (
-    IDENTITY_WORD, Word, _check_alphabet, _word, ab_system, as_word, xq_system)
+    IDENTITY_WORD, Word, _check_alphabet, _word, ab_system, as_word, concat_reduce,
+    xq_system)
 from .reports import VerificationReport, checklist_report, finish_report
 
 
@@ -152,6 +155,7 @@ _ROWS = {"x": ({"": 1}, {}), "q": ({"b": 1}, {"": 1, "ba": -1})}
 # the letters that open a run; the others spell m, with x -> a and q -> b
 _RUN_START = re.compile(r"(?<!x)x|(?<!q)q")
 _X_TO_A = str.maketrans("xq", "ab")
+_QX = Word("qx")  # the corner frame is 1 - qx
 
 
 class DegreeBoundExceeded(ValueError):
@@ -230,24 +234,29 @@ class MatrixModel:
 
     def phi(self, value) -> MatrixElement:
         """Image of an element, word or word text of the xq algebra: its
-        words' image_terms scaled and summed entry by entry, a word being
-        one term with coefficient 1, and one element built per entry."""
-        field = self.target.field
+        words' image_terms summed by _image_sum, a word being one term with
+        coefficient 1, and one element built per entry."""
         if isinstance(value, str):
-            terms = {value: field.one}
+            terms = {value: self.target.field.one}
         elif value.algebra != self.source:
             raise ValueError("phi expects an element of this model's xq algebra")
         else:
             terms = value.terms()
-        totals = ({}, {}, {}, {})
-        for word, c in terms.items():
-            for total, entry in zip(totals, self.image_terms(word)):
-                for s, d in entry.items():
-                    _accumulate(total, s, field.mul(c, d), field)
         e11, e12, e21, e22 = (
             AlgebraElement(self.target, {_word(Word, s): c for s, c in total.items()})
-            for total in totals)
+            for total in self._image_sum(terms, self.image_terms))
         return MatrixElement(self.target, ((e11, e12), (e21, e22)))
+
+    def _image_sum(self, terms: dict, image_terms) -> tuple[dict, dict, dict, dict]:
+        """phi's four entry maps for a word -> coefficient map: each word's
+        image_terms(word) scaled and summed entry by entry."""
+        field = self.target.field
+        totals = ({}, {}, {}, {})
+        for word, c in terms.items():
+            for total, entry in zip(totals, image_terms(word)):
+                for s, d in entry.items():
+                    _accumulate(total, s, field.mul(c, d), field)
+        return totals
 
     def membership(self, matrix: MatrixElement,
                    degree_bound: int | None = None) -> TMembership:
@@ -352,6 +361,10 @@ def verify_phi_faithful(max_len: int = 6, n: int = 3) -> VerificationReport:
     GF(2) rank means some maximal minor is odd, hence a nonzero integer,
     so the rational rank is full too and the rational verdict is derived
     from that odd minor.
+
+    The corner spot check's words have at most bound = min(max_len, 4)
+    letters and their corner elements at most bound + 4: the rank reads
+    the images up to that length first and keeps them for the check.
     """
     if n < 3:
         raise ValueError("faithfulness is asserted for n >= 3; "
@@ -360,14 +373,19 @@ def verify_phi_faithful(max_len: int = 6, n: int = 3) -> VerificationReport:
     parameters = {"max_len": max_len, "n": n, "fields": ["gf2", "rational"]}
     model = MatrixModel(n, QQ)
     words = model.source.basis_words(max_len)
-    matrix_rank = _rank(map(model.image_terms, words), GF2)
+    bound = min(max_len, 4)
+    images = {word: model.image_terms(word)
+              for word in takewhile(lambda word: len(word) <= bound + 4, words)}
+    matrix_rank = _rank(chain(images.values(), map(
+        model.image_terms, islice(words, len(images), None))), GF2)
     if matrix_rank != len(words):
         witness = {"kind": "dependent-images", "field": GF2.name,
                    "words": len(words), "rank": matrix_rank}
         examined = len(words)
     else:
         # one candidate per word and field, the rational one by the odd minor
-        witness = _corner_spot_check(model, min(max_len, 4))
+        witness = _corner_spot_check(
+            model, [word for word in images if len(word) <= bound], images)
         examined = 2 * len(words) + 1
     return finish_report("phi-faithful", parameters, witness, examined, started)
 
@@ -384,31 +402,23 @@ def _rank(vectors, field) -> int:
                  for maps in vectors], field)
 
 
-def _corner_spot_check(model: MatrixModel, bound: int) -> dict | None:
+def _corner_spot_check(model: MatrixModel, words: list, images: dict) -> dict | None:
     """phi carries the (1-qx)-corner onto the e22 corner: the corner frame
-    maps to e22 exactly, corner elements land with only the (2,2) entry
-    populated, and the corner's dimension is preserved."""
+    maps to e22 exactly, the corner elements of words land with only the
+    (2,2) entry populated, and the corner's dimension is preserved."""
     source = model.source
-    x = source.gen("x")
-    q = source.gen("q")
-    frame = source.one - q * x
-    frame_image = model.phi(frame)
+    frame_image = model.phi(source.one - source.word(_QX))
     expected = MatrixElement(model.target, (
         (model.target.zero, model.target.zero),
         (model.target.zero, model.target.one)))
     if frame_image != expected:
         return {"kind": "corner-frame", "image": str(frame_image)}
-    corner_elements = [frame * source.word(w) * frame
-                       for w in source.basis_words(bound)]
-    corner_elements = [e for e in corner_elements if not e.is_zero]
-    images = [model.phi(e) for e in corner_elements]
-    for element, image in zip(corner_elements, images):
-        off_corner = [image.entry(0, 0), image.entry(0, 1), image.entry(1, 0)]
-        if any(not entry.is_zero for entry in off_corner):
-            return {"kind": "corner-escape", "element": str(element)}
-    source_rank = _rank([[e.terms()] for e in corner_elements], source.field)
-    image_rank = _rank([[image.entry(1, 1).terms()] for image in images],
-                       model.target.field)
+    corner = _corner_elements(model, words, images)
+    for terms, (e11, e12, e21, _) in corner:
+        if e11 or e12 or e21:
+            return {"kind": "corner-escape", "element": str(AlgebraElement(source, terms))}
+    source_rank = _rank([[terms] for terms, _ in corner], source.field)
+    image_rank = _rank([[maps[3]] for _, maps in corner], model.target.field)
     if source_rank != image_rank:
         return {"kind": "corner-dimension", "source_rank": source_rank,
                 "image_rank": image_rank}
@@ -416,6 +426,31 @@ def _corner_spot_check(model: MatrixModel, bound: int) -> dict | None:
         if not model.membership(generator_image).in_t:
             return {"kind": "generator-membership"}
     return None
+
+
+def _corner_elements(model: MatrixModel, words: list, images: dict) -> list:
+    """The nonzero corner elements (1 - qx) w (1 - qx) = w - qx w - w qx
+    + qx w qx of basis words w, as term maps, each with its image's entry
+    maps.  Each product of two basis words is one word or 0 (every rule
+    is monomial), read from concat_reduce; the images are summed by
+    ``MatrixModel._image_sum`` from images, which maps words to their
+    image_terms and gains the words it lacks."""
+    system, field = model.source.system, model.source.field
+    one, minus_one = field.one, field.neg(field.one)
+    corner = []
+    for w in words:
+        left = concat_reduce(_QX, w, system).result
+        both = None if left is None else concat_reduce(left, _QX, system).result
+        terms = {}
+        for word, c in ((w, one), (left, minus_one),
+                        (concat_reduce(w, _QX, system).result, minus_one), (both, one)):
+            if word is not None:
+                _accumulate(terms, word, c, field)
+                if word not in images:
+                    images[word] = model.image_terms(word)
+        if terms:
+            corner.append((terms, model._image_sum(terms, images.__getitem__)))
+    return corner
 
 
 def pi_eval(element: AlgebraElement):

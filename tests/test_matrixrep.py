@@ -11,8 +11,8 @@ from nilregular.elements import Algebra, linear_combination
 from nilregular.fields import GF2, GF3, QQ
 from nilregular.linalg import row_reduce, solve
 from nilregular.matrixrep import (
-    DegreeBoundExceeded, MatrixElement, MatrixModel, TMembership, _rank,
-    check_determinant_obstruction, det2, n2_variant_check, pi_eval,
+    DegreeBoundExceeded, MatrixElement, MatrixModel, TMembership, _corner_elements,
+    _rank, check_determinant_obstruction, det2, n2_variant_check, pi_eval,
     verify_phi_faithful)
 from nilregular.rewriting import (
     IDENTITY_WORD, Word, ab_system, parse_word, reduce, xq_system)
@@ -407,41 +407,61 @@ def test_phi_faithful_reports_a_dependent_gf2_image(monkeypatch):
     assert report.candidates_examined == words
 
 
-_PHI = MatrixModel.phi
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_corner_elements_match_the_element_products(n):
+    # the corner check reads (1 - qx) w (1 - qx) as w - qx w - w qx + qx w qx
+    # from word products; frame * w * frame by element products is the
+    # oracle.  Its images, summed from the word images it is handed (none,
+    # those up to the corner's words, those up to 4 letters longer) and
+    # from those it computes, must be phi of the element
+    model = MatrixModel(n, QQ)
+    source = model.source
+    frame = source.one - source.gen("q") * source.gen("x")
+    words = source.basis_words(4)
+    products = [frame * source.word(w) * frame for w in words]
+    products = [element for element in products if not element.is_zero]
+    for length in (None, 4, 8):
+        images = ({} if length is None else
+                  {w: model.image_terms(w) for w in source.basis_words(length)})
+        corner = _corner_elements(model, words, images)
+        assert len(corner) == len(products), (n, length)
+        for (terms, maps), element in zip(corner, products):
+            assert terms == element.terms(), (n, length, str(element))
+            assert list(maps) == [entry.terms() for row in model.phi(element).rows
+                                  for entry in row], (n, length, str(element))
 
 
-def _phi_of_terms(keep):
-    """phi with a fault: an element's terms are filtered by keep first."""
-    def phi(self, value):
-        if not isinstance(value, str):
-            value = value.algebra.from_terms(
-                {w: c for w, c in value.terms().items() if keep(w)})
-        return _PHI(self, value)
-    return phi
+_IMAGE_SUM = MatrixModel._image_sum
 
 
-def _phi_without_ba_endings(self, value):
-    """phi with a fault: the entries lose their words that end in ba, so
-    1 - ba and 1 share an image."""
-    image = _PHI(self, value)
-    return MatrixElement(image.algebra, [
-        [image.algebra.from_terms({w: c for w, c in entry.terms().items()
-                                   if not w.endswith("ba")})
-         for entry in row] for row in image.rows])
+def _image_sum_of_terms(keep):
+    """_image_sum with a fault: the terms are filtered by keep first."""
+    def image_sum(self, terms, image_terms):
+        return _IMAGE_SUM(self, {w: c for w, c in terms.items() if keep(w)}, image_terms)
+    return image_sum
+
+
+def _image_sum_without_ba_endings(self, terms, image_terms):
+    """_image_sum with a fault: the entries lose their words that end in
+    ba, so 1 - ba and 1 share an image."""
+    return tuple({s: c for s, c in total.items() if not s.endswith("ba")}
+                 for total in _IMAGE_SUM(self, terms, image_terms))
 
 
 @pytest.mark.parametrize("kind, target, fault", [
-    ("corner-frame", "phi", _phi_of_terms(lambda w: not w.is_identity)),
-    ("corner-escape", "phi", _phi_of_terms(lambda w: len(w) <= 2)),
-    ("corner-dimension", "phi", _phi_without_ba_endings),
+    ("corner-frame", "_image_sum", _image_sum_of_terms(lambda w: len(w) > 0)),
+    ("corner-escape", "_image_sum", _image_sum_of_terms(lambda w: len(w) <= 2)),
+    ("corner-dimension", "_image_sum", _image_sum_without_ba_endings),
     ("generator-membership", "solve", lambda rows, rhs, field: None),
 ], ids=["identity-term-dropped", "long-terms-dropped", "ba-endings-dropped",
         "no-factor-found"])
 def test_each_corner_witness_is_reported(monkeypatch, kind, target, fault):
     # the images' rank reads image_terms, which these faults leave alone,
-    # so each fault reaches the corner spot check and trips its witness
-    if target == "phi":
-        monkeypatch.setattr(MatrixModel, "phi", fault)
+    # while phi of the frame and the corner elements' images are summed by
+    # _image_sum, so each fault reaches the corner spot check and trips
+    # its witness
+    if target == "_image_sum":
+        monkeypatch.setattr(MatrixModel, "_image_sum", fault)
     else:
         monkeypatch.setattr(matrixrep, "solve", fault)
     report = verify_phi_faithful(max_len=4)
