@@ -21,7 +21,8 @@ written: it gives the four entries as maps from R-word text to
 coefficient.  The rest read it: the matrix of a word, phi of an element
 and the faithfulness check's corner images (each its words' maps summed
 entry by entry, in one loop), and the faithfulness rows (the maps as
-sparse rows for ``linalg.rank``, read mod 2 over GF(2)).
+sparse rows for ``linalg.rank``, read mod 2 over GF(2), their columns
+numbered per slot in the order the words first occur).
 
 The image is the subalgebra of matrices whose (1,2) entry lies in the
 right ideal I = R(1 - ba) and whose (2,2) entry lies in F + I.  Membership
@@ -58,7 +59,9 @@ from __future__ import annotations
 import random
 import re
 import time
+from collections import defaultdict
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import chain, islice, takewhile
 
 from .elements import Algebra, AlgebraElement, _accumulate, _power, linear_combination
@@ -195,11 +198,12 @@ class MatrixModel:
         coerce = self.target.field.coerce
         # entry (i, j) of u_first v_last, at slot 2i + j, is u_first's i-th
         # word, if it is not 0, times v_last's j-th map, whose coefficients
-        # are taken into the field
+        # are taken into the field: one (slot, left, suffix, coefficient)
+        # per term of that map
         self._slots = {(first, last): tuple(
-            (2 * i + j, left, {s: coerce(c) for s, c in v.items()})
+            (2 * i + j, left, s, coerce(c))
             for i, left in enumerate(_COLUMNS[first]) if left is not None
-            for j, v in enumerate(_ROWS[last]))
+            for j, v in enumerate(_ROWS[last]) for s, c in v.items())
             for first in _COLUMNS for last in _ROWS}
         # image_terms's closed form rests on these factorizations
         element = self.target.from_terms
@@ -225,11 +229,9 @@ class MatrixModel:
         middle = _RUN_START.sub("", word).translate(_X_TO_A)
         zero_run = self._zero_run
         entries = ({}, {}, {}, {})
-        for slot, left, row in self._slots[word[0], word[-1]]:
-            entry = entries[slot]
-            for s, c in row.items():
-                if zero_run not in (text := left + middle + s):
-                    entry[text] = c
+        for slot, left, s, c in self._slots[word[0], word[-1]]:
+            if zero_run not in (text := left + middle + s):
+                entries[slot][text] = c
         return entries
 
     def phi(self, value) -> MatrixElement:
@@ -346,14 +348,23 @@ class MatrixModel:
         return linear_combination(target, pairs), constant
 
 
+@lru_cache(maxsize=None)
+def _faithful_model(n: int) -> MatrixModel:
+    """The rational model that :func:`verify_phi_faithful` reads, built
+    once per degree as :func:`xq_system` gives one system per degree; the
+    check only reads it."""
+    return MatrixModel(n, QQ)
+
+
 def verify_phi_faithful(max_len: int = 6, n: int = 3) -> VerificationReport:
     """Linear independence of the images of all basis words of length
     <= max_len, over GF(2) and over the rationals, plus corner spot
     checks.
 
     Independence of the images is exactly injectivity on the bounded
-    slice: a kernel element would be a vanishing linear combination.  One
-    model is built, over the rationals, and only the GF(2) rank is
+    slice: a kernel element would be a vanishing linear combination.  The
+    model is over the rationals, one per degree, built by the first check
+    at that degree and read by every later one, and only the GF(2) rank is
     computed.  The images' coefficients are the integers 1 and -1 and R's
     relation has none, so each image's term maps, read mod 2, are its
     image in the GF(2) model: ``linalg.rank`` over GF(2) takes them as
@@ -371,7 +382,7 @@ def verify_phi_faithful(max_len: int = 6, n: int = 3) -> VerificationReport:
                          "n = 2 routes to n2_variant_check")
     started = time.perf_counter()
     parameters = {"max_len": max_len, "n": n, "fields": ["gf2", "rational"]}
-    model = MatrixModel(n, QQ)
+    model = _faithful_model(n)
     words = model.source.basis_words(max_len)
     bound = min(max_len, 4)
     images = {word: model.image_terms(word)
@@ -394,12 +405,23 @@ def _rank(vectors, field) -> int:
     """Rank of vectors, each the concatenation of a list of term maps (one
     slot per map, one column per slot and word), by ``linalg.rank``.  A
     map sends words to coefficients in the field, or over GF(2) to the
-    integers 1 and -1, which its kernel reads mod 2."""
-    columns: dict[tuple[int, str], int] = {}
-    return rank([[(columns.setdefault((slot, word), len(columns)), coefficient)
-                  for slot, terms in enumerate(maps)
-                  for word, coefficient in terms.items()]
-                 for maps in vectors], field)
+    integers 1 and -1, which its kernel reads mod 2.  Each slot keeps its
+    own dict of words, and one running count numbers the columns in the
+    order they first occur: one ``setdefault`` per term, whose default is
+    the next column, and no (slot, word) key is built."""
+    columns = defaultdict(dict)
+    width = 0
+    rows = []
+    for maps in vectors:
+        row = []
+        for slot, terms in enumerate(maps):
+            slot_columns = columns[slot]
+            for word, coefficient in terms.items():
+                if (column := slot_columns.setdefault(word, width)) == width:
+                    width += 1
+                row.append((column, coefficient))
+        rows.append(row)
+    return rank(rows, field)
 
 
 def _corner_spot_check(model: MatrixModel, words: list, images: dict) -> dict | None:

@@ -510,21 +510,23 @@ def enumerate_basis(max_len: int, system: RewriteSystem) -> list[Word]:
     Grows words one letter at a time and keeps a word only if no rule's
     left-hand side is a suffix of it: the word it grew from is
     irreducible, so a new redex can only end at the new letter.  Only
-    kept words are grown, so the cost is linear in the output (plus the
-    final sort), not in the 2^(max_len + 1) words over the alphabet.
+    kept words are grown, so the cost is linear in the output, not in the
+    2^(max_len + 1) words over the alphabet.  Each layer is grown in word
+    order, the letters taken by rank, so it comes out in word order and
+    the layers need no sort.
     """
     if max_len < 0:
         raise ValueError("max_len must be nonnegative")
     lhs = tuple(rule.lhs for rule in system.rules)
+    letters = sorted(system.letters, key=lambda letter: letter.translate(_RANKS))
     out = [IDENTITY_WORD]
     layer = [""]
     for _ in range(max_len):
-        layer = [grown for text in layer for letter in system.letters
+        layer = [grown for text in layer for letter in letters
                  if not (grown := text + letter).endswith(lhs)]
         if not layer:
             break
         out += [_word(Word, text) for text in layer]
-    out.sort(key=Word.sort_key)
     return out
 
 

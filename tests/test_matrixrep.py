@@ -1,5 +1,6 @@
 """The 2x2 matrix realization: images, membership, obstructions."""
 
+import dataclasses
 import itertools
 import math
 import random
@@ -9,7 +10,7 @@ import pytest
 from nilregular import matrixrep
 from nilregular.elements import Algebra, linear_combination
 from nilregular.fields import GF2, GF3, QQ
-from nilregular.linalg import row_reduce, solve
+from nilregular.linalg import rank, row_reduce, solve
 from nilregular.matrixrep import (
     DegreeBoundExceeded, MatrixElement, MatrixModel, TMembership, _corner_elements,
     _rank, check_determinant_obstruction, det2, n2_variant_check, pi_eval,
@@ -387,6 +388,64 @@ def test_gf2_rank_of_the_images_matches_the_rational_rank(n, max_len):
                    for word in words], model.target.field)
             for model in finite]
         assert ranks == [len(words)] * 4, (n, length)
+
+
+def _tuple_key_rows(vectors):
+    """_rank's sparse rows numbered by one dict keyed by (slot, word), each
+    new key taking the next column: the oracle for the per-slot numbering."""
+    columns = {}
+    return [[(columns.setdefault((slot, word), len(columns)), coefficient)
+             for slot, terms in enumerate(maps) for word, coefficient in terms.items()]
+            for maps in vectors]
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_rank_rows_keep_the_tuple_key_columns(n, monkeypatch):
+    # the per-slot numbering must give every term the column that one
+    # (slot, word) dict gives it: equal sparse rows pack to equal GF(2)
+    # ints, so the widths of the rank's basis ints are unchanged, and the
+    # corner's one-slot rows keep their rational ranks.  The rows are read
+    # where _rank hands them to linalg.rank
+    handed = []
+    monkeypatch.setattr(matrixrep, "rank", lambda rows, field: (
+        handed.append(rows) or rank(rows, field)))
+    model = MatrixModel(n, QQ)
+    for max_len in range(11):
+        words = model.source.basis_words(max_len)
+        images = [model.image_terms(word) for word in words]
+        corner = _corner_elements(
+            model, [word for word in words if len(word) <= min(max_len, 4)], {})
+        for vectors, field in ((images, GF2), ([[terms] for terms, _ in corner], QQ),
+                               ([[maps[3]] for _, maps in corner], QQ)):
+            oracle = _tuple_key_rows(vectors)
+            assert _rank(vectors, field) == rank(oracle, field), (n, max_len)
+            assert handed.pop() == oracle, (n, max_len)
+
+
+def test_faithfulness_builds_one_model_per_degree(monkeypatch):
+    # the model is built by the first check at a degree and shared by the
+    # later ones, whose reports are the same; a fault patched into the
+    # class after the model is cached still reaches the check
+    matrixrep._faithful_model.cache_clear()
+    built = []
+    init = MatrixModel.__init__
+
+    def counting_init(self, n=3, field=QQ):
+        built.append((n, field))
+        init(self, n, field)
+
+    monkeypatch.setattr(MatrixModel, "__init__", counting_init)
+    for n in (3, 4):
+        first, second = (dataclasses.replace(verify_phi_faithful(6, n), elapsed_ms=0)
+                         for _ in range(2))
+        assert first == second and first.passed, n
+    assert built == [(3, QQ), (4, QQ)]
+    monkeypatch.setattr(MatrixModel, "_image_sum",
+                        _image_sum_of_terms(lambda w: len(w) <= 2))
+    report = verify_phi_faithful(6, 3)
+    assert report.status == "fail"
+    assert report.witness["kind"] == "corner-escape"
+    assert built == [(3, QQ), (4, QQ)]
 
 
 def test_phi_faithful_reports_a_dependent_gf2_image(monkeypatch):

@@ -565,9 +565,14 @@ def test_basis_matches_brute_force_small():
         assert set(enumerate_basis(4, system)) == brute_force_basis(4, system)
     # the grown enumeration equals filtering every word, order included,
     # also for PROBE, where the closed form of the two families would keep
-    # q^2 x, x q^2 x, ...
+    # q^2 x, x q^2 x, ..., and for alphabets spelled against the word
+    # order, whose letters the growth must take by rank, not by spelling
+    against_rank = [RewriteSystem(label=system.label, letters=system.letters[::-1],
+                                  nilpotency_degree=system.nilpotency_degree,
+                                  rules=system.rules)
+                    for system in (S, R)]
     systems = ([xq_system(n) for n in range(2, 6)] + [ab_system(m) for m in range(1, 4)]
-               + [PROBE])
+               + [PROBE] + against_rank)
     for system in systems:
         for max_len in range(11):
             filtered = [w for w in canonical_words(max_len, system)
